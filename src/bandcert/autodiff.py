@@ -92,9 +92,6 @@ class Tape:
     def __init__(self):
         self.entries: list[TapeEntry] = []
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 _ACTIVE_TAPE: Tape | None = None
 
@@ -429,34 +426,6 @@ def l2_distance(a: Tensor, b: Tensor) -> Tensor:
         return (ga.astype(a.dtype, copy=False), (-ga).astype(a.dtype, copy=False))
 
     return _emit("l2_distance", out, (a, b), backward_fn)
-
-
-_PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "softmax_lastdim": softmax_lastdim,
-    "layer_norm": layer_norm,
-    "gelu": gelu,
-    "embedding_lookup": embedding_lookup,
-    "reshape": reshape,
-    "concat": concat,
-    "slice": slice_axis,
-    "mean": mean,
-    "cross_entropy": cross_entropy,
-    "l2_distance": l2_distance,
-}
-
-
-def apply_primitive(op_id: str, inputs: Sequence, **kwargs) -> Tensor:
-    """Dispatch by op name. ``concat`` takes its operands as one sequence."""
-    if op_id not in _PRIMITIVES:
-        raise ContractError(f"apply_primitive: unknown op '{op_id}' "
-                            f"(known: {sorted(_PRIMITIVES)})")
-    fn = _PRIMITIVES[op_id]
-    if op_id == "concat":
-        return fn(inputs, **kwargs)
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,8 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
                             f"config band width {cfg.band_width}")
     imgs = np.asarray(images)
     ys = np.asarray(labels)
+    if imgs.size == 0:
+        raise ContractError("evaluate: no images to certify")
     fn = score_fn if score_fn is not None else per_band_scores
     scores, forwards = fn(imgs, params, plan, cfg)
     n = imgs.shape[0]
@@ -198,12 +200,3 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
         "forwards_per_image": int(forwards),
     }
     return EvaluationResult(records=records, summary=summary)
-
-
-def predict_voted(scores: np.ndarray, cfg: CertifyConfig) -> np.ndarray:
-    """(n, w, C) score tables to (n,) voted predictions."""
-    s = np.asarray(scores)
-    if s.ndim != 3:
-        raise ContractError(f"predict_voted: expected (n, w, C), got {s.shape}")
-    return np.asarray([vote(s[i], cfg).predicted for i in range(s.shape[0])],
-                      dtype=np.int64)

@@ -62,7 +62,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "num_layers": (int, 4),
         "num_heads": (int, 4),
         "mlp_ratio": (float, 4.0),
-        "attention_mode": (str, "band_unit"),
         "codebook_size": (int, 64),
         "teacher_dim": (_to_optional_int, None),
         "band_wrap": (_to_bool, True),
@@ -211,8 +210,7 @@ def build_model_config(cfg: RunConfig):
     return ModelConfig(image_side=side, patch_size=m["patch_size"],
                        embed_dim=m["embed_dim"], num_layers=m["num_layers"],
                        num_heads=m["num_heads"], mlp_ratio=m["mlp_ratio"],
-                       num_classes=classes, attention_mode=m["attention_mode"],
-                       codebook_size=m["codebook_size"],
+                       num_classes=classes, codebook_size=m["codebook_size"],
                        teacher_dim=m["teacher_dim"], band_wrap=m["band_wrap"])
 
 

@@ -218,6 +218,8 @@ def load_dataset(spec: DatasetSpec, split: str) -> list[LabeledImage]:
             images = images[: spec.train_size]
         if spec.test_size and split == "test":
             images = images[: spec.test_size]
+    if not images:
+        raise ContractError(f"load_dataset: the {split} split has no images")
     if spec.upsample_factor > 1:
         images = [LabeledImage(upsample_nearest(im.image, spec.upsample_factor), im.label)
                   for im in images]
@@ -235,6 +237,8 @@ def upsample_nearest(image: np.ndarray, factor: int) -> np.ndarray:
 
 def stack_images(images: list[LabeledImage]) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: list -> ((n, 3, s, s) float64, (n,) int64)."""
+    if not images:
+        raise ContractError("stack_images: no images to stack")
     x = np.stack([im.image for im in images]).astype(np.float64)
     y = np.array([im.label for im in images], dtype=np.int64)
     return x, y

@@ -1,16 +1,23 @@
 """Compact vision transformer with band-restricted attention.
 
-Three forward paths share one encoder:
+One encoder entry point, ``_encode``, takes gathered patch vectors, the
+position-table rows to add to them (or none, for the full sequence) and an
+optional additive attention bias. It projects the patches,
+prepends the class token, adds the position rows, runs the blocks and the
+final layer norm, and reads the class logits. Three callers differ only in
+the token set they hand it:
 
-* ``forward_global``: full token sequence, optionally with an additive
+* ``forward_global``: the full token sequence, optionally with an additive
   attention mask restricting which tokens may be attended to.
-* ``forward_band_unit``: gathers the class token plus exactly the tokens
-  whose patch columns intersect a retained pixel band, keeps their original
-  position-embedding rows, and runs the encoder on the short sequence. By
-  the restriction argument (attention is the only token-mixing op) this
-  equals the masked global forward on the gathered rows.
-* ``batched_certify_forward``: evaluates every band position through a
-  WindowPlan that packs token-disjoint windows into shared forwards.
+* ``forward_band_unit`` and ``forward_band_rows``: the class token plus
+  exactly the tokens whose patch columns intersect a retained pixel band,
+  keeping their original position rows; one window for the whole batch, or
+  one per sample (fine-tuning). By the restriction argument (attention is
+  the only token-mixing op) this equals the masked global forward on the
+  gathered rows.
+* ``batched_certify_forward``: every band position of every image, stacked
+  by window width, with the forwards count taken from a WindowPlan that
+  packs token-disjoint windows into shared forwards.
 
 The checkpoint format is a little-endian binary container: magic "ECVT",
 u32 version, then per tensor u32 name length, UTF-8 name, u32 rank, u64
@@ -44,7 +51,6 @@ class ModelConfig:
     mlp_ratio: float = 4.0
     num_classes: int = 3
     input_channels: int = 4  # RGB + ablation mask plane
-    attention_mode: str = "band_unit"
     codebook_size: int = 64
     teacher_dim: int | None = None
     band_wrap: bool = True
@@ -56,8 +62,6 @@ class ModelConfig:
         if self.embed_dim % self.num_heads != 0:
             raise ContractError(f"ModelConfig: heads {self.num_heads} do not divide "
                                 f"dim {self.embed_dim}")
-        if self.attention_mode not in ("global", "band_unit"):
-            raise ContractError(f"ModelConfig: unknown attention_mode '{self.attention_mode}'")
         if self.num_classes < 2:
             raise ContractError("ModelConfig: need at least 2 classes")
 
@@ -161,12 +165,6 @@ class ModelParams:
                          requires_grad=trainable)
             for name, t in self.tensors.items()})
 
-    def named(self, trainable_only_finetune: bool = False) -> dict[str, Tensor]:
-        if not trainable_only_finetune:
-            return dict(self.tensors)
-        return {n: t for n, t in self.tensors.items()
-                if not n.startswith(RECON_PREFIXES)}
-
     def update(self, fresh: dict[str, Tensor]) -> None:
         for name, t in fresh.items():
             if name not in self.tensors:
@@ -177,10 +175,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-
-def init_params(cfg: ModelConfig, seed: int, dtype=ad.TRAIN_DTYPE) -> ModelParams:
-    return ModelParams.init(cfg, seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +197,8 @@ def patchify(inputs: np.ndarray, patch_size: int) -> np.ndarray:
 
 @dataclass
 class EncoderActivations:
-    tokens_in: Tensor    # H_I, the embedded input sequence
     tokens_out: Tensor   # H_O, after the final layer norm
     logits: Tensor       # class logits read from the class token
-    token_ids: np.ndarray | None = None  # patch-token ids present (band mode)
 
 
 def _affine_ln(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
@@ -261,20 +253,29 @@ def _class_logits(params: ModelParams, h_out: Tensor) -> Tensor:
     return ad.reshape(logits, (h_out.shape[0], params.cfg.num_classes))
 
 
-def embed_full(inputs: np.ndarray, params: ModelParams) -> Tensor:
-    """H_I for the full sequence: [cls; E x_1; ...; E x_N] + pos rows."""
+def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None = None,
+            attn_bias: Tensor | None = None) -> EncoderActivations:
+    """The one encoder entry point: H_I = [cls; E x_1; ...; E x_K] + pos rows,
+    then the blocks, the final layer norm and the class logits.
+
+    ``patches`` is (B, K, patch_dim). ``pos_ids`` are the position-table
+    rows to add, (K+1,) shared by the batch or (B, K+1) per sample: 0 for
+    the class token, then patch-token id + 1 for each patch. ``None`` means
+    the full sequence in grid order, which adds the whole table.
+    """
     cfg = params.cfg
-    patches = patchify(inputs, cfg.patch_size)
-    if patches.shape[1] != cfg.num_tokens or patches.shape[2] != cfg.patch_dim:
-        raise ContractError(f"embed_full: input grid {patches.shape} does not match config")
     x = Tensor(np.ascontiguousarray(patches, dtype=params.dtype))
     proj = ad.matmul(x, params["patch_embed.weight"])
-    b = patches.shape[0]
+    b = proj.shape[0]
     cls = ad.reshape(params["cls_token"], (1, 1, cfg.embed_dim))
     zeros = Tensor(np.zeros((b, 1, cfg.embed_dim), dtype=params.dtype))
-    cls_rows = ad.add(zeros, cls)
-    h = ad.concat([cls_rows, proj], axis=1)
-    return ad.add(h, params["pos_embed"])
+    h = ad.concat([ad.add(zeros, cls), proj], axis=1)
+    if pos_ids is None:
+        pos_rows = params["pos_embed"]
+    else:
+        pos_rows = ad.embedding_lookup(params["pos_embed"], pos_ids, axis=0)
+    h_out = _encoder(params, ad.add(h, pos_rows), attn_bias)
+    return EncoderActivations(tokens_out=h_out, logits=_class_logits(params, h_out))
 
 
 def forward_global(inputs: np.ndarray, params: ModelParams,
@@ -285,19 +286,20 @@ def forward_global(inputs: np.ndarray, params: ModelParams,
     every token's attention is restricted to the allowed set via a large
     negative additive bias (used by the restriction-identity oracle).
     """
-    h_in = embed_full(inputs, params)
+    cfg = params.cfg
+    patches = patchify(inputs, cfg.patch_size)
+    if patches.shape[1] != cfg.num_tokens or patches.shape[2] != cfg.patch_dim:
+        raise ContractError(f"forward_global: input grid {patches.shape} does not match config")
     bias = None
     if allowed_tokens is not None:
         allowed = np.asarray(allowed_tokens, dtype=bool)
-        if allowed.shape != (params.cfg.seq_len,):
+        if allowed.shape != (cfg.seq_len,):
             raise ContractError(f"forward_global: allowed mask shape {allowed.shape} "
-                                f"!= ({params.cfg.seq_len},)")
+                                f"!= ({cfg.seq_len},)")
         if not allowed.any():
             raise ContractError("forward_global: allowed mask is empty")
         bias = Tensor(np.where(allowed, 0.0, ad.MASK_OFF).astype(params.dtype))
-    h_out = _encoder(params, h_in, bias)
-    return EncoderActivations(tokens_in=h_in, tokens_out=h_out,
-                              logits=_class_logits(params, h_out))
+    return _encode(params, patches, attn_bias=bias)
 
 
 def window_token_ids(cfg: ModelConfig, band: BandSpec) -> np.ndarray:
@@ -317,21 +319,9 @@ def forward_band_unit(inputs: np.ndarray, params: ModelParams,
     Projection happens after the gather, so nothing is spent embedding
     tokens that are dropped anyway.
     """
-    cfg = params.cfg
-    ids = window_token_ids(cfg, band)
-    patches = patchify(inputs, cfg.patch_size)[:, ids, :]
-    x = Tensor(np.ascontiguousarray(patches, dtype=params.dtype))
-    proj = ad.matmul(x, params["patch_embed.weight"])
-    b = proj.shape[0]
-    cls = ad.reshape(params["cls_token"], (1, 1, cfg.embed_dim))
-    zeros = Tensor(np.zeros((b, 1, cfg.embed_dim), dtype=params.dtype))
-    h = ad.concat([ad.add(zeros, cls), proj], axis=1)
-    pos_rows = ad.embedding_lookup(params["pos_embed"],
-                                   np.concatenate([[0], ids + 1]), axis=0)
-    h_in = ad.add(h, pos_rows)
-    h_out = _encoder(params, h_in, None)
-    return EncoderActivations(tokens_in=h_in, tokens_out=h_out,
-                              logits=_class_logits(params, h_out), token_ids=ids)
+    ids = window_token_ids(params.cfg, band)
+    return _encode(params, patchify(inputs, params.cfg.patch_size)[:, ids, :],
+                   np.concatenate([[0], ids + 1]))
 
 
 def forward_band_rows(inputs: np.ndarray, params: ModelParams,
@@ -341,23 +331,13 @@ def forward_band_rows(inputs: np.ndarray, params: ModelParams,
     ``token_ids_per_sample`` is (B, K) of patch-token ids; all rows must
     share one window size K. Returns class logits (B, num_classes).
     """
-    cfg = params.cfg
     ids = np.asarray(token_ids_per_sample, dtype=np.int64)
     if ids.ndim != 2:
         raise ContractError(f"forward_band_rows: ids must be (B, K), got {ids.shape}")
-    patches = patchify(inputs, cfg.patch_size)
+    patches = patchify(inputs, params.cfg.patch_size)
     gathered = np.take_along_axis(patches, ids[:, :, None], axis=1)
-    x = Tensor(np.ascontiguousarray(gathered, dtype=params.dtype))
-    proj = ad.matmul(x, params["patch_embed.weight"])
-    b = proj.shape[0]
-    cls = ad.reshape(params["cls_token"], (1, 1, cfg.embed_dim))
-    zeros = Tensor(np.zeros((b, 1, cfg.embed_dim), dtype=params.dtype))
-    h = ad.concat([ad.add(zeros, cls), proj], axis=1)
-    with_cls = np.concatenate([np.zeros((b, 1), dtype=np.int64), ids + 1], axis=1)
-    pos_rows = ad.embedding_lookup(params["pos_embed"], with_cls, axis=0)
-    h_in = ad.add(h, pos_rows)
-    h_out = _encoder(params, h_in, None)
-    return _class_logits(params, h_out)
+    with_cls = np.concatenate([np.zeros((len(ids), 1), dtype=np.int64), ids + 1], axis=1)
+    return _encode(params, gathered, with_cls).logits
 
 
 # ---------------------------------------------------------------------------
@@ -379,35 +359,16 @@ class WindowPlan:
         return len(self.groups)
 
 
-def _first_fit_groups(arcs: list[tuple[int, ...]]) -> list[list[int]]:
-    groups: list[list[int]] = []
-    used: list[set[int]] = []
-    for p, cols in enumerate(arcs):
-        s = set(cols)
-        for gi, occ in enumerate(used):
-            if occ.isdisjoint(s):
-                groups[gi].append(p)
-                occ |= s
-                break
-        else:
-            groups.append([p])
-            used.append(set(s))
-    return groups
-
-
-def _template_groups(arcs: list[tuple[int, ...]], n_cols: int) -> list[list[int]] | None:
+def _template_groups(arcs: list[tuple[int, ...]], n_cols: int) -> list[list[int]]:
     """Rotational chain packing. Window arcs are cyclic column spans whose
     length depends only on position mod patch_size, so the supply of spans
     is (nearly) identical at every start column. Repeatedly builds a chain
     of span lengths that saturates the scarcest length's per-group capacity,
     pads it with other lengths, and stamps it at every rotation that still
-    has supply. Returns None when any window is not a contiguous span."""
+    has supply."""
     spans: dict[tuple[int, int], list[int]] = {}
     for p, cols in enumerate(arcs):
-        length = len(cols)
-        if cols != tuple((cols[0] + k) % n_cols for k in range(length)):
-            return None
-        spans.setdefault((cols[0], length), []).append(p)
+        spans.setdefault((cols[0], len(cols)), []).append(p)
 
     def supplies() -> dict[int, int]:
         out: dict[int, int] = {}
@@ -478,8 +439,7 @@ def _template_groups(arcs: list[tuple[int, ...]], n_cols: int) -> list[list[int]
 
 def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
     """Assign every band position to one forward so that windows inside a
-    forward are pairwise token-disjoint. Two deterministic packers run and
-    the smaller plan wins."""
+    forward are pairwise token-disjoint, by rotational chain packing."""
     w = cfg.image_side
     if not (1 <= band_width <= w):
         raise ContractError(f"plan_windows: band width {band_width} outside [1, {w}]")
@@ -487,12 +447,7 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
     arcs = [tuple(band_token_columns(BandSpec(p, band_width), cfg.patch_size, w,
                                      wrap=cfg.band_wrap))
             for p in range(w)]
-    candidates = [_first_fit_groups(arcs)]
-    tpl = _template_groups(arcs, n_cols)
-    if tpl is not None:
-        candidates.append(tpl)
-    groups = min(candidates, key=len)
-    groups = [sorted(g) for g in groups]
+    groups = sorted(sorted(g) for g in _template_groups(arcs, n_cols))
 
     flat = sorted(p for g in groups for p in g)
     if flat != list(range(w)):
@@ -522,7 +477,13 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
 
     Returns ((n_images, n_positions, num_classes) array, forwards used).
     The forwards count follows the plan: one per group of token-disjoint
-    windows, which is the quantity bounded by band_width + patch_size.
+    windows that holds a wanted position. The full plan stays within
+    band_width + patch_size forwards at the wrapped-band (w, p, b) the
+    tests check: (16, 4, 2), (16, 4, 4), (32, 4, 4), (32, 4, 8) and
+    (64, 8, 8). That is no general bound for wrapped bands: w=16, p=4, b=7
+    plans 12 forwards against 11. With unwrapped bands it held at every
+    geometry tried (w from 16 to 224, p in {4, 8, 14, 16}, b up to 32 plus
+    w/2 and w), which is a measurement, not a proof.
     For throughput the actual encoder calls batch same-width windows across
     groups into one rectangular stack per width; every op in the encoder is
     row-local or a per-slice gufunc, so each sample's arithmetic stays
@@ -572,27 +533,10 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
         pos_ids = np.concatenate(
             [np.repeat(np.concatenate([[0], ids + 1])[None, :], n_img, axis=0)
              for ids in id_list], axis=0)
-        logits = _window_logits(params, stacked, pos_ids)
+        logits = _encode(params, stacked, pos_ids).logits.data
         for bi, p in enumerate(ps):
             out[:, pos_index[p], :] = logits[bi * n_img:(bi + 1) * n_img]
     return out, forwards
-
-
-def _window_logits(params: ModelParams, patch_blocks: np.ndarray,
-                   pos_ids: np.ndarray) -> np.ndarray:
-    """Shared tail of the band forwards: project gathered patches, prepend
-    the class token, add the original position rows, encode, read logits."""
-    cfg = params.cfg
-    x = Tensor(np.ascontiguousarray(patch_blocks, dtype=params.dtype))
-    proj = ad.matmul(x, params["patch_embed.weight"])
-    b = proj.shape[0]
-    cls = ad.reshape(params["cls_token"], (1, 1, cfg.embed_dim))
-    zeros = Tensor(np.zeros((b, 1, cfg.embed_dim), dtype=params.dtype))
-    h = ad.concat([ad.add(zeros, cls), proj], axis=1)
-    pos_rows = ad.embedding_lookup(params["pos_embed"], np.asarray(pos_ids), axis=0)
-    h_in = ad.add(h, pos_rows)
-    h_out = _encoder(params, h_in, None)
-    return _class_logits(params, h_out).data
 
 
 # ---------------------------------------------------------------------------
@@ -652,35 +596,42 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str, cfg: ModelConfig, dtype=ad.INFER_DTYPE) -> ModelParams:
-    """Read a checkpoint and validate it against the config's geometry."""
+    """Read a checkpoint and validate it against the config's geometry.
+    Any file that does not follow the layout raises DataFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataFormatError(f"{path}: bad magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    off = 4
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal off
+        if off + size > len(blob):
+            raise DataFormatError(f"{path}: truncated {what} at byte {off}")
+        off += size
+        return blob[off - size:off]
+
+    (version,) = struct.unpack("<I", take(4, "version"))
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"{path}: checkpoint version {version}, this build "
                               f"reads version {CHECKPOINT_VERSION}")
-    off = 8
     tensors: dict[str, np.ndarray] = {}
     while off < len(blob):
-        if off + 4 > len(blob):
-            raise DataFormatError(f"{path}: truncated tensor header")
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, off)
-        off += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
-        end = off + 4 * count
-        if end > len(blob):
-            raise DataFormatError(f"{path}: truncated data for tensor '{name}'")
-        arr = np.frombuffer(blob[off:end], dtype="<f4").reshape(dims)
-        off = end
-        tensors[name] = arr
+        (nlen,) = struct.unpack("<I", take(4, "tensor header"))
+        try:
+            name = take(nlen, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: tensor name ending at byte {off} "
+                                  f"is not UTF-8") from None
+        if name in tensors:
+            raise DataFormatError(f"{path}: tensor '{name}' is stored twice")
+        (rank,) = struct.unpack("<I", take(4, f"rank of '{name}'"))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of '{name}'"))
+        data = take(4 * math.prod(dims), f"data for tensor '{name}'")
+        try:
+            tensors[name] = np.frombuffer(data, dtype="<f4").reshape(dims)
+        except ValueError as e:
+            raise DataFormatError(f"{path}: tensor '{name}' has dims {dims}: {e}") from None
 
     expected = _param_shapes(cfg)
     if set(tensors) != set(expected):

@@ -41,32 +41,6 @@ class BandSpec:
         return cols[cols < image_width]
 
 
-@dataclass
-class AblatedImage:
-    """Pixels with everything outside the band zeroed, plus the column mask."""
-
-    pixels: np.ndarray  # (3, h, w), zero outside the band
-    mask: np.ndarray    # (h, w) float, 1.0 on retained columns
-
-    def model_input(self) -> np.ndarray:
-        """Stack to the 4-channel layout the classifier consumes."""
-        return np.concatenate([self.pixels, self.mask[None]], axis=0)
-
-
-def ablate_band(image: np.ndarray, band: BandSpec, wrap: bool = True) -> AblatedImage:
-    """Keep the band's columns, zero the rest, record the mask plane."""
-    img = np.asarray(image)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ContractError(f"ablate_band: expected (3, h, w), got {img.shape}")
-    w = img.shape[2]
-    cols = band.retained_columns(w, wrap=wrap)
-    keep = np.zeros(w, dtype=img.dtype)
-    keep[cols] = 1.0
-    pixels = img * keep[None, None, :]
-    mask = np.broadcast_to(keep[None, :], img.shape[1:]).copy()
-    return AblatedImage(pixels=pixels, mask=mask)
-
-
 def ablate_batch(images: np.ndarray, positions: np.ndarray, width: int,
                  wrap: bool = True) -> np.ndarray:
     """Vectorized per-sample ablation: (n,3,h,w) + (n,) positions ->
@@ -87,13 +61,6 @@ def ablate_batch(images: np.ndarray, positions: np.ndarray, width: int,
     pixels = imgs * keep[:, None, None, :]
     mask = np.broadcast_to(keep[:, None, None, :], (n, 1, h, w))
     return np.concatenate([pixels, mask], axis=1)
-
-
-def all_band_positions(image_width: int, width: int) -> list[BandSpec]:
-    """Every start position 0 .. w-1 at the configured width."""
-    if not (1 <= width <= image_width):
-        raise ContractError(f"all_band_positions: width {width} outside [1, {image_width}]")
-    return [BandSpec(p, width) for p in range(image_width)]
 
 
 def band_token_columns(band: BandSpec, patch_size: int, image_width: int,
@@ -173,30 +140,5 @@ def stage_masks(reconstruct_ratio: float, band: BandSpec, patch_size: int,
 
     flags = grid.reshape(-1)
     assert int(flags.sum()) == target
-    return ReconstructionMask(flags=flags, target_count=target,
-                              band_columns=tuple(band_cols))
-
-
-def stage_masks_scatter(reconstruct_ratio: float, band: BandSpec, patch_size: int,
-                        image_side: int, rng: np.random.Generator,
-                        wrap: bool = True) -> ReconstructionMask:
-    """Scatter variant: band token columns stay flagged, the remaining quota
-    is drawn uniformly from the rest of the grid."""
-    if not (0.0 <= reconstruct_ratio <= 1.0):
-        raise ContractError(f"stage_masks: ratio {reconstruct_ratio} outside [0, 1]")
-    rows = cols = image_side // patch_size
-    n = rows * cols
-    band_cols = band_token_columns(band, patch_size, image_side, wrap=wrap)
-    target = max(math.ceil(reconstruct_ratio * n), len(band_cols) * rows)
-    target = min(target, n)
-    grid = np.zeros((rows, cols), dtype=bool)
-    for c in band_cols:
-        grid[:, c] = True
-    flags = grid.reshape(-1)
-    pool = np.nonzero(~flags)[0]
-    extra = target - int(flags.sum())
-    if extra > 0:
-        chosen = rng.choice(pool, size=extra, replace=False)
-        flags[chosen] = True
     return ReconstructionMask(flags=flags, target_count=target,
                               band_columns=tuple(band_cols))

@@ -19,7 +19,7 @@ The schedule has two phases:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,9 +152,37 @@ def _stage_recon_groups(positions: np.ndarray, stage: StageConfig, cfg: ModelCon
     return groups
 
 
-@dataclass
-class PhaseResult:
-    records: list[dict] = field(default_factory=list)
+def _optimise(params: ModelParams, batch_loss, rng: np.random.Generator, *, n: int,
+              epochs: int, batch_size: int, lr: float, weight_decay: float,
+              warmup_epochs: int, exclude: tuple[str, ...], tags: dict) -> list[dict]:
+    """The one training loop: shuffled batches of ``n`` samples, a tape per
+    batch, backward, one AdamW step over the parameters outside ``exclude``.
+
+    ``batch_loss(batch)`` runs while the tape records and returns the scalar
+    loss plus per-batch sums (already scaled by the batch size where they
+    are means). Each epoch appends ``tags`` with the epoch number and every
+    sum divided by ``n``. With ``warmup_epochs`` 0 the lr scale is 1.0.
+    """
+    opt = AdamW(lr=lr, weight_decay=weight_decay)
+    names = _trainable(params, exclude)
+    steps_per_epoch = math.ceil(n / batch_size)
+    records = []
+    step = 0
+    for epoch in range(epochs):
+        sums: dict[str, float] = {}
+        for batch in _epoch_batches(n, batch_size, rng):
+            tape = Tape()
+            with record(tape):
+                loss, batch_sums = batch_loss(batch)
+            grads = ad.backward(tape, loss)
+            scale = _warmup_scale(step, steps_per_epoch, warmup_epochs)
+            params.update(opt.step(names, grads, lr_scale=scale))
+            names = _trainable(params, exclude)
+            for key, value in batch_sums.items():
+                sums[key] = sums.get(key, 0.0) + value
+            step += 1
+        records.append({**tags, "epoch": epoch, **{k: v / n for k, v in sums.items()}})
+    return records
 
 
 def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
@@ -165,58 +193,41 @@ def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
     vae mode or (B, N, teacher_dim) float features in distill mode."""
     cfg = params.cfg
     rng = np.random.default_rng([int(seed), 0xA, stage_index])
-    names = _trainable(params, stage_param_names(plan.mode))
-    opt = AdamW(lr=stage.lr, weight_decay=plan.weight_decay)
-    n = images.shape[0]
-    steps_per_epoch = math.ceil(n / plan.batch_size)
     lam = Tensor(np.asarray(plan.lambda_rec, dtype=ad.TRAIN_DTYPE))
-    records = []
-    step = 0
-    for epoch in range(stage.epochs):
-        ce_sum = rec_sum = loss_sum = 0.0
-        for batch in _epoch_batches(n, plan.batch_size, rng):
-            imgs = images[batch]
-            ys = labels[batch]
-            positions = rng.integers(0, cfg.image_side, size=batch.size)
-            abl = ablate_batch(imgs, positions, stage.keep_width, wrap=cfg.band_wrap)
-            groups = _stage_recon_groups(positions, stage, cfg)
-            targets = recon_targets[batch]
 
-            tape = Tape()
-            with record(tape):
-                acts = forward_global(abl, params)
-                ce = ad.cross_entropy(acts.logits, ys)
-                seq = acts.tokens_out.shape[1]
-                patch_rows = ad.slice_axis(acts.tokens_out, 1, 1, seq)
-                rec = None
-                for rows, idx, gathered, weight in _grouped_recon_terms(patch_rows, groups):
-                    if plan.mode == "vae":
-                        logits = ad.add(ad.matmul(gathered, params["recon_vocab.weight"]),
-                                        params["recon_vocab.bias"])
-                        tgt = np.take_along_axis(targets[rows], idx, axis=1)
-                        term = ad.cross_entropy(logits, tgt)
-                    else:
-                        proj = ad.add(ad.matmul(gathered, params["recon_proj.weight"]),
-                                      params["recon_proj.bias"])
-                        feats = np.take_along_axis(
-                            targets[rows], idx[:, :, None], axis=1)
-                        term = ad.l2_distance(proj, Tensor(feats.astype(ad.TRAIN_DTYPE)))
-                    term = ad.mul(term, Tensor(np.asarray(weight, dtype=ad.TRAIN_DTYPE)))
-                    rec = term if rec is None else ad.add(rec, term)
-                loss = ad.add(ce, ad.mul(rec, lam))
-            grads = ad.backward(tape, loss)
-            scale = _warmup_scale(step, steps_per_epoch, plan.warmup_epochs)
-            fresh = opt.step(names, grads, lr_scale=scale)
-            params.update(fresh)
-            names = _trainable(params, stage_param_names(plan.mode))
-            ce_sum += ce.item() * batch.size
-            rec_sum += rec.item() * batch.size
-            loss_sum += loss.item() * batch.size
-            step += 1
-        records.append({"phase": "stage", "stage": stage_index, "epoch": epoch,
-                        "keep_width": stage.keep_width,
-                        "loss": loss_sum / n, "ce": ce_sum / n, "rec": rec_sum / n})
-    return records
+    def batch_loss(batch):
+        positions = rng.integers(0, cfg.image_side, size=batch.size)
+        abl = ablate_batch(images[batch], positions, stage.keep_width, wrap=cfg.band_wrap)
+        groups = _stage_recon_groups(positions, stage, cfg)
+        targets = recon_targets[batch]
+        acts = forward_global(abl, params)
+        ce = ad.cross_entropy(acts.logits, labels[batch])
+        seq = acts.tokens_out.shape[1]
+        patch_rows = ad.slice_axis(acts.tokens_out, 1, 1, seq)
+        rec = None
+        for rows, idx, gathered, weight in _grouped_recon_terms(patch_rows, groups):
+            if plan.mode == "vae":
+                logits = ad.add(ad.matmul(gathered, params["recon_vocab.weight"]),
+                                params["recon_vocab.bias"])
+                tgt = np.take_along_axis(targets[rows], idx, axis=1)
+                term = ad.cross_entropy(logits, tgt)
+            else:
+                proj = ad.add(ad.matmul(gathered, params["recon_proj.weight"]),
+                              params["recon_proj.bias"])
+                feats = np.take_along_axis(targets[rows], idx[:, :, None], axis=1)
+                term = ad.l2_distance(proj, Tensor(feats.astype(ad.TRAIN_DTYPE)))
+            term = ad.mul(term, Tensor(np.asarray(weight, dtype=ad.TRAIN_DTYPE)))
+            rec = term if rec is None else ad.add(rec, term)
+        loss = ad.add(ce, ad.mul(rec, lam))
+        return loss, {"loss": loss.item() * batch.size, "ce": ce.item() * batch.size,
+                      "rec": rec.item() * batch.size}
+
+    return _optimise(params, batch_loss, rng, n=images.shape[0], epochs=stage.epochs,
+                     batch_size=plan.batch_size, lr=stage.lr,
+                     weight_decay=plan.weight_decay, warmup_epochs=plan.warmup_epochs,
+                     exclude=stage_param_names(plan.mode),
+                     tags={"phase": "stage", "stage": stage_index,
+                           "keep_width": stage.keep_width})
 
 
 def finetune_band(params: ModelParams, plan: TrainPlan,
@@ -225,48 +236,34 @@ def finetune_band(params: ModelParams, plan: TrainPlan,
     tokens; cross entropy only; reconstruction heads stay frozen."""
     cfg = params.cfg
     rng = np.random.default_rng([int(seed), 0xB])
-    names = _trainable(params, RECON_PREFIXES)
-    opt = AdamW(lr=plan.finetune_lr, weight_decay=plan.weight_decay)
-    n = images.shape[0]
-    steps_per_epoch = math.ceil(n / plan.batch_size)
     window_ids = [window_token_ids(cfg, BandSpec(p, plan.band_width))
                   for p in range(cfg.image_side)]
-    records = []
-    step = 0
-    for epoch in range(plan.finetune_epochs):
-        loss_sum = hits = 0.0
-        for batch in _epoch_batches(n, plan.batch_size, rng):
-            imgs = images[batch]
-            ys = labels[batch]
-            positions = rng.integers(0, cfg.image_side, size=batch.size)
-            abl = ablate_batch(imgs, positions, plan.band_width, wrap=cfg.band_wrap)
-            by_len: dict[int, list[int]] = {}
-            for i, p in enumerate(positions):
-                by_len.setdefault(window_ids[p].size, []).append(i)
 
-            tape = Tape()
-            with record(tape):
-                loss = None
-                for _, rows in sorted(by_len.items()):
-                    rows_arr = np.asarray(rows, dtype=np.int64)
-                    ids = np.stack([window_ids[positions[i]] for i in rows])
-                    logits = forward_band_rows(abl[rows_arr], params, ids)
-                    term = ad.cross_entropy(logits, ys[rows_arr])
-                    term = ad.mul(term, Tensor(np.asarray(len(rows) / batch.size,
-                                                          dtype=ad.TRAIN_DTYPE)))
-                    loss = term if loss is None else ad.add(loss, term)
-                    hits += (np.argmax(logits.data, axis=1) == ys[rows_arr]).sum()
-            grads = ad.backward(tape, loss)
-            scale = _warmup_scale(step, steps_per_epoch, plan.warmup_epochs)
-            fresh = opt.step(names, grads, lr_scale=scale)
-            params.update(fresh)
-            names = _trainable(params, RECON_PREFIXES)
-            loss_sum += loss.item() * batch.size
-            step += 1
-        records.append({"phase": "finetune", "epoch": epoch,
-                        "band_width": plan.band_width,
-                        "loss": loss_sum / n, "band_accuracy": float(hits) / n})
-    return records
+    def batch_loss(batch):
+        ys = labels[batch]
+        positions = rng.integers(0, cfg.image_side, size=batch.size)
+        abl = ablate_batch(images[batch], positions, plan.band_width, wrap=cfg.band_wrap)
+        by_len: dict[int, list[int]] = {}
+        for i, p in enumerate(positions):
+            by_len.setdefault(window_ids[p].size, []).append(i)
+        loss = None
+        hits = 0
+        for _, rows in sorted(by_len.items()):
+            rows_arr = np.asarray(rows, dtype=np.int64)
+            ids = np.stack([window_ids[positions[i]] for i in rows])
+            logits = forward_band_rows(abl[rows_arr], params, ids)
+            term = ad.cross_entropy(logits, ys[rows_arr])
+            term = ad.mul(term, Tensor(np.asarray(len(rows) / batch.size,
+                                                  dtype=ad.TRAIN_DTYPE)))
+            loss = term if loss is None else ad.add(loss, term)
+            hits += int((np.argmax(logits.data, axis=1) == ys[rows_arr]).sum())
+        return loss, {"loss": loss.item() * batch.size, "band_accuracy": float(hits)}
+
+    return _optimise(params, batch_loss, rng, n=images.shape[0],
+                     epochs=plan.finetune_epochs, batch_size=plan.batch_size,
+                     lr=plan.finetune_lr, weight_decay=plan.weight_decay,
+                     warmup_epochs=plan.warmup_epochs, exclude=RECON_PREFIXES,
+                     tags={"phase": "finetune", "band_width": plan.band_width})
 
 
 def train_teacher(cfg: ModelConfig, images: np.ndarray, labels: np.ndarray,
@@ -275,26 +272,18 @@ def train_teacher(cfg: ModelConfig, images: np.ndarray, labels: np.ndarray,
     """Plain clean-image classifier used as the frozen distillation target."""
     teacher = ModelParams.init(cfg, seed=seed + 101)
     rng = np.random.default_rng([int(seed), 0xC])
-    names = _trainable(teacher, RECON_PREFIXES)
-    opt = AdamW(lr=lr, weight_decay=weight_decay)
     full = with_full_mask(images)
-    n = images.shape[0]
-    records = []
-    for epoch in range(epochs):
-        loss_sum = hits = 0.0
-        for batch in _epoch_batches(n, batch_size, rng):
-            tape = Tape()
-            with record(tape):
-                acts = forward_global(full[batch], teacher)
-                loss = ad.cross_entropy(acts.logits, labels[batch])
-            grads = ad.backward(tape, loss)
-            fresh = opt.step(names, grads)
-            teacher.update(fresh)
-            names = _trainable(teacher, RECON_PREFIXES)
-            loss_sum += loss.item() * batch.size
-            hits += (np.argmax(acts.logits.data, axis=1) == labels[batch]).sum()
-        records.append({"phase": "teacher", "epoch": epoch,
-                        "loss": loss_sum / n, "accuracy": float(hits) / n})
+
+    def batch_loss(batch):
+        logits = forward_global(full[batch], teacher).logits
+        loss = ad.cross_entropy(logits, labels[batch])
+        hits = (np.argmax(logits.data, axis=1) == labels[batch]).sum()
+        return loss, {"loss": loss.item() * batch.size, "accuracy": float(hits)}
+
+    records = _optimise(teacher, batch_loss, rng, n=images.shape[0], epochs=epochs,
+                        batch_size=batch_size, lr=lr, weight_decay=weight_decay,
+                        warmup_epochs=0, exclude=RECON_PREFIXES,
+                        tags={"phase": "teacher"})
     return teacher, records
 
 
@@ -340,32 +329,19 @@ def train_baseline(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
     certification width, with no reconstruction loss."""
     params = ModelParams.init(cfg, seed=seed)
     rng = np.random.default_rng([int(seed), 0xD])
-    names = _trainable(params, RECON_PREFIXES)
-    opt = AdamW(lr=plan.stages[0].lr if plan.stages else plan.finetune_lr,
-                weight_decay=plan.weight_decay)
-    n = images.shape[0]
-    steps_per_epoch = math.ceil(n / plan.batch_size)
-    total_epochs = sum(s.epochs for s in plan.stages)
-    records = []
-    step = 0
-    for epoch in range(total_epochs):
-        loss_sum = 0.0
-        for batch in _epoch_batches(n, plan.batch_size, rng):
-            positions = rng.integers(0, cfg.image_side, size=batch.size)
-            abl = ablate_batch(images[batch], positions, plan.band_width,
-                               wrap=cfg.band_wrap)
-            tape = Tape()
-            with record(tape):
-                acts = forward_global(abl, params)
-                loss = ad.cross_entropy(acts.logits, labels[batch])
-            grads = ad.backward(tape, loss)
-            scale = _warmup_scale(step, steps_per_epoch, plan.warmup_epochs)
-            fresh = opt.step(names, grads, lr_scale=scale)
-            params.update(fresh)
-            names = _trainable(params, RECON_PREFIXES)
-            loss_sum += loss.item() * batch.size
-            step += 1
-        records.append({"phase": "baseline", "epoch": epoch,
-                        "loss": loss_sum / n})
+
+    def batch_loss(batch):
+        positions = rng.integers(0, cfg.image_side, size=batch.size)
+        abl = ablate_batch(images[batch], positions, plan.band_width, wrap=cfg.band_wrap)
+        loss = ad.cross_entropy(forward_global(abl, params).logits, labels[batch])
+        return loss, {"loss": loss.item() * batch.size}
+
+    records = _optimise(params, batch_loss, rng, n=images.shape[0],
+                        epochs=sum(s.epochs for s in plan.stages),
+                        batch_size=plan.batch_size,
+                        lr=plan.stages[0].lr if plan.stages else plan.finetune_lr,
+                        weight_decay=plan.weight_decay,
+                        warmup_epochs=plan.warmup_epochs, exclude=RECON_PREFIXES,
+                        tags={"phase": "baseline"})
     records.extend(finetune_band(params, plan, images, labels, seed=seed))
     return params, records

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bandcert.certification import (CertifyConfig, VoteTable,
                                     affected_positions, certified_against,
                                     evaluate, max_certified_patch_width,
-                                    predict_voted, softmax_scores, vote)
+                                    softmax_scores, vote)
 from bandcert.errors import ContractError
 from bandcert.model import ModelParams, plan_windows
 from bandcert.smoothing import BandSpec
@@ -169,13 +169,11 @@ def test_evaluate_rejects_plan_config_mismatch(small_params):
                  CertifyConfig(band_width=3))
 
 
-def test_predict_voted_matches_vote():
-    cfg = cfg_for()
-    tables = np.stack([table_from_counts([5, 1], 8),
-                       table_from_counts([0, 4], 8),
-                       table_from_counts([2, 2], 8)])
-    preds = predict_voted(tables, cfg)
-    assert preds.tolist() == [0, 1, 0]
+def test_evaluate_rejects_zero_images(small_params):
+    plan = plan_windows(small_params.cfg, 2)
+    with pytest.raises(ContractError):
+        evaluate(np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=int), small_params, plan,
+                 CertifyConfig(band_width=2))
 
 
 def test_softmax_scores_rows_are_distributions():

@@ -53,10 +53,17 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert "nonsense" in proc.stderr
 
 
-def test_missing_checkpoint_is_data_error(tmp_path):
-    proc = run_cli("certify", *TINY, "--out-dir", str(tmp_path / "o"),
-                   "--checkpoint", str(tmp_path / "absent.ecvt"))
-    assert proc.returncode == EXIT_DATA
+def test_missing_checkpoint_is_data_error(trained_dir, tmp_path):
+    # an absent file, and one cut short inside a header field
+    blob = (trained_dir / "model.ecvt").read_bytes()
+    name = b"patch_embed.weight"
+    cut = tmp_path / "cut.ecvt"
+    cut.write_bytes(blob[:blob.index(name) + len(name) + 2])  # inside the rank field
+    for checkpoint in (tmp_path / "absent.ecvt", cut):
+        proc = run_cli("certify", *TINY, "--out-dir", str(tmp_path / "o"),
+                       "--checkpoint", str(checkpoint))
+        assert proc.returncode == EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_export_config_roundtrip(tmp_path):
@@ -112,6 +119,20 @@ def test_finetune_resumes_a_checkpoint(trained_dir, tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (out / "model.ecvt").exists()
     assert (out / "finetune_metrics.jsonl").exists()
+
+
+def test_empty_split_is_usage_error(trained_dir, tmp_path):
+    runs = {
+        "train": run_cli("train", *TINY, "--set", "data.train_size=0",
+                         "--out-dir", str(tmp_path / "t")),
+        "certify": run_cli("certify", *TINY, "--set", "data.test_size=0",
+                           "--out-dir", str(tmp_path / "c"),
+                           "--checkpoint", str(trained_dir / "model.ecvt")),
+    }
+    for command, proc in runs.items():
+        assert proc.returncode == EXIT_USAGE, (command, proc.stderr)
+        assert "Traceback" not in proc.stderr, command
+        assert len(proc.stderr.strip().splitlines()) == 1, (command, proc.stderr)
 
 
 def test_bench_reports_flops_and_timing():

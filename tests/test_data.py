@@ -45,6 +45,13 @@ def test_stack_images_shapes_and_ranges():
     assert xs.min() >= 0.0 and xs.max() <= 1.0
 
 
+def test_empty_split_is_rejected():
+    with pytest.raises(ContractError):
+        load_dataset(synth_spec(test_size=0), "test")
+    with pytest.raises(ContractError):
+        stack_images([])
+
+
 def test_upsample_factor_scales_side():
     spec = synth_spec(image_side=8, upsample_factor=2)
     xs, _ = stack_images(load_dataset(spec, "train"))

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from bandcert.errors import ContractError, DataFormatError
 from bandcert.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams,
                             batched_certify_forward, count_flops,
-                            forward_band_unit, forward_global, load_checkpoint,
-                            patchify, plan_windows, save_checkpoint,
-                            window_token_ids)
+                            forward_band_rows, forward_band_unit, forward_global,
+                            load_checkpoint, patchify, plan_windows,
+                            save_checkpoint, window_token_ids)
 from bandcert.smoothing import BandSpec, ablate_batch, band_token_columns
 
 
@@ -29,7 +29,7 @@ def test_config_rejects_bad_divisibility():
 def test_param_inventory_and_shapes():
     cfg = tiny_cfg()
     params = ModelParams.init(cfg, seed=0)
-    named = dict(params.named())
+    named = params.tensors
     assert named["patch_embed.weight"].shape == (cfg.patch_dim, cfg.embed_dim)
     assert named["pos_embed"].shape == (cfg.seq_len, cfg.embed_dim)
     assert named["head.weight"].shape == (cfg.embed_dim, cfg.num_classes)
@@ -43,9 +43,9 @@ def test_param_inventory_and_shapes():
 
 
 def test_init_is_seed_deterministic():
-    a = ModelParams.init(tiny_cfg(), seed=7).named()
-    b = ModelParams.init(tiny_cfg(), seed=7).named()
-    c = ModelParams.init(tiny_cfg(), seed=8).named()
+    a = ModelParams.init(tiny_cfg(), seed=7).tensors
+    b = ModelParams.init(tiny_cfg(), seed=7).tensors
+    c = ModelParams.init(tiny_cfg(), seed=8).tensors
     for name, ta in a.items():
         np.testing.assert_array_equal(ta.data, b[name].data)
     assert any(not np.array_equal(ta.data, c[name].data)
@@ -134,6 +134,22 @@ def test_batched_forward_position_subset():
     np.testing.assert_array_equal(sub[:, 1], full[:, 6])
 
 
+def test_band_rows_with_one_window_equal_band_unit():
+    # fine-tuning (forward_band_rows) and certification (forward_band_unit)
+    # must run the same encoder on the same window
+    cfg = tiny_cfg()
+    imgs = np.random.default_rng(7).random((3, 3, 8, 8))
+    for dtype in (np.float32, np.float64):
+        params = ModelParams.init(cfg, seed=5).cast(dtype)
+        for p in range(cfg.image_side):
+            band = BandSpec(p, 3)
+            abl = ablate_batch(imgs, np.full(3, p), 3).astype(dtype)
+            ids = np.repeat(window_token_ids(cfg, band)[None], 3, axis=0)
+            rows = forward_band_rows(abl, params, ids).data
+            unit = forward_band_unit(abl, params, band).logits.data
+            np.testing.assert_array_equal(rows, unit)
+
+
 def test_band_restriction_matches_masked_global_f64():
     cfg = tiny_cfg()
     params = ModelParams.init(cfg, seed=4)  # float64 by default
@@ -157,8 +173,8 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     save_checkpoint(params, str(path))
     assert path.read_bytes()[:4] == CHECKPOINT_MAGIC
     back = load_checkpoint(str(path), cfg)
-    loaded = back.named()
-    for name, t in params.named().items():
+    loaded = back.tensors
+    for name, t in params.tensors.items():
         np.testing.assert_array_equal(t.data, loaded[name].data.astype(np.float32))
 
 
@@ -167,17 +183,63 @@ def test_checkpoint_corruption_is_detected(tmp_path):
     params = ModelParams.init(cfg, seed=6)
     path = tmp_path / "model.ecvt"
     save_checkpoint(params, str(path))
-    blob = bytearray(path.read_bytes())
+    blob = path.read_bytes()
+    name = b"patch_embed.weight"
+    start = blob.index(name)
+    rank_at = start + len(name)
+    cases = {
+        "bad magic": b"XXXX" + blob[4:],
+        "truncated": blob[:len(blob) // 2],
+        "version cut short": blob[:6],
+        "undecodable name": blob[:start] + b"\xff" + blob[start + 1:],
+        "rank cut short": blob[:rank_at + 2],
+        "huge rank": blob[:rank_at] + (0x7FFFFFFF).to_bytes(4, "little") + blob[rank_at + 4:],
+        # a second copy of the first tensor after the last one
+        "duplicate name": blob + blob[8:blob.index(b"cls_token") - 4],
+    }
+    for what, bad in cases.items():
+        (tmp_path / "bad.ecvt").write_bytes(bad)
+        try:
+            load_checkpoint(str(tmp_path / "bad.ecvt"), cfg)
+        except DataFormatError:
+            continue
+        pytest.fail(f"{what}: loaded without a DataFormatError")
 
-    bad_magic = tmp_path / "magic.ecvt"
-    bad_magic.write_bytes(b"XXXX" + bytes(blob[4:]))
-    with pytest.raises(DataFormatError):
-        load_checkpoint(str(bad_magic), cfg)
 
-    truncated = tmp_path / "short.ecvt"
-    truncated.write_bytes(bytes(blob[:len(blob) // 2]))
-    with pytest.raises(DataFormatError):
-        load_checkpoint(str(truncated), cfg)
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    """(bytes, config) of a small saved float32 checkpoint."""
+    cfg = ModelConfig(image_side=4, patch_size=4, embed_dim=2, num_layers=1,
+                      num_heads=1, mlp_ratio=1.0, num_classes=2, codebook_size=2)
+    path = tmp_path_factory.mktemp("ecvt") / "valid.ecvt"
+    save_checkpoint(ModelParams.init(cfg, seed=6).cast(np.float32), str(path))
+    return path.read_bytes(), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_damage_loads_exactly_or_raises(valid_checkpoint, tmp_path_factory, data):
+    # A cut or a one-byte flip either raises DataFormatError or loads the
+    # file's own tensors: the original's names and shapes, holding exactly
+    # the damaged file's float32 bytes. A flip inside tensor data cannot be
+    # detected (the format has no checksum), so that is all "loads" can mean.
+    blob, cfg = valid_checkpoint
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        mask = data.draw(st.integers(1, 255), label="xor")
+        bad = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+    folder = tmp_path_factory.mktemp("damaged")
+    (folder / "bad.ecvt").write_bytes(bad)
+    try:
+        loaded = load_checkpoint(str(folder / "bad.ecvt"), cfg)
+    except DataFormatError:
+        return
+    assert [(n, t.shape) for n, t in loaded.tensors.items()] == \
+        [(n, t.shape) for n, t in ModelParams.init(cfg, seed=0).tensors.items()]
+    save_checkpoint(loaded, str(folder / "resaved.ecvt"))
+    assert (folder / "resaved.ecvt").read_bytes() == bad
 
 
 def test_checkpoint_config_mismatch_is_detected(tmp_path):

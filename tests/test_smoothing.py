@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandcert.errors import ContractError
-from bandcert.smoothing import (BandSpec, ablate_band, ablate_batch,
-                                all_band_positions, band_token_columns,
-                                stage_masks, stage_masks_scatter)
+from bandcert.smoothing import (BandSpec, ablate_batch, band_token_columns,
+                                stage_masks)
 
 
 def test_band_spec_validation():
@@ -48,21 +47,6 @@ def test_ablate_batch_positions_vary_per_sample():
                                       BandSpec(p, 2).retained_columns(8))
 
 
-def test_ablate_band_single_matches_batch():
-    rng = np.random.default_rng(3)
-    img = rng.random((3, 8, 8))
-    single = ablate_band(img, BandSpec(5, 3)).model_input()
-    batch = ablate_batch(img[None], np.array([5]), 3)[0]
-    np.testing.assert_array_equal(single, batch)
-
-
-def test_all_band_positions():
-    bands = all_band_positions(16, 4)
-    assert len(bands) == 16
-    assert [b.position for b in bands] == list(range(16))
-    assert all(b.width == 4 for b in bands)
-
-
 def test_band_token_columns_misaligned_band():
     # pixels 3..6 with patch 4 touch token columns 0 and 1
     assert band_token_columns(BandSpec(3, 4), 4, 16) == [0, 1]
@@ -93,15 +77,6 @@ def test_stage_masks_exact_quota_partial_column():
     grid = mask.flags.reshape(4, 4)
     assert grid[:, 1].all()  # band column itself
     assert grid.sum() == 10
-
-
-def test_stage_masks_scatter_agrees_on_band_cover():
-    band = BandSpec(2, 4)
-    a = stage_masks(0.5, band, 4, 16)
-    b = stage_masks_scatter(0.5, band, 4, 16, np.random.default_rng(0))
-    assert int(b.flags.sum()) == b.target_count == a.target_count
-    for c in a.band_columns:
-        assert b.flags.reshape(4, 4)[:, c].all()
 
 
 def test_stage_masks_rejects_bad_ratio():

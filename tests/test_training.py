@@ -104,7 +104,7 @@ def test_stage_is_seed_deterministic():
     for _ in range(2):
         params = ModelParams.init(cfg, seed=0)
         run_stage(params, stage, plan, imgs, ys, targets, stage_index=0, seed=5)
-        outs.append({n: t.data.copy() for n, t in params.named().items()})
+        outs.append({n: t.data.copy() for n, t in params.tensors.items()})
     for name in outs[0]:
         np.testing.assert_array_equal(outs[0][name], outs[1][name])
 
