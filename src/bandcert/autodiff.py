@@ -64,17 +64,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
 
 
-def tensor(data, dtype=None, requires_grad: bool = False) -> Tensor:
-    """Create a leaf tensor. Lists and scalars are accepted for convenience."""
-    arr = np.asarray(data)
-    if dtype is None:
-        dtype = TRAIN_DTYPE if arr.dtype != np.float32 else np.float32
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    if not np.isfinite(arr).all():
-        raise NumericError("tensor: input data contains NaN/Inf")
-    return Tensor(arr, requires_grad=requires_grad)
-
-
 class TapeEntry:
     __slots__ = ("op", "inputs", "output", "backward_fn")
 
@@ -252,10 +241,10 @@ def gelu(x: Tensor) -> Tensor:
 def embedding_lookup(table: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather rows of ``table`` along ``axis``.
 
-    Three layouts cover the model's needs: any-rank indices on axis 0
-    (classic table lookup, also per-sample position-row gathers), a shared
-    1-D index list on an inner axis, and a per-row 2-D index array for a
-    rank-3 table on axis 1 (per-sample token selection in training).
+    Two layouts cover the model's needs: any-rank indices on axis 0
+    (classic table lookup, also per-sample position-row gathers) and a
+    per-row 2-D index array for a rank-3 table on axis 1 (per-sample token
+    selection in training).
     Gradients scatter-add into the table.
     """
     idx = np.asarray(indices)
@@ -274,16 +263,6 @@ def embedding_lookup(table: Tensor, indices, axis: int = 0) -> Tensor:
         def backward_fn(g: np.ndarray):
             gt = np.zeros_like(table.data)
             np.add.at(gt, idx.reshape(-1), g.reshape((-1,) + tail))
-            return (gt,)
-
-    elif idx.ndim <= 1:
-        out = np.take(table.data, idx, axis=ax)
-
-        def backward_fn(g: np.ndarray):
-            gt = np.zeros_like(table.data)
-            moved = np.moveaxis(gt, ax, 0)
-            gmoved = np.moveaxis(g, ax, 0) if idx.ndim == 1 else g[np.newaxis]
-            np.add.at(moved, idx.reshape(-1), gmoved.reshape((-1,) + moved.shape[1:]))
             return (gt,)
 
     elif idx.ndim == 2 and nd == 3 and ax == 1:

@@ -146,11 +146,8 @@ class EvaluationResult:
 
 
 def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
-             plan: WindowPlan, cfg: CertifyConfig,
-             score_fn=None) -> EvaluationResult:
-    """Vote and certify every image. ``score_fn`` defaults to
-    ``per_band_scores`` and exists so oracles can substitute instrumented
-    scorers; it must return ((n, w, C), forwards)."""
+             plan: WindowPlan, cfg: CertifyConfig) -> EvaluationResult:
+    """Vote and certify every image on its ``per_band_scores``."""
     if plan.band_width != cfg.band_width:
         raise ContractError(f"evaluate: plan band width {plan.band_width} != "
                             f"config band width {cfg.band_width}")
@@ -158,8 +155,7 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
     ys = np.asarray(labels)
     if imgs.size == 0:
         raise ContractError("evaluate: no images to certify")
-    fn = score_fn if score_fn is not None else per_band_scores
-    scores, forwards = fn(imgs, params, plan, cfg)
+    scores, forwards = per_band_scores(imgs, params, plan, cfg)
     n = imgs.shape[0]
     w = plan.image_width
 

@@ -275,9 +275,11 @@ def cmd_bench(args, argv) -> int:
                             "total": band.total},
         "attention_ratio": band.attention / full.attention,
         "attention_ratio_target": target,
+        # one window per band position, each counted at the worst-case
+        # width of flops_band_unit, so band_unit_sweep is an upper bound
         "per_image_certification_flops": {
             "global_sweep": full.total * model_cfg.image_side,
-            "band_unit_sweep": band.total * plan.num_forwards,
+            "band_unit_sweep": band.total * model_cfg.image_side,
         },
         "num_forwards": plan.num_forwards,
         "forwards_bound": b + model_cfg.patch_size,

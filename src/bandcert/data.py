@@ -45,7 +45,12 @@ class LabeledImage:
 
 @dataclass
 class DatasetSpec:
-    """What to load or generate. ``source`` is 'synthetic' or 'cifar10'."""
+    """What to load or generate. ``source`` is 'synthetic' or 'cifar10'.
+
+    ``train_size``/``test_size`` cap a cifar10 split, where 0 means the whole
+    split; for synthetic they are the number of images to generate, and 0
+    is an error (an empty split).
+    """
 
     source: str = "synthetic"
     path: str = ""

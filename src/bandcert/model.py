@@ -2,22 +2,23 @@
 
 One encoder entry point, ``_encode``, takes gathered patch vectors, the
 position-table rows to add to them (or none, for the full sequence) and an
-optional additive attention bias. It projects the patches,
-prepends the class token, adds the position rows, runs the blocks and the
-final layer norm, and reads the class logits. Three callers differ only in
-the token set they hand it:
+optional additive attention bias. It projects the patches, prepends the
+class token, adds the position rows, runs the blocks and the final layer
+norm, and reads the class logits.
 
 * ``forward_global``: the full token sequence, optionally with an additive
   attention mask restricting which tokens may be attended to.
-* ``forward_band_unit`` and ``forward_band_rows``: the class token plus
-  exactly the tokens whose patch columns intersect a retained pixel band,
-  keeping their original position rows; one window for the whole batch, or
-  one per sample (fine-tuning). By the restriction argument (attention is
-  the only token-mixing op) this equals the masked global forward on the
-  gathered rows.
-* ``batched_certify_forward``: every band position of every image, stacked
-  by window width, with the forwards count taken from a WindowPlan that
-  packs token-disjoint windows into shared forwards.
+* ``forward_band_unit``: one window for a whole batch of already ablated
+  inputs: the class token plus exactly the tokens whose patch columns
+  intersect the retained pixel band, keeping their original position rows.
+  By the restriction argument (attention is the only token-mixing op) this
+  equals the masked global forward on the gathered rows.
+* ``forward_windows``: the windowed path fine-tuning and certification
+  share. Each image row has its own band position; it ablates, patchifies
+  once and runs one encoder call per window width on the token ids the
+  ``WindowPlan`` holds. ``finetune_band`` takes a loss term per width, and
+  ``batched_certify_forward`` places the logits per (image, position) and
+  counts forwards from the plan's groups of token-disjoint windows.
 
 The checkpoint format is a little-endian binary container: magic "ECVT",
 u32 version, then per tensor u32 name length, UTF-8 name, u32 rank, u64
@@ -305,10 +306,13 @@ def forward_global(inputs: np.ndarray, params: ModelParams,
 def window_token_ids(cfg: ModelConfig, band: BandSpec) -> np.ndarray:
     """Patch-token ids (0-based, class token excluded) whose columns intersect
     the band, ascending."""
-    cols = band_token_columns(band, cfg.patch_size, cfg.image_side, wrap=cfg.band_wrap)
+    return _column_token_ids(cfg, band_token_columns(band, cfg.patch_size, cfg.image_side,
+                                                      wrap=cfg.band_wrap))
+
+
+def _column_token_ids(cfg: ModelConfig, cols) -> np.ndarray:
     rows, ncols = cfg.grid
-    ids = sorted(r * ncols + c for r in range(rows) for c in cols)
-    return np.asarray(ids, dtype=np.int64)
+    return np.asarray(sorted(r * ncols + c for r in range(rows) for c in cols), dtype=np.int64)
 
 
 def forward_band_unit(inputs: np.ndarray, params: ModelParams,
@@ -324,22 +328,6 @@ def forward_band_unit(inputs: np.ndarray, params: ModelParams,
                    np.concatenate([[0], ids + 1]))
 
 
-def forward_band_rows(inputs: np.ndarray, params: ModelParams,
-                      token_ids_per_sample: np.ndarray) -> Tensor:
-    """Band forward with a different window per sample (fine-tuning).
-
-    ``token_ids_per_sample`` is (B, K) of patch-token ids; all rows must
-    share one window size K. Returns class logits (B, num_classes).
-    """
-    ids = np.asarray(token_ids_per_sample, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ContractError(f"forward_band_rows: ids must be (B, K), got {ids.shape}")
-    patches = patchify(inputs, params.cfg.patch_size)
-    gathered = np.take_along_axis(patches, ids[:, :, None], axis=1)
-    with_cls = np.concatenate([np.zeros((len(ids), 1), dtype=np.int64), ids + 1], axis=1)
-    return _encode(params, gathered, with_cls).logits
-
-
 # ---------------------------------------------------------------------------
 # window planning: pack token-disjoint windows into shared forwards
 
@@ -348,10 +336,7 @@ def forward_band_rows(inputs: np.ndarray, params: ModelParams,
 class WindowPlan:
     band_width: int
     image_width: int
-    patch_size: int
-    token_window_width: int          # worst-case columns: ceil(b/p) + 1
-    adjacent_windows: int            # pixel-tiling figure: ceil(w/b)
-    window_columns: list[tuple[int, ...]]  # per band position
+    window_ids: list[np.ndarray]     # per band position: window_token_ids
     groups: list[list[int]]          # band positions packed per forward
 
     @property
@@ -463,12 +448,32 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
     return WindowPlan(
         band_width=band_width,
         image_width=w,
-        patch_size=cfg.patch_size,
-        token_window_width=math.ceil(band_width / cfg.patch_size) + 1,
-        adjacent_windows=math.ceil(w / band_width),
-        window_columns=arcs,
+        window_ids=[_column_token_ids(cfg, cols) for cols in arcs],
         groups=groups,
     )
+
+
+def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelParams,
+                    plan: WindowPlan):
+    """Ablate -> patchify -> window encoder, one band position per image row.
+
+    ``images`` is (n, 3, h, w), ``positions`` (n,) band positions in [0, w).
+    Yields (rows, logits) per window width, narrowest first: the ascending
+    rows of that width and their (len(rows), num_classes) logits Tensor.
+    Every encoder op is row-local or a per-slice gufunc, so a row's logits
+    do not depend on the rows stacked with it.
+    """
+    cfg = params.cfg
+    ablated = ablate_batch(images, positions, plan.band_width, wrap=cfg.band_wrap)
+    patches = patchify(ablated, cfg.patch_size)
+    by_len: dict[int, list[int]] = {}
+    for i, p in enumerate(positions):
+        by_len.setdefault(plan.window_ids[p].size, []).append(i)
+    for _, rows in sorted(by_len.items()):
+        ids = np.stack([plan.window_ids[positions[i]] for i in rows])
+        with_cls = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64), ids + 1], axis=1)
+        rows = np.asarray(rows, dtype=np.int64)
+        yield rows, _encode(params, patches[rows[:, None], ids], with_cls).logits
 
 
 def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: WindowPlan,
@@ -476,6 +481,12 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
     """Class logits for every (image, band position) pair.
 
     Returns ((n_images, n_positions, num_classes) array, forwards used).
+    ``positions`` defaults to every band position; each entry, repeats
+    included, gets its own logits, and one outside [0, w) is an error.
+    Every image is tiled once per wanted position and the whole stack goes
+    through ``forward_windows``, so each row's logits are bit-identical to
+    a lone forward_band_unit call on that image and band.
+
     The forwards count follows the plan: one per group of token-disjoint
     windows that holds a wanted position. The full plan stays within
     band_width + patch_size forwards at the wrapped-band (w, p, b) the
@@ -484,11 +495,6 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
     plans 12 forwards against 11. With unwrapped bands it held at every
     geometry tried (w from 16 to 224, p in {4, 8, 14, 16}, b up to 32 plus
     w/2 and w), which is a measurement, not a proof.
-    For throughput the actual encoder calls batch same-width windows across
-    groups into one rectangular stack per width; every op in the encoder is
-    row-local or a per-slice gufunc, so each sample's arithmetic stays
-    bit-identical to a lone forward_band_unit call no matter how windows
-    are stacked.
     """
     cfg = params.cfg
     imgs = np.asarray(images)
@@ -498,44 +504,19 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
         raise ContractError(f"batched_certify_forward: expected (n, 3, h, w), got {imgs.shape}")
     n_img = imgs.shape[0]
     wanted = list(range(plan.image_width)) if positions is None else list(positions)
+    bad = [p for p in wanted if not 0 <= p < plan.image_width]
+    if bad:
+        raise ContractError(f"batched_certify_forward: band positions {bad[:3]} "
+                            f"outside [0, {plan.image_width})")
     wanted_set = set(wanted)
-    pos_index = {p: i for i, p in enumerate(wanted)}
+    forwards = sum(1 for group in plan.groups if wanted_set.intersection(group))
     out = np.zeros((n_img, len(wanted), cfg.num_classes), dtype=params.dtype)
-    forwards = 0
-
-    by_len: dict[int, list[int]] = {}
-    for group in plan.groups:
-        active = [p for p in group if p in wanted_set]
-        if not active:
-            continue
-        forwards += 1
-        for p in active:
-            by_len.setdefault(len(plan.window_columns[p]), []).append(p)
-
-    order = [p for _, ps in sorted(by_len.items()) for p in ps]
-    if not order:
+    if not wanted:
         return out, forwards
-    tiled = np.tile(imgs, (len(order), 1, 1, 1))
-    pos_vec = np.repeat(np.asarray(order), n_img)
-    ablated = ablate_batch(tiled, pos_vec, plan.band_width, wrap=cfg.band_wrap)
-    patches_all = patchify(ablated, cfg.patch_size)
-
-    row = 0
-    for _, ps in sorted(by_len.items()):
-        blocks = []
-        id_list = []
-        for p in ps:
-            ids = window_token_ids(cfg, BandSpec(p, plan.band_width))
-            id_list.append(ids)
-            blocks.append(patches_all[row:row + n_img][:, ids, :])
-            row += n_img
-        stacked = np.concatenate(blocks, axis=0)
-        pos_ids = np.concatenate(
-            [np.repeat(np.concatenate([[0], ids + 1])[None, :], n_img, axis=0)
-             for ids in id_list], axis=0)
-        logits = _encode(params, stacked, pos_ids).logits.data
-        for bi, p in enumerate(ps):
-            out[:, pos_index[p], :] = logits[bi * n_img:(bi + 1) * n_img]
+    tiled = np.tile(imgs, (len(wanted), 1, 1, 1))
+    pos_vec = np.repeat(np.asarray(wanted, dtype=np.int64), n_img)
+    for rows, logits in forward_windows(tiled, pos_vec, params, plan):
+        out[rows % n_img, rows // n_img] = logits.data
     return out, forwards
 
 
@@ -644,6 +625,8 @@ def load_checkpoint(path: str, cfg: ModelConfig, dtype=ad.INFER_DTYPE) -> ModelP
         if tensors[name].shape != shape:
             raise DataFormatError(f"{path}: '{name}' stored as {tensors[name].shape}, "
                                   f"config wants {shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise DataFormatError(f"{path}: tensor '{name}' holds NaN or Inf")
         out[name] = Tensor(np.ascontiguousarray(tensors[name], dtype=dtype),
                            requires_grad=False)
     return ModelParams(cfg, out)

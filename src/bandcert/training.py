@@ -26,8 +26,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, Tape, Tensor, record
 from .errors import ContractError
-from .model import (ModelConfig, ModelParams, RECON_PREFIXES, forward_band_rows,
-                    forward_global, window_token_ids)
+from .model import (ModelConfig, ModelParams, RECON_PREFIXES, forward_global,
+                    forward_windows, plan_windows)
 from .smoothing import BandSpec, ablate_batch, stage_masks
 from .tokenizer import (Codebook, fit_codebook, image_patches, teacher_features,
                         tokenize_images, with_full_mask)
@@ -236,27 +236,19 @@ def finetune_band(params: ModelParams, plan: TrainPlan,
     tokens; cross entropy only; reconstruction heads stay frozen."""
     cfg = params.cfg
     rng = np.random.default_rng([int(seed), 0xB])
-    window_ids = [window_token_ids(cfg, BandSpec(p, plan.band_width))
-                  for p in range(cfg.image_side)]
+    windows = plan_windows(cfg, plan.band_width)
 
     def batch_loss(batch):
         ys = labels[batch]
         positions = rng.integers(0, cfg.image_side, size=batch.size)
-        abl = ablate_batch(images[batch], positions, plan.band_width, wrap=cfg.band_wrap)
-        by_len: dict[int, list[int]] = {}
-        for i, p in enumerate(positions):
-            by_len.setdefault(window_ids[p].size, []).append(i)
         loss = None
         hits = 0
-        for _, rows in sorted(by_len.items()):
-            rows_arr = np.asarray(rows, dtype=np.int64)
-            ids = np.stack([window_ids[positions[i]] for i in rows])
-            logits = forward_band_rows(abl[rows_arr], params, ids)
-            term = ad.cross_entropy(logits, ys[rows_arr])
+        for rows, logits in forward_windows(images[batch], positions, params, windows):
+            term = ad.cross_entropy(logits, ys[rows])
             term = ad.mul(term, Tensor(np.asarray(len(rows) / batch.size,
                                                   dtype=ad.TRAIN_DTYPE)))
             loss = term if loss is None else ad.add(loss, term)
-            hits += int((np.argmax(logits.data, axis=1) == ys[rows_arr]).sum())
+            hits += int((np.argmax(logits.data, axis=1) == ys[rows]).sum())
         return loss, {"loss": loss.item() * batch.size, "band_accuracy": float(hits)}
 
     return _optimise(params, batch_loss, rng, n=images.shape[0],
@@ -289,29 +281,22 @@ def train_teacher(cfg: ModelConfig, images: np.ndarray, labels: np.ndarray,
 
 def train_full(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
                labels: np.ndarray, seed: int,
-               codebook: Codebook | None = None,
-               teacher: ModelParams | None = None,
                ) -> tuple[ModelParams, list[dict], Codebook | ModelParams]:
     """Runs the whole schedule and returns (params, metric records, the
-    reconstruction-target artifact). Builds the codebook or teacher when not
-    supplied."""
+    reconstruction-target artifact): the k-means codebook in vae mode, the
+    teacher it trains first in distill mode."""
     params = ModelParams.init(cfg, seed=seed)
     records: list[dict] = []
     if plan.mode == "vae":
-        if codebook is None:
-            codebook = fit_codebook(image_patches(images, cfg.patch_size),
-                                    cfg.codebook_size, seed=seed)
-        if codebook.size != cfg.codebook_size:
-            raise ContractError(f"train_full: codebook has {codebook.size} entries, "
-                                f"config wants {cfg.codebook_size}")
+        codebook = fit_codebook(image_patches(images, cfg.patch_size),
+                                cfg.codebook_size, seed=seed)
         recon_targets = tokenize_images(codebook, images, cfg.patch_size)
         artifact: Codebook | ModelParams = codebook
     else:
-        if teacher is None:
-            teacher, teacher_records = train_teacher(
-                cfg, images, labels, epochs=plan.teacher_epochs,
-                lr=plan.teacher_lr, batch_size=plan.batch_size, seed=seed)
-            records.extend(teacher_records)
+        teacher, teacher_records = train_teacher(
+            cfg, images, labels, epochs=plan.teacher_epochs,
+            lr=plan.teacher_lr, batch_size=plan.batch_size, seed=seed)
+        records.extend(teacher_records)
         recon_targets = teacher_features(teacher, images)
         artifact = teacher
 

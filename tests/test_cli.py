@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -64,6 +65,21 @@ def test_missing_checkpoint_is_data_error(trained_dir, tmp_path):
                        "--checkpoint", str(checkpoint))
         assert proc.returncode == EXIT_DATA, proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_weight_is_data_error(trained_dir, tmp_path):
+    blob = bytearray((trained_dir / "model.ecvt").read_bytes())
+    name = b"patch_embed.weight"
+    first_float = blob.index(name) + len(name) + 4 + 2 * 8  # after rank and 2 dims
+    blob[first_float:first_float + 4] = struct.pack("<f", float("nan"))
+    bad = tmp_path / "nan.ecvt"
+    bad.write_bytes(bytes(blob))
+    proc = run_cli("certify", *TINY, "--out-dir", str(tmp_path / "o"),
+                   "--checkpoint", str(bad))
+    assert proc.returncode == EXIT_DATA, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "patch_embed.weight" in lines[0], proc.stderr
 
 
 def test_export_config_roundtrip(tmp_path):
@@ -151,6 +167,9 @@ def test_bench_reports_flops_and_timing():
         assert key in report, key
     assert report["num_forwards"] <= report["forwards_bound"]
     assert report["flops_band_unit"]["total"] < report["flops_global"]["total"]
+    # one worst-case window per band position of the 16-wide image
+    assert report["per_image_certification_flops"]["band_unit_sweep"] == \
+        report["flops_band_unit"]["total"] * 16
 
 
 def test_oracle_subcommand_passes():

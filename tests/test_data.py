@@ -52,6 +52,20 @@ def test_empty_split_is_rejected():
         stack_images([])
 
 
+def test_zero_size_means_whole_split_for_cifar10_only(tmp_path):
+    rng = np.random.default_rng(2)
+    path = tmp_path / "batch.bin"
+    write_cifar10([LabeledImage(image=rng.random((3, 32, 32)), label=1)
+                   for _ in range(3)], str(path))
+    spec = DatasetSpec(source="cifar10", path=str(path), num_classes=10,
+                       image_side=32, train_size=0, test_size=0)
+    assert len(load_dataset(spec, "train")) == 3
+    assert len(load_dataset(spec, "test")) == 3
+    assert len(load_dataset(DatasetSpec(**{**vars(spec), "test_size": 2}), "test")) == 2
+    with pytest.raises(ContractError):
+        load_dataset(synth_spec(train_size=0), "train")
+
+
 def test_upsample_factor_scales_side():
     spec = synth_spec(image_side=8, upsample_factor=2)
     xs, _ = stack_images(load_dataset(spec, "train"))

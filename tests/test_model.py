@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bandcert.errors import ContractError, DataFormatError
 from bandcert.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams,
                             batched_certify_forward, count_flops,
-                            forward_band_rows, forward_band_unit, forward_global,
+                            forward_band_unit, forward_global, forward_windows,
                             load_checkpoint, patchify, plan_windows,
                             save_checkpoint, window_token_ids)
 from bandcert.smoothing import BandSpec, ablate_batch, band_token_columns
@@ -96,9 +96,9 @@ def test_plan_windows_partitions_and_respects_bound(geometry):
     for group in plan.groups:
         used: set[int] = set()
         for p in group:
-            cols = set(plan.window_columns[p])
-            assert not (cols & used), "windows inside a group must not share columns"
-            used |= cols
+            ids = set(plan.window_ids[p].tolist())
+            assert not (ids & used), "windows inside a group must not share tokens"
+            used |= ids
     assert plan.num_forwards <= band + patch
 
 
@@ -134,20 +134,43 @@ def test_batched_forward_position_subset():
     np.testing.assert_array_equal(sub[:, 1], full[:, 6])
 
 
-def test_band_rows_with_one_window_equal_band_unit():
-    # fine-tuning (forward_band_rows) and certification (forward_band_unit)
-    # must run the same encoder on the same window
+def test_batched_forward_rejects_bad_positions_and_repeats_slots():
     cfg = tiny_cfg()
-    imgs = np.random.default_rng(7).random((3, 3, 8, 8))
+    plan = plan_windows(cfg, 4)
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    imgs = np.random.default_rng(2).random((2, 3, 8, 8))
+    full, _ = batched_certify_forward(imgs, params, plan)
+    twice, forwards = batched_certify_forward(imgs, params, plan, positions=[1, 1])
+    assert forwards == 1
+    np.testing.assert_array_equal(twice[:, 0], full[:, 1])
+    np.testing.assert_array_equal(twice[:, 1], full[:, 1])
+    for bad in ([99, -1], [8], [0, -1]):
+        with pytest.raises(ContractError):
+            batched_certify_forward(imgs, params, plan, positions=bad)
+
+
+def test_windowed_forward_equals_band_unit():
+    # fine-tuning and certification share forward_windows; each row must get
+    # exactly the logits of a lone forward_band_unit call on its own band
+    cfg = tiny_cfg()
+    plan = plan_windows(cfg, 3)
+    imgs = np.random.default_rng(7).random((6, 3, 8, 8))
+    positions = np.array([5, 0, 7, 2, 0, 6])
     for dtype in (np.float32, np.float64):
         params = ModelParams.init(cfg, seed=5).cast(dtype)
-        for p in range(cfg.image_side):
-            band = BandSpec(p, 3)
-            abl = ablate_batch(imgs, np.full(3, p), 3).astype(dtype)
-            ids = np.repeat(window_token_ids(cfg, band)[None], 3, axis=0)
-            rows = forward_band_rows(abl, params, ids).data
-            unit = forward_band_unit(abl, params, band).logits.data
-            np.testing.assert_array_equal(rows, unit)
+        seen = []
+        widths = []
+        for rows, logits in forward_windows(imgs, positions, params, plan):
+            assert rows.tolist() == sorted(rows.tolist())
+            widths.append(plan.window_ids[positions[rows[0]]].size)
+            for r, row_logits in zip(rows, logits.data):
+                p = int(positions[r])
+                abl = ablate_batch(imgs[r:r + 1], np.array([p]), 3).astype(dtype)
+                unit = forward_band_unit(abl, params, BandSpec(p, 3)).logits.data
+                np.testing.assert_array_equal(row_logits, unit[0])
+            seen.extend(rows.tolist())
+        assert sorted(seen) == list(range(len(positions)))
+        assert widths == sorted(set(widths)) and len(widths) > 1
 
 
 def test_band_restriction_matches_masked_global_f64():

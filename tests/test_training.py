@@ -138,14 +138,6 @@ def test_train_full_vae_returns_codebook_artifact():
     assert params.dtype == np.float64
 
 
-def test_train_full_rejects_codebook_size_mismatch():
-    cfg = small_cfg()
-    imgs, ys = small_data()
-    wrong = fit_codebook(image_patches(imgs, 4), k=4, seed=0)
-    with pytest.raises(ContractError):
-        train_full(cfg, tiny_plan(), imgs, ys, seed=0, codebook=wrong)
-
-
 def test_train_full_distill_trains_teacher():
     cfg = small_cfg()
     imgs, ys = small_data(n=16)
