@@ -131,27 +131,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor, transpose_a: bool = False, transpose_b: bool = False) -> Tensor:
-    """Batched matrix product with BLAS-style transpose flags.
+def matmul(a: Tensor, b: Tensor, *, transpose_b: bool = False) -> Tensor:
+    """Batched matrix product, optionally against the transpose of ``b``.
 
-    The flags exist because attention needs Q K^T and the op set has no
-    standalone transpose; they apply to the last two axes only.
+    The flag exists because attention needs Q K^T and the op set has no
+    standalone transpose; it applies to the last two axes only.
     """
     _same_dtype("matmul", a, b)
-    ad = np.swapaxes(a.data, -1, -2) if transpose_a else a.data
     bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
-    if ad.ndim < 2 or bd.ndim < 2:
+    if a.data.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul: operands must have rank >= 2, got {a.shape} @ {b.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
+    if a.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape} "
-                         f"(transpose_a={transpose_a}, transpose_b={transpose_b})")
-    out = np.matmul(ad, bd)
+                         f"(transpose_b={transpose_b})")
+    out = np.matmul(a.data, bd)
 
     def backward_fn(g: np.ndarray):
         ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-        if transpose_a:
-            ga = np.swapaxes(ga, -1, -2)
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         if transpose_b:
             gb = np.swapaxes(gb, -1, -2)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
@@ -238,48 +235,26 @@ def gelu(x: Tensor) -> Tensor:
     return _emit("gelu", out.astype(x.dtype, copy=False), (x,), backward_fn)
 
 
-def embedding_lookup(table: Tensor, indices, axis: int = 0) -> Tensor:
-    """Gather rows of ``table`` along ``axis``.
+def embedding_lookup(table: Tensor, indices) -> Tensor:
+    """Gather rows of ``table`` (axis 0) with any-rank integer indices.
 
-    Two layouts cover the model's needs: any-rank indices on axis 0
-    (classic table lookup, also per-sample position-row gathers) and a
-    per-row 2-D index array for a rank-3 table on axis 1 (per-sample token
-    selection in training).
-    Gradients scatter-add into the table.
+    Covers classic table lookup, per-sample position-row gathers and the
+    flat gather of flagged patch rows in training. Gradients scatter-add
+    into the table.
     """
     idx = np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise ShapeError(f"embedding_lookup: indices must be integers, got {idx.dtype}")
-    nd = table.data.ndim
-    ax = axis % nd
-    n = table.shape[ax]
+    n = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ContractError(f"embedding_lookup: index out of range [0, {n}) along axis {ax}")
+        raise ContractError(f"embedding_lookup: index out of range [0, {n})")
+    out = table.data[idx]
+    tail = table.shape[1:]
 
-    if ax == 0:
-        out = table.data[idx]
-        tail = table.shape[1:]
-
-        def backward_fn(g: np.ndarray):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx.reshape(-1), g.reshape((-1,) + tail))
-            return (gt,)
-
-    elif idx.ndim == 2 and nd == 3 and ax == 1:
-        if idx.shape[0] != table.shape[0]:
-            raise ShapeError(f"embedding_lookup: batch dims disagree, table {table.shape} "
-                             f"vs indices {idx.shape}")
-        out = np.take_along_axis(table.data, idx[:, :, None], axis=1)
-
-        def backward_fn(g: np.ndarray):
-            gt = np.zeros_like(table.data)
-            rows = np.arange(table.shape[0])[:, None]
-            np.add.at(gt, (rows, idx), g)
-            return (gt,)
-
-    else:
-        raise ShapeError(f"embedding_lookup: unsupported index rank {idx.ndim} "
-                         f"for table rank {nd} along axis {ax}")
+    def backward_fn(g: np.ndarray):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx.reshape(-1), g.reshape((-1,) + tail))
+        return (gt,)
 
     return _emit("embedding_lookup", out, (table,), backward_fn)
 

@@ -303,23 +303,16 @@ def cmd_oracle(args, argv) -> int:
     from . import autodiff as ad
     from .model import ModelConfig, ModelParams
     from .oracles import (attention_equivalence, check_certificate_soundness,
-                          fd_gradient_report, max_band_patch_intersections,
+                          fd_gradient_report, intersection_sweep,
                           random_vote_tables)
     from .smoothing import BandSpec
 
     failures = []
     report: dict = {}
 
-    geo_bad = 0
-    for w in (8, 16, 32, 64):
-        for b in (1, 2, 3, 4, 8):
-            for m in (1, 2, 3, 5):
-                got = max_band_patch_intersections(w, b, m, wrap=True)
-                want = min(w, m + b - 1)
-                if got != want:
-                    geo_bad += 1
-    report["geometry_mismatches"] = geo_bad
-    if geo_bad:
+    _, geo_failures = intersection_sweep(max_width=64)
+    report["geometry_mismatches"] = len(geo_failures)
+    if geo_failures:
         failures.append("geometry")
 
     tables = random_vote_tables(args.tables, image_width=16, num_classes=4, seed=5)

@@ -274,7 +274,7 @@ def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None
     if pos_ids is None:
         pos_rows = params["pos_embed"]
     else:
-        pos_rows = ad.embedding_lookup(params["pos_embed"], pos_ids, axis=0)
+        pos_rows = ad.embedding_lookup(params["pos_embed"], pos_ids)
     h_out = _encoder(params, ad.add(h, pos_rows), attn_bias)
     return EncoderActivations(tokens_out=h_out, logits=_class_logits(params, h_out))
 

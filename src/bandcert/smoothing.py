@@ -2,10 +2,10 @@
 
 A band keeps ``width`` consecutive pixel columns (cyclic by default) and
 zeroes the rest; a separate 0/1 mask plane records which columns survived so
-the model can tell "ablated" from "genuinely black". Reconstruction masks
-flag which tokens of the token grid a training stage must reconstruct:
-always the band's own token columns, grown symmetrically until the target
-count is met.
+the model can tell "ablated" from "genuinely black". A training stage's
+reconstruction flags are one table with a row per band position, built once
+per stage: each row flags the band's own token columns, grown symmetrically
+until the target count is met.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ def ablate_batch(images: np.ndarray, positions: np.ndarray, width: int,
         raise ContractError(f"ablate_batch: expected (n, 3, h, w), got {imgs.shape}")
     n, _, h, w = imgs.shape
     pos = np.asarray(positions, dtype=np.int64)
+    if pos.size and (pos.min() < 0 or pos.max() >= w):
+        raise ContractError(f"ablate_batch: band positions must lie in [0, {w}), "
+                            f"got {pos.min()}..{pos.max()}")
     offsets = pos[:, None] + np.arange(width)[None, :]
     keep = np.zeros((n, w), dtype=imgs.dtype)
     if wrap:
@@ -79,21 +82,11 @@ def band_token_columns(band: BandSpec, patch_size: int, image_width: int,
     return seen
 
 
-@dataclass
-class ReconstructionMask:
-    """Per-token reconstruction flags for one (stage, band) pair."""
-
-    flags: np.ndarray  # (rows * cols,) bool, row-major token order
-    target_count: int
-    band_columns: tuple[int, ...]
-
-    def indices(self) -> np.ndarray:
-        return np.nonzero(self.flags)[0]
-
-
-def stage_masks(reconstruct_ratio: float, band: BandSpec, patch_size: int,
-                image_side: int, wrap: bool = True) -> ReconstructionMask:
-    """Build the stage's reconstruction flags for one band.
+def stage_masks(reconstruct_ratio: float, keep_width: int, patch_size: int,
+                image_side: int, wrap: bool = True) -> np.ndarray:
+    """The stage's reconstruction flags for every band position: a (w, N)
+    bool table whose row p flags, in row-major token order, the tokens to
+    reconstruct under the width-``keep_width`` band at pixel column p.
 
     The band's own token columns are always flagged. Remaining quota,
     ceil(ratio * N) tokens total, grows the flag set alternately right then
@@ -104,41 +97,28 @@ def stage_masks(reconstruct_ratio: float, band: BandSpec, patch_size: int,
     """
     if not (0.0 <= reconstruct_ratio <= 1.0):
         raise ContractError(f"stage_masks: ratio {reconstruct_ratio} outside [0, 1]")
+    if keep_width < 1:
+        raise ContractError(f"stage_masks: keep width must be >= 1, got {keep_width}")
     if image_side % patch_size != 0:
         raise ContractError(f"stage_masks: patch {patch_size} does not divide side {image_side}")
     rows = cols = image_side // patch_size
     n = rows * cols
-    band_cols = band_token_columns(band, patch_size, image_side, wrap=wrap)
-    target = max(math.ceil(reconstruct_ratio * n), len(band_cols) * rows)
-    target = min(target, n)
+    pos = np.arange(image_side)
+    last_px = pos + keep_width - 1
+    if not wrap:
+        last_px = np.minimum(last_px, image_side - 1)
+    first = pos // patch_size
+    span = np.minimum(last_px // patch_size - first + 1, cols)  # band token columns
+    last = (first + span - 1) % cols
+    extra = np.clip(math.ceil(reconstruct_ratio * n), span * rows, n) - span * rows
 
-    grid = np.zeros((rows, cols), dtype=bool)
-    for c in band_cols:
-        grid[:, c] = True
-    count = len(band_cols) * rows
-
-    right = band_cols[-1]
-    left = band_cols[0]
-    go_right = True
-    while count < target:
-        if go_right:
-            right = (right + 1) % cols
-            col = right
-        else:
-            left = (left - 1) % cols
-            col = left
-        go_right = not go_right
-        if grid[:, col].all():
-            # wrapped all the way around; nothing new on this side
-            if grid.all():
-                break
-            continue
-        room = min(rows, target - count)
-        fresh = np.nonzero(~grid[:, col])[0][:room]
-        grid[fresh, col] = True
-        count += len(fresh)
-
-    flags = grid.reshape(-1)
-    assert int(flags.sum()) == target
-    return ReconstructionMask(flags=flags, target_count=target,
-                              band_columns=tuple(band_cols))
+    # Growth order of the other columns: the i-th to the right comes at
+    # step 2(i-1), the i-th to the left at step 2(i-1)+1. Column rank r
+    # gets extra - r * rows rows, clipped to [0, rows]; band columns rank -1.
+    c = np.arange(cols)[None, :]
+    rank = np.minimum(2 * ((c - last[:, None]) % cols) - 2,
+                      2 * ((first[:, None] - c) % cols) - 1)
+    rank[(c - first[:, None]) % cols < span[:, None]] = -1
+    filled = np.clip(extra[:, None] - rank * rows, 0, rows)  # (w, cols)
+    flags = np.arange(rows)[None, :, None] < filled[:, None, :]
+    return flags.reshape(image_side, n)

@@ -141,11 +141,16 @@ def load_codebook(path: str) -> Codebook:
     if version != CODEBOOK_VERSION:
         raise DataFormatError(f"{path}: codebook version {version}, this build reads "
                               f"version {CODEBOOK_VERSION}")
+    if k < 2 or dim < 1:
+        raise DataFormatError(f"{path}: header says {k}x{dim} centroids, "
+                              f"a codebook needs k >= 2 and dim >= 1")
     need = 16 + 4 * k * dim
     if len(blob) != need:
         raise DataFormatError(f"{path}: expected {need} bytes for {k}x{dim} "
                               f"centroids, file has {len(blob)}")
     cent = np.frombuffer(blob, dtype="<f4", count=k * dim, offset=16)
+    if not np.isfinite(cent).all():
+        raise DataFormatError(f"{path}: non-finite centroid value")
     return Codebook(cent.reshape(k, dim).astype(np.float64))
 
 

@@ -8,7 +8,9 @@ The schedule has two phases:
    ``ce + lambda_rec * rec``. The reconstruction target is either discrete
    codebook ids of the clean patches (mode "vae") or frozen teacher features
    (mode "distill"). Reconstructed positions always include the keep band's
-   tokens, widened to a per-stage share of the grid.
+   tokens, widened to a per-stage share of the grid. Each stage builds its
+   flag table once, one row per band position, and ``rec`` is the mean over
+   every flagged token of the batch, taken in one gather.
 
 2. Band-unit fine-tuning. The encoder now only sees the tokens a
    certification window would gather, with a fresh random band per sample,
@@ -28,7 +30,7 @@ from .autodiff import AdamW, Tape, Tensor, record
 from .errors import ContractError
 from .model import (ModelConfig, ModelParams, RECON_PREFIXES, forward_global,
                     forward_windows, plan_windows)
-from .smoothing import BandSpec, ablate_batch, stage_masks
+from .smoothing import ablate_batch, stage_masks
 from .tokenizer import (Codebook, fit_codebook, image_patches, teacher_features,
                         tokenize_images, with_full_mask)
 
@@ -123,35 +125,6 @@ def _warmup_scale(step: int, steps_per_epoch: int, warmup_epochs: int) -> float:
     return (step + 1) / total
 
 
-def _grouped_recon_terms(patch_rows: Tensor, index_groups: list[tuple[np.ndarray, np.ndarray]]):
-    """Gather per-sample reconstruction positions, batching samples whose
-    flagged-token counts agree. Yields (rows, gathered, weight) where weight
-    is the group's share of all flagged tokens."""
-    total = sum(rows.size * idx.shape[1] for rows, idx in index_groups)
-    for rows, idx in index_groups:
-        sub = ad.embedding_lookup(patch_rows, rows, axis=0)
-        gathered = ad.embedding_lookup(sub, idx, axis=1)
-        yield rows, idx, gathered, (rows.size * idx.shape[1]) / total
-
-
-def _stage_recon_groups(positions: np.ndarray, stage: StageConfig, cfg: ModelConfig):
-    """Per-sample reconstruction indices, grouped by count so each group
-    batches rectangularly."""
-    by_count: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, p in enumerate(positions):
-        mask = stage_masks(stage.reconstruct_ratio, BandSpec(int(p), stage.keep_width),
-                           cfg.patch_size, cfg.image_side, wrap=cfg.band_wrap)
-        idx = mask.indices()
-        by_count.setdefault(idx.size, []).append((i, idx))
-    groups = []
-    for count in sorted(by_count):
-        entries = by_count[count]
-        rows = np.asarray([i for i, _ in entries], dtype=np.int64)
-        idx = np.stack([ix for _, ix in entries])
-        groups.append((rows, idx))
-    return groups
-
-
 def _optimise(params: ModelParams, batch_loss, rng: np.random.Generator, *, n: int,
               epochs: int, batch_size: int, lr: float, weight_decay: float,
               warmup_epochs: int, exclude: tuple[str, ...], tags: dict) -> list[dict]:
@@ -194,30 +167,31 @@ def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
     cfg = params.cfg
     rng = np.random.default_rng([int(seed), 0xA, stage_index])
     lam = Tensor(np.asarray(plan.lambda_rec, dtype=ad.TRAIN_DTYPE))
+    flags = stage_masks(stage.reconstruct_ratio, stage.keep_width, cfg.patch_size,
+                        cfg.image_side, wrap=cfg.band_wrap)
 
     def batch_loss(batch):
         positions = rng.integers(0, cfg.image_side, size=batch.size)
         abl = ablate_batch(images[batch], positions, stage.keep_width, wrap=cfg.band_wrap)
-        groups = _stage_recon_groups(positions, stage, cfg)
-        targets = recon_targets[batch]
         acts = forward_global(abl, params)
         ce = ad.cross_entropy(acts.logits, labels[batch])
+        # One flat gather over the batch's (B*N, d) patch rows; the mean over
+        # all flagged tokens is the reconstruction term.
         seq = acts.tokens_out.shape[1]
-        patch_rows = ad.slice_axis(acts.tokens_out, 1, 1, seq)
-        rec = None
-        for rows, idx, gathered, weight in _grouped_recon_terms(patch_rows, groups):
-            if plan.mode == "vae":
-                logits = ad.add(ad.matmul(gathered, params["recon_vocab.weight"]),
-                                params["recon_vocab.bias"])
-                tgt = np.take_along_axis(targets[rows], idx, axis=1)
-                term = ad.cross_entropy(logits, tgt)
-            else:
-                proj = ad.add(ad.matmul(gathered, params["recon_proj.weight"]),
-                              params["recon_proj.bias"])
-                feats = np.take_along_axis(targets[rows], idx[:, :, None], axis=1)
-                term = ad.l2_distance(proj, Tensor(feats.astype(ad.TRAIN_DTYPE)))
-            term = ad.mul(term, Tensor(np.asarray(weight, dtype=ad.TRAIN_DTYPE)))
-            rec = term if rec is None else ad.add(rec, term)
+        patch_rows = ad.reshape(ad.slice_axis(acts.tokens_out, 1, 1, seq),
+                                (-1, cfg.embed_dim))
+        picked = np.flatnonzero(flags[positions])
+        gathered = ad.embedding_lookup(patch_rows, picked)
+        targets = recon_targets[batch]
+        if plan.mode == "vae":
+            logits = ad.add(ad.matmul(gathered, params["recon_vocab.weight"]),
+                            params["recon_vocab.bias"])
+            rec = ad.cross_entropy(logits, targets.reshape(-1)[picked])
+        else:
+            proj = ad.add(ad.matmul(gathered, params["recon_proj.weight"]),
+                          params["recon_proj.bias"])
+            feats = targets.reshape(-1, targets.shape[-1])[picked]
+            rec = ad.l2_distance(proj, Tensor(feats.astype(ad.TRAIN_DTYPE)))
         loss = ad.add(ce, ad.mul(rec, lam))
         return loss, {"loss": loss.item() * batch.size, "ce": ce.item() * batch.size,
                       "rec": rec.item() * batch.size}

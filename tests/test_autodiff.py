@@ -24,9 +24,6 @@ def test_matmul_transpose_flags_match_explicit_transpose():
     b = Tensor(rng.standard_normal((5, 4)))
     out = ad.matmul(a, b, transpose_b=True)
     np.testing.assert_array_equal(out.data, a.data @ b.data.T)
-    c = Tensor(rng.standard_normal((4, 3)))
-    out2 = ad.matmul(c, b, transpose_a=True, transpose_b=True)
-    np.testing.assert_array_equal(out2.data, c.data.T @ b.data.T)
 
 
 def test_matmul_inner_dim_mismatch_raises():
@@ -106,7 +103,7 @@ def test_embedding_lookup_gathers_rows(rows, picks):
     rng = np.random.default_rng(rows * 7 + picks)
     table = Tensor(rng.standard_normal((rows, 3)))
     idx = rng.integers(0, rows, size=picks)
-    out = ad.embedding_lookup(table, idx, axis=0)
+    out = ad.embedding_lookup(table, idx)
     np.testing.assert_array_equal(out.data, table.data[idx])
 
 
@@ -115,7 +112,7 @@ def test_embedding_lookup_gradient_accumulates_repeats():
     idx = np.array([1, 1, 2])
 
     def fn(t):
-        return ad.mean(ad.embedding_lookup(t, idx, axis=0))
+        return ad.mean(ad.embedding_lookup(t, idx))
 
     g = grad_of(fn, table)
     # row 1 is picked twice, row 2 once, row 0 never

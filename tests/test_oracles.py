@@ -10,17 +10,9 @@ from bandcert.oracles import (attention_equivalence,
                               check_certificate_soundness,
                               empirical_patch_attack, exhaustive_flip_bitmask,
                               fd_gradient_report, intersection_sweep,
-                              max_band_patch_intersections, patch_locations,
+                              patch_locations,
                               random_vote_tables, worst_case_flip)
 from bandcert.smoothing import BandSpec
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 64), st.data())
-def test_intersection_count_closed_form(w, data):
-    b = data.draw(st.integers(1, w))
-    m = data.draw(st.integers(1, max(1, w - b + 1)))
-    assert max_band_patch_intersections(w, b, m) == m + b - 1
 
 
 def test_intersection_sweep_small():

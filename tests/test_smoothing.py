@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,14 @@ def test_ablate_batch_positions_vary_per_sample():
                                       BandSpec(p, 2).retained_columns(8))
 
 
+@pytest.mark.parametrize("positions", [[99], [-1], [0, 16], [3, -2]])
+@pytest.mark.parametrize("wrap", [True, False])
+def test_ablate_batch_rejects_positions_outside_image(positions, wrap):
+    imgs = np.ones((len(positions), 3, 16, 16))
+    with pytest.raises(ContractError):
+        ablate_batch(imgs, np.array(positions), 4, wrap=wrap)
+
+
 def test_band_token_columns_misaligned_band():
     # pixels 3..6 with patch 4 touch token columns 0 and 1
     assert band_token_columns(BandSpec(3, 4), 4, 16) == [0, 1]
@@ -56,29 +66,77 @@ def test_band_token_columns_misaligned_band():
     assert band_token_columns(BandSpec(14, 4), 4, 16) == [3, 0]
 
 
+def reference_flags(ratio, band, patch_size, side, wrap=True):
+    """One band's flags by the step-by-step rule: band columns, then whole
+    columns alternately right and left, the last one partial from row 0."""
+    rows = cols = side // patch_size
+    band_cols = band_token_columns(band, patch_size, side, wrap=wrap)
+    target = min(max(math.ceil(ratio * rows * cols), len(band_cols) * rows), rows * cols)
+    grid = np.zeros((rows, cols), dtype=bool)
+    grid[:, band_cols] = True
+    count = len(band_cols) * rows
+    right, left, go_right = band_cols[-1], band_cols[0], True
+    while count < target:
+        if go_right:
+            right = (right + 1) % cols
+            col = right
+        else:
+            left = (left - 1) % cols
+            col = left
+        go_right = not go_right
+        if grid[:, col].all():
+            continue
+        fresh = np.nonzero(~grid[:, col])[0][:min(rows, target - count)]
+        grid[fresh, col] = True
+        count += len(fresh)
+    return grid.reshape(-1)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.floats(0.0, 1.0), st.integers(0, 15), st.integers(1, 6))
-def test_stage_masks_count_and_cover(ratio, position, width):
-    band = BandSpec(position, width)
-    mask = stage_masks(ratio, band, 4, 16)
-    flags = mask.flags.reshape(4, 4)
-    assert int(mask.flags.sum()) == mask.target_count
-    # every band token column is fully flagged
-    for c in mask.band_columns:
-        assert flags[:, c].all()
-    import math
-    assert mask.target_count >= min(16, math.ceil(ratio * 16))
+@given(st.floats(0.0, 1.0), st.integers(1, 6), st.booleans())
+def test_stage_masks_count_and_cover(ratio, width, wrap):
+    table = stage_masks(ratio, width, 4, 16, wrap=wrap)
+    assert table.shape == (16, 16) and table.dtype == bool
+    for position in range(16):
+        flags = table[position].reshape(4, 4)
+        band_cols = band_token_columns(BandSpec(position, width), 4, 16, wrap=wrap)
+        # every band token column is fully flagged
+        assert flags[:, band_cols].all()
+        # the count is the target: the ratio's ceiling, raised to the band
+        want = min(16, max(math.ceil(ratio * 16), 4 * len(band_cols)))
+        assert int(flags.sum()) == want
 
 
 def test_stage_masks_exact_quota_partial_column():
     # ratio forces a partial extra column: 0.6 * 16 -> ceil 10 tokens
-    mask = stage_masks(0.6, BandSpec(4, 4), 4, 16)
-    assert mask.target_count == 10
-    grid = mask.flags.reshape(4, 4)
+    grid = stage_masks(0.6, 4, 4, 16)[4].reshape(4, 4)
     assert grid[:, 1].all()  # band column itself
+    assert grid[:, 2].all()  # first column to the right
+    assert grid[:, 0].tolist() == [True, True, False, False]  # partial, lowest rows
     assert grid.sum() == 10
 
 
 def test_stage_masks_rejects_bad_ratio():
     with pytest.raises(ContractError):
-        stage_masks(1.5, BandSpec(0, 4), 4, 16)
+        stage_masks(1.5, 4, 4, 16)
+
+
+def test_stage_masks_rejects_bad_width_and_patch():
+    with pytest.raises(ContractError):
+        stage_masks(0.5, 0, 4, 16)
+    with pytest.raises(ContractError):
+        stage_masks(0.5, 4, 3, 16)
+
+
+def test_stage_masks_table_matches_per_position_rule():
+    for side, patch_sizes in {8: (2, 4), 16: (4,), 32: (4, 8), 64: (8,)}.items():
+        for patch_size in patch_sizes:
+            for width in range(1, side + 1):
+                for ratio in (0.0, 0.3, 0.6, 1.0):
+                    for wrap in (True, False):
+                        table = stage_masks(ratio, width, patch_size, side, wrap=wrap)
+                        for p in range(side):
+                            ref = reference_flags(ratio, BandSpec(p, width),
+                                                  patch_size, side, wrap)
+                            assert np.array_equal(table[p], ref), \
+                                (side, patch_size, width, ratio, wrap, p)

@@ -124,6 +124,57 @@ def test_codebook_corruption_detected(tmp_path):
         load_codebook(str(vers))
 
 
+def test_codebook_bad_header_count_or_nan_names_the_file(tmp_path):
+    import struct
+    cb = Codebook(np.array([[0.0, 1.0], [2.0, 3.0]]))
+    path = tmp_path / "codebook.eccb"
+    save_codebook(cb, str(path))
+    blob = path.read_bytes()
+    cases = {
+        "one.eccb": blob[:8] + struct.pack("<I", 1) + blob[12:16] + blob[16:24],
+        "zero.eccb": blob[:8] + struct.pack("<I", 0) + blob[12:16],
+        "nan.eccb": blob[:16] + struct.pack("<f", float("nan")) + blob[20:],
+        "inf.eccb": blob[:-4] + struct.pack("<f", float("inf")),
+    }
+    for name, bad in cases.items():
+        (tmp_path / name).write_bytes(bad)
+        with pytest.raises(DataFormatError, match=name):
+            load_codebook(str(tmp_path / name))
+
+
+@pytest.fixture(scope="module")
+def valid_codebook(tmp_path_factory):
+    """Bytes of a small saved codebook. With k = 2, small xor masks on the
+    count byte give k = 0 or 1; the float32 maximum is one flip from Inf/NaN."""
+    big = float(np.finfo(np.float32).max)
+    path = tmp_path_factory.mktemp("eccb") / "valid.eccb"
+    save_codebook(Codebook(np.array([[big, -1.5], [0.25, -big]])), str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_codebook_damage_loads_exactly_or_raises(valid_codebook, tmp_path_factory, data):
+    # A cut or a one-byte flip either raises DataFormatError or loads a
+    # codebook that saves back to exactly the damaged bytes. A flip inside
+    # a finite centroid cannot be detected (the format has no checksum).
+    blob = valid_codebook
+    if data.draw(st.booleans(), label="truncate"):
+        bad = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    else:
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        mask = data.draw(st.integers(1, 255), label="xor")
+        bad = blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+    folder = tmp_path_factory.mktemp("damaged")
+    (folder / "bad.eccb").write_bytes(bad)
+    try:
+        loaded = load_codebook(str(folder / "bad.eccb"))
+    except DataFormatError:
+        return
+    save_codebook(loaded, str(folder / "resaved.eccb"))
+    assert (folder / "resaved.eccb").read_bytes() == bad
+
+
 def test_with_full_mask_appends_ones_plane():
     imgs = np.random.default_rng(0).random((2, 3, 8, 8))
     ext = with_full_mask(imgs)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from bandcert.data import DatasetSpec, load_dataset
+from bandcert.data import DatasetSpec, load_dataset, stack_images
 from bandcert.errors import ContractError
-from bandcert.model import ModelConfig, ModelParams
+from bandcert.model import ModelConfig, ModelParams, forward_global
+from bandcert.smoothing import ablate_batch, stage_masks
 from bandcert.tokenizer import Codebook, fit_codebook, image_patches
 from bandcert.training import (StageConfig, TrainPlan, build_default_plan,
                                finetune_band, run_stage, stage_param_names,
@@ -91,6 +94,50 @@ def test_stage_loss_decreases_and_freezes_head():
     assert records[-1]["loss"] < records[0]["loss"]
     assert {"phase", "stage", "epoch", "keep_width", "loss", "ce", "rec"} <= set(records[0])
     np.testing.assert_array_equal(params["recon_proj.weight"].data, frozen_before)
+
+
+@pytest.mark.parametrize("mode", ["vae", "distill"])
+def test_stage_reconstruction_term_matches_per_sample_reference(mode):
+    cfg = ModelConfig(image_side=16, patch_size=4, embed_dim=16, num_layers=1,
+                      num_heads=2, mlp_ratio=2.0, num_classes=3, codebook_size=8)
+    n = 8
+    spec = DatasetSpec(source="synthetic", num_classes=3, image_side=16,
+                       train_size=n, test_size=4, seed=3)
+    imgs, ys = stack_images(load_dataset(spec, "train"))
+    draw = np.random.default_rng(1)
+    if mode == "vae":
+        targets = draw.integers(0, cfg.codebook_size, size=(n, cfg.num_tokens))
+    else:
+        targets = draw.standard_normal((n, cfg.num_tokens, cfg.teacher_width))
+    # a keep width and ratio that leave partial columns and unequal counts
+    stage = StageConfig(keep_width=5, reconstruct_ratio=0.6, epochs=1, lr=1e-3)
+    plan = tiny_plan(mode=mode, batch_size=n)
+    params = ModelParams.init(cfg, seed=0)
+
+    # The stage's own draws: the batch permutation, then one band position
+    # per sample. With one batch, the recorded ``rec`` is the term at the
+    # initial weights.
+    stage_rng = np.random.default_rng([7, 0xA, 0])
+    order = stage_rng.permutation(n)
+    positions = stage_rng.integers(0, cfg.image_side, size=n)
+    flags = stage_masks(stage.reconstruct_ratio, stage.keep_width, cfg.patch_size,
+                        cfg.image_side)
+    head = "recon_vocab." if mode == "vae" else "recon_proj."
+    weight, bias = params[head + "weight"].data, params[head + "bias"].data
+    terms = []
+    for j, p in zip(order, positions):
+        abl = ablate_batch(imgs[j:j + 1], np.array([p]), stage.keep_width)
+        tokens = forward_global(abl, params).tokens_out.data[0, 1:]
+        for t in np.flatnonzero(flags[p]):
+            z = tokens[t] @ weight + bias
+            if mode == "vae":
+                terms.append(z.max() + np.log(np.exp(z - z.max()).sum()) - z[targets[j, t]])
+            else:
+                terms.append(np.linalg.norm(z - targets[j, t]))
+    want = math.fsum(terms) / len(terms)
+
+    record = run_stage(params, stage, plan, imgs, ys, targets, stage_index=0, seed=7)[0]
+    assert abs(record["rec"] - want) <= 1e-12 * abs(want)
 
 
 def test_stage_is_seed_deterministic():
