@@ -31,6 +31,9 @@ MASK_OFF = -1.0e30
 
 _LN_EPS = 1e-8
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 class Tensor:
     """Immutable dense array plus a requires_grad flag."""
@@ -431,17 +434,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
 class AdamW:
     """Adam with decoupled weight decay. Moment state persists across steps."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.0,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         if lr < 0 or weight_decay < 0:
             raise ContractError("AdamW: lr and weight_decay must be non-negative")
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ContractError(f"AdamW: betas must sit in [0, 1), got {betas}")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -466,7 +463,7 @@ class AdamW:
 
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         lr = self.lr * lr_scale
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
@@ -487,7 +484,7 @@ class AdamW:
             self._v[name] = v
             mhat = m / bias1
             vhat = v / bias2
-            new = p.data - lr * (mhat / (np.sqrt(vhat) + self.eps)
+            new = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
                                  + self.weight_decay * p.data)
             if not np.isfinite(new).all():
                 raise NumericError(f"AdamW.step: non-finite update for '{name}'")

@@ -32,7 +32,6 @@ class CertifyConfig:
     threshold: float = VOTE_THRESHOLD_DEFAULT
     threshold_on: str = "probs"  # "probs" thresholds softmax mass, "logits" raw scores
     patch_shapes: tuple[tuple[int, int], ...] = ((2, 2),)
-    require_simplex: bool = True
 
     def __post_init__(self):
         if self.band_width < 1:
@@ -75,11 +74,11 @@ def vote(scores: np.ndarray, cfg: CertifyConfig) -> VoteTable:
         raise ContractError(f"vote: expected (positions, classes), got {s.shape}")
     if not np.isfinite(s).all():
         raise ContractError("vote: non-finite score")
-    if cfg.require_simplex and cfg.threshold_on == "probs":
+    if cfg.threshold_on == "probs":
         if (s < -SIMPLEX_ATOL).any() or \
            np.abs(s.sum(axis=1) - 1.0).max() > SIMPLEX_ATOL:
             raise ContractError("vote: rows are not probability distributions; "
-                                "pass softmax outputs or disable require_simplex")
+                                "pass softmax outputs or use threshold_on 'logits'")
     counts = (s > cfg.threshold).sum(axis=0).astype(np.int64)
     order = np.argsort(-counts, kind="stable")  # ties keep lowest class first
     top, second = int(order[0]), int(order[1])
@@ -129,14 +128,13 @@ def max_certified_patch_width(table: VoteTable, band_width: int,
 
 def per_band_scores(images: np.ndarray, params: ModelParams, plan: WindowPlan,
                     cfg: CertifyConfig,
-                    positions: list[int] | None = None) -> tuple[np.ndarray, int]:
-    """(n_images, n_positions, C) voting scores plus the forward count.
-    Softmax is applied unless the config thresholds raw logits."""
-    logits, forwards = batched_certify_forward(images, params, plan,
-                                               positions=positions)
+                    positions: list[int] | None = None) -> np.ndarray:
+    """(n_images, n_positions, C) voting scores. Softmax is applied unless
+    the config thresholds raw logits."""
+    logits, _ = batched_certify_forward(images, params, plan, positions=positions)
     if cfg.threshold_on == "logits":
-        return logits, forwards
-    return softmax_scores(logits), forwards
+        return logits
+    return softmax_scores(logits)
 
 
 @dataclass
@@ -155,7 +153,7 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
     ys = np.asarray(labels)
     if imgs.size == 0:
         raise ContractError("evaluate: no images to certify")
-    scores, forwards = per_band_scores(imgs, params, plan, cfg)
+    scores = per_band_scores(imgs, params, plan, cfg)
     n = imgs.shape[0]
     w = plan.image_width
 
@@ -193,6 +191,6 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
         "abstain_rate": abstained / n,
         "mean_margin": float(np.mean(margins)),
         "certified_accuracy": {k: v / n for k, v in certified_counts.items()},
-        "forwards_per_image": int(forwards),
+        "forwards_per_image": int(plan.num_forwards),
     }
     return EvaluationResult(records=records, summary=summary)

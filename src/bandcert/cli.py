@@ -238,7 +238,7 @@ def cmd_bench(args, argv) -> int:
     from . import autodiff as ad
     from .config import build_certify_config, build_model_config, load_config
     from .model import (ModelParams, batched_certify_forward, count_flops,
-                        forward_global, plan_windows)
+                        forward_global, plan_windows, widest_window_columns)
     from .smoothing import ablate_batch
 
     cfg = load_config(args.config, args.set)
@@ -265,7 +265,7 @@ def cmd_bench(args, argv) -> int:
 
     full = count_flops(model_cfg, "global")
     band = count_flops(model_cfg, "band_unit", band_width=b)
-    tw = -(-b // model_cfg.patch_size) + 1
+    tw = widest_window_columns(model_cfg, b)
     target = (tw * model_cfg.patch_size / model_cfg.image_side) ** 2
     report = {
         "band_width": b,

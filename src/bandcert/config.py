@@ -24,11 +24,6 @@ def _to_bool(raw: str) -> bool:
     raise ContractError(f"expected a boolean, got '{raw}'")
 
 
-def _to_optional_int(raw: str):
-    raw = raw.strip()
-    return None if raw == "" else int(raw)
-
-
 def _to_shapes(raw: str) -> tuple[tuple[int, int], ...]:
     shapes = []
     for part in raw.split(","):
@@ -63,7 +58,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "num_heads": (int, 4),
         "mlp_ratio": (float, 4.0),
         "codebook_size": (int, 64),
-        "teacher_dim": (_to_optional_int, None),
         "band_wrap": (_to_bool, True),
     },
     "train": {
@@ -86,7 +80,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "threshold": (float, 0.2),
         "threshold_on": (str, "probs"),
         "patch_shapes": (_to_shapes, ((2, 2),)),
-        "require_simplex": (_to_bool, True),
     },
 }
 
@@ -164,8 +157,6 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def _format_value(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -186,7 +177,8 @@ def dump_config(cfg: RunConfig) -> str:
 
 # --------------------------------------------------------------------------
 # adapters into the library dataclasses (imported lazily so that reading or
-# printing a config never has to pull in the numerics stack)
+# printing a config never has to pull in the numerics stack). A section's
+# keys are its dataclass's field names, so each section passes by name.
 
 
 def effective_geometry(cfg: RunConfig) -> tuple[int, int]:
@@ -206,32 +198,17 @@ def build_dataset_spec(cfg: RunConfig):
 def build_model_config(cfg: RunConfig):
     from .model import ModelConfig
     side, classes = effective_geometry(cfg)
-    m = cfg.model
-    return ModelConfig(image_side=side, patch_size=m["patch_size"],
-                       embed_dim=m["embed_dim"], num_layers=m["num_layers"],
-                       num_heads=m["num_heads"], mlp_ratio=m["mlp_ratio"],
-                       num_classes=classes, codebook_size=m["codebook_size"],
-                       teacher_dim=m["teacher_dim"], band_wrap=m["band_wrap"])
+    return ModelConfig(image_side=side, num_classes=classes, **cfg.model)
 
 
 def build_train_plan(cfg: RunConfig, model_cfg=None):
     from .training import build_default_plan
     if model_cfg is None:
         model_cfg = build_model_config(cfg)
-    t = cfg.train
-    return build_default_plan(
-        model_cfg, band_width=t["band_width"],
-        epochs_per_stage=t["epochs_per_stage"], lr=t["lr"], mode=t["mode"],
-        lambda_rec=t["lambda_rec"], batch_size=t["batch_size"],
-        finetune_epochs=t["finetune_epochs"], finetune_lr=t["finetune_lr"],
-        weight_decay=t["weight_decay"], warmup_epochs=t["warmup_epochs"],
-        teacher_epochs=t["teacher_epochs"], teacher_lr=t["teacher_lr"])
+    return build_default_plan(model_cfg, **{k: v for k, v in cfg.train.items()
+                                            if k != "seed"})
 
 
 def build_certify_config(cfg: RunConfig):
     from .certification import CertifyConfig
-    c = cfg.certify
-    return CertifyConfig(band_width=c["band_width"], threshold=c["threshold"],
-                         threshold_on=c["threshold_on"],
-                         patch_shapes=c["patch_shapes"],
-                         require_simplex=c["require_simplex"])
+    return CertifyConfig(**cfg.certify)

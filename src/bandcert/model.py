@@ -40,6 +40,7 @@ from .smoothing import BandSpec, ablate_batch, band_token_columns
 
 CHECKPOINT_MAGIC = b"ECVT"
 CHECKPOINT_VERSION = 1
+INPUT_CHANNELS = 4  # RGB + ablation mask plane, as ablate_batch emits them
 
 
 @dataclass
@@ -51,12 +52,18 @@ class ModelConfig:
     num_heads: int = 4
     mlp_ratio: float = 4.0
     num_classes: int = 3
-    input_channels: int = 4  # RGB + ablation mask plane
     codebook_size: int = 64
-    teacher_dim: int | None = None
     band_wrap: bool = True
 
     def __post_init__(self):
+        for name in ("image_side", "patch_size", "embed_dim", "num_layers", "num_heads"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"ModelConfig: {name} {getattr(self, name)} < 1")
+        if self.codebook_size < 2:
+            raise ContractError(f"ModelConfig: codebook_size {self.codebook_size} < 2")
+        if not (math.isfinite(self.mlp_ratio) and self.mlp_ratio >= 0):
+            raise ContractError(f"ModelConfig: mlp_ratio {self.mlp_ratio} is not a "
+                                f"finite value >= 0")
         if self.image_side % self.patch_size != 0:
             raise ContractError(f"ModelConfig: patch {self.patch_size} does not divide "
                                 f"side {self.image_side}")
@@ -82,15 +89,11 @@ class ModelConfig:
 
     @property
     def patch_dim(self) -> int:
-        return self.patch_size * self.patch_size * self.input_channels
+        return self.patch_size * self.patch_size * INPUT_CHANNELS
 
     @property
     def head_dim(self) -> int:
         return self.embed_dim // self.num_heads
-
-    @property
-    def teacher_width(self) -> int:
-        return self.embed_dim if self.teacher_dim is None else self.teacher_dim
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -120,8 +123,8 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["head.bias"] = (cfg.num_classes,)
     shapes["recon_vocab.weight"] = (d, cfg.codebook_size)
     shapes["recon_vocab.bias"] = (cfg.codebook_size,)
-    shapes["recon_proj.weight"] = (d, cfg.teacher_width)
-    shapes["recon_proj.bias"] = (cfg.teacher_width,)
+    shapes["recon_proj.weight"] = (d, d)
+    shapes["recon_proj.bias"] = (d,)
     return shapes
 
 RECON_PREFIXES = ("recon_vocab.", "recon_proj.")
@@ -142,7 +145,7 @@ class ModelParams:
         self.tensors = tensors
 
     @classmethod
-    def init(cls, cfg: ModelConfig, seed: int, dtype=ad.TRAIN_DTYPE) -> "ModelParams":
+    def init(cls, cfg: ModelConfig, seed: int) -> "ModelParams":
         rng = np.random.default_rng([int(seed), 0x5eed])
         tensors: dict[str, Tensor] = {}
         for name, shape in _param_shapes(cfg).items():
@@ -153,7 +156,8 @@ class ModelParams:
                 arr = np.ones(shape)
             else:
                 arr = rng.normal(0.0, 0.02, size=shape)
-            tensors[name] = Tensor(np.ascontiguousarray(arr, dtype=dtype), requires_grad=True)
+            tensors[name] = Tensor(np.ascontiguousarray(arr, dtype=ad.TRAIN_DTYPE),
+                                   requires_grad=True)
         return cls(cfg, tensors)
 
     @property
@@ -534,12 +538,20 @@ class FlopCount:
         return self.attention + self.fully_connected
 
 
+def widest_window_columns(cfg: ModelConfig, band_width: int) -> int:
+    """Token columns of the widest window ``plan_windows`` builds: a band of
+    b pixels starting at the last pixel of a patch column reaches
+    (b + p - 2) // p further columns, and no window is wider than the grid."""
+    _, n_cols = cfg.grid
+    return min(n_cols, (band_width + cfg.patch_size - 2) // cfg.patch_size + 1)
+
+
 def count_flops(cfg: ModelConfig, mode: str, band_width: int | None = None) -> FlopCount:
     """FLOPs of one encoder forward (multiply-adds counted as 2).
 
-    ``global`` uses the full sequence; ``band_unit`` uses the worst-case
-    window (ceil(b/p)+1 token columns) plus the class token, matching the
-    planner's uniform window width.
+    ``global`` uses the full sequence; ``band_unit`` uses the widest window
+    the plan builds (``widest_window_columns`` token columns on every grid
+    row) plus the class token.
     """
     if mode == "global":
         seq = cfg.seq_len
@@ -547,8 +559,7 @@ def count_flops(cfg: ModelConfig, mode: str, band_width: int | None = None) -> F
         if band_width is None:
             raise ContractError("count_flops: band_unit mode needs band_width")
         rows, _ = cfg.grid
-        t_w = math.ceil(band_width / cfg.patch_size) + 1
-        seq = t_w * rows + 1
+        seq = widest_window_columns(cfg, band_width) * rows + 1
     else:
         raise ContractError(f"count_flops: unknown mode '{mode}'")
     d = cfg.embed_dim

@@ -183,7 +183,6 @@ class AttackReport:
     flips: int
     min_margin_seen: int
     positions_rescored: int
-    forwards: int
 
 
 def _recount_votes(base_table: VoteTable, base_scores: np.ndarray,
@@ -221,7 +220,7 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     if img.ndim != 3 or img.shape[0] != 3:
         raise ContractError(f"empirical_patch_attack: expected (3, h, w), got {img.shape}")
     w = plan.image_width
-    base_scores, fw0 = per_band_scores(img[None], params, plan, cfg)
+    base_scores = per_band_scores(img[None], params, plan, cfg)
     base_table = vote(base_scores[0], cfg)
     certified = certified_against(base_table, patch_shape[1], cfg.band_width)
     rng = np.random.default_rng([int(seed), 0xA77, image_id])
@@ -229,7 +228,6 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     flips = 0
     min_margin = base_table.margin
     rescored = 0
-    forwards = fw0
     for (r0, c0) in locations:
         hit = affected_positions(c0, patch_shape[1], cfg.band_width, w,
                                  wrap=params.cfg.band_wrap)
@@ -238,9 +236,7 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
         patched[:, :, r0:r0 + patch_shape[0], c0:c0 + patch_shape[1]] = \
             rng.random((trials, 3, patch_shape[0], patch_shape[1]),
                        dtype=np.float32)
-        new_scores, fw = per_band_scores(patched, params, plan, cfg,
-                                         positions=hit.tolist())
-        forwards += fw
+        new_scores = per_band_scores(patched, params, plan, cfg, positions=hit.tolist())
         counts, preds = _recount_votes(base_table, base_scores[0], new_scores,
                                        hit, cfg)
         margins = np.sort(counts, axis=1)
@@ -255,7 +251,6 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
         flips=flips,
         min_margin_seen=min_margin,
         positions_rescored=rescored,
-        forwards=forwards,
     )
 
 

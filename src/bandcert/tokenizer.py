@@ -24,6 +24,7 @@ from .model import ModelParams, forward_global, patchify
 
 CODEBOOK_MAGIC = b"ECCB"
 CODEBOOK_VERSION = 1
+LLOYD_ITERS = 50
 
 
 @dataclass
@@ -70,8 +71,8 @@ def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def fit_codebook(patches: np.ndarray, k: int, seed: int, iters: int = 50) -> Codebook:
-    """Seeded k-means++ then fixed-count Lloyd iterations.
+def fit_codebook(patches: np.ndarray, k: int, seed: int) -> Codebook:
+    """Seeded k-means++ then ``LLOYD_ITERS`` Lloyd iterations.
 
     Empty clusters keep their previous centroid. Asking for more entries
     than there are distinct patches cannot produce k meaningful centroids
@@ -101,7 +102,7 @@ def fit_codebook(patches: np.ndarray, k: int, seed: int, iters: int = 50) -> Cod
             centroids[i] = pts[rng.choice(pts.shape[0], p=probs)]
         best_d2 = np.minimum(best_d2, _sq_dists(pts, centroids[i:i + 1])[:, 0])
 
-    for _ in range(iters):
+    for _ in range(LLOYD_ITERS):
         assign = np.argmin(_sq_dists(pts, centroids), axis=1)
         for ci in range(k):
             members = pts[assign == ci]

@@ -163,7 +163,7 @@ def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
               recon_targets: np.ndarray, stage_index: int,
               seed: int) -> list[dict]:
     """One curriculum stage. ``recon_targets`` is (B, N) int token ids in
-    vae mode or (B, N, teacher_dim) float features in distill mode."""
+    vae mode or (B, N, embed_dim) float features in distill mode."""
     cfg = params.cfg
     rng = np.random.default_rng([int(seed), 0xA, stage_index])
     lam = Tensor(np.asarray(plan.lambda_rec, dtype=ad.TRAIN_DTYPE))
@@ -232,10 +232,10 @@ def finetune_band(params: ModelParams, plan: TrainPlan,
                      tags={"phase": "finetune", "band_width": plan.band_width})
 
 
-def train_teacher(cfg: ModelConfig, images: np.ndarray, labels: np.ndarray,
-                  epochs: int, lr: float, batch_size: int, seed: int,
-                  weight_decay: float = 0.01) -> tuple[ModelParams, list[dict]]:
-    """Plain clean-image classifier used as the frozen distillation target."""
+def train_teacher(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
+                  labels: np.ndarray, seed: int) -> tuple[ModelParams, list[dict]]:
+    """Plain clean-image classifier used as the frozen distillation target,
+    trained for the plan's ``teacher_epochs`` at ``teacher_lr``."""
     teacher = ModelParams.init(cfg, seed=seed + 101)
     rng = np.random.default_rng([int(seed), 0xC])
     full = with_full_mask(images)
@@ -246,8 +246,9 @@ def train_teacher(cfg: ModelConfig, images: np.ndarray, labels: np.ndarray,
         hits = (np.argmax(logits.data, axis=1) == labels[batch]).sum()
         return loss, {"loss": loss.item() * batch.size, "accuracy": float(hits)}
 
-    records = _optimise(teacher, batch_loss, rng, n=images.shape[0], epochs=epochs,
-                        batch_size=batch_size, lr=lr, weight_decay=weight_decay,
+    records = _optimise(teacher, batch_loss, rng, n=images.shape[0],
+                        epochs=plan.teacher_epochs, batch_size=plan.batch_size,
+                        lr=plan.teacher_lr, weight_decay=plan.weight_decay,
                         warmup_epochs=0, exclude=RECON_PREFIXES,
                         tags={"phase": "teacher"})
     return teacher, records
@@ -267,9 +268,7 @@ def train_full(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
         recon_targets = tokenize_images(codebook, images, cfg.patch_size)
         artifact: Codebook | ModelParams = codebook
     else:
-        teacher, teacher_records = train_teacher(
-            cfg, images, labels, epochs=plan.teacher_epochs,
-            lr=plan.teacher_lr, batch_size=plan.batch_size, seed=seed)
+        teacher, teacher_records = train_teacher(cfg, plan, images, labels, seed=seed)
         records.extend(teacher_records)
         recon_targets = teacher_features(teacher, images)
         artifact = teacher

@@ -1,7 +1,9 @@
 """Shared fixtures. The expensive one trains the toy model once per session."""
 
+import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,17 @@ from bandcert.training import TrainPlan, build_default_plan, train_baseline, tra
 
 TOY_BAND_WIDTH = 4
 TOY_SEED = 0
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_pythonpath():
+    """The CLI tests run ``python -m bandcert.cli`` in a subprocess, which
+    finds the package through PYTHONPATH when it is not installed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 def toy_model_config() -> ModelConfig:

@@ -34,7 +34,7 @@ def table_from_counts(counts, w):
 
 
 def test_vote_threshold_is_strict():
-    cfg = cfg_for(threshold=0.5, require_simplex=False)
+    cfg = cfg_for(threshold=0.5, threshold_on="logits")
     scores = np.array([[0.5, 0.5], [0.51, 0.49], [0.4, 0.6]])
     t = vote(scores, cfg)
     # exactly 0.5 never votes
@@ -43,7 +43,7 @@ def test_vote_threshold_is_strict():
 
 
 def test_vote_allows_zero_or_multiple_votes_per_position():
-    cfg = cfg_for(threshold=0.2, require_simplex=False)
+    cfg = cfg_for(threshold=0.2, threshold_on="logits")
     scores = np.array([[0.3, 0.3, 0.4],    # votes for all three
                        [0.1, 0.1, 0.1],    # votes for none
                        [0.9, 0.05, 0.05]])
@@ -64,12 +64,12 @@ def test_vote_rejects_non_simplex_rows():
     bad = np.full((4, 3), 0.5)
     with pytest.raises(ContractError):
         vote(bad, cfg)
-    # same rows pass once the simplex check is off
-    vote(bad, cfg_for(require_simplex=False))
+    # same rows pass when raw scores are thresholded
+    vote(bad, cfg_for(threshold_on="logits"))
 
 
 def test_vote_rejects_non_finite():
-    cfg = cfg_for(require_simplex=False)
+    cfg = cfg_for(threshold_on="logits")
     bad = np.zeros((4, 2))
     bad[1, 0] = np.nan
     with pytest.raises(ContractError):
@@ -158,7 +158,7 @@ def test_evaluate_records_and_summary(small_params):
     assert set(s["certified_accuracy"]) == {"1x1", "2x2"}
     # a wider patch can never certify more images than a narrower one
     assert s["certified_accuracy"]["2x2"] <= s["certified_accuracy"]["1x1"]
-    assert s["forwards_per_image"] <= plan.num_forwards
+    assert s["forwards_per_image"] == plan.num_forwards
 
 
 def test_evaluate_rejects_plan_config_mismatch(small_params):

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from bandcert.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, THREADS_ENV,
-                          UsageError, resolve_threads)
+from bandcert.cli import (_BLAS_VARS, EXIT_DATA, EXIT_OK, EXIT_USAGE, THREADS_ENV,
+                          UsageError, main, resolve_threads)
 
 TINY = [
     "--set", "data.image_side=8", "--set", "data.train_size=12",
@@ -52,6 +52,36 @@ def test_unknown_config_key_is_usage_error(tmp_path):
                    "--checkpoint", "nope.ecvt", "--set", "train.nonsense=1")
     assert proc.returncode == EXIT_USAGE
     assert "nonsense" in proc.stderr
+
+
+def run_main(argv, capsys, monkeypatch):
+    """In-process ``cli.main``; returns (exit code, stderr lines). The BLAS
+    thread variables main() sets are restored afterwards."""
+    for var in _BLAS_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    code = main(argv)
+    return code, capsys.readouterr().err.strip().splitlines()
+
+
+@pytest.mark.parametrize("override", [
+    "model.patch_size=0", "model.num_heads=0", "model.embed_dim=0",
+    "model.num_layers=0", "model.mlp_ratio=nan", "model.mlp_ratio=-1",
+    "model.mlp_ratio=inf", "model.codebook_size=-1"])
+def test_bad_model_value_is_usage_error(override, capsys, monkeypatch):
+    code, err = run_main(["bench", "--set", override], capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    key = override.split("=")[0].split(".")[1]
+    assert len(err) == 1 and key in err[0], err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--set", "model.teacher_dim=8"], "teacher_dim"),
+    (["certify", "--checkpoint", "absent.ecvt",
+      "--set", "certify.require_simplex=false"], "require_simplex")])
+def test_removed_keys_are_usage_errors(argv, key, tmp_path, capsys, monkeypatch):
+    code, err = run_main([*argv, "--out-dir", str(tmp_path / "o")], capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and key in err[0], err
 
 
 def test_missing_checkpoint_is_data_error(trained_dir, tmp_path):

@@ -26,6 +26,16 @@ def test_config_rejects_bad_divisibility():
         tiny_cfg(embed_dim=18, num_heads=4)  # heads do not divide dim
 
 
+def test_config_range_bounds():
+    with pytest.raises(ContractError):
+        tiny_cfg(codebook_size=1)
+    tiny_cfg(codebook_size=2)
+    # a zero-width MLP is legal: each block's MLP then adds only its bias
+    params = ModelParams.init(tiny_cfg(mlp_ratio=0.0), seed=0)
+    assert params["blocks.0.mlp.w1"].shape == (16, 0)
+    assert forward_global(np.ones((1, 4, 8, 8)), params).logits.shape == (1, 3)
+
+
 def test_param_inventory_and_shapes():
     cfg = tiny_cfg()
     params = ModelParams.init(cfg, seed=0)
@@ -284,6 +294,22 @@ def test_count_flops_band_unit_is_cheaper_and_quadratic_in_seq():
     seq_band = (4 // 4 + 1) * rows + 1
     assert band.attention / full.attention == pytest.approx(
         (seq_band / cfg.seq_len) ** 2)
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("side", [16, 32])
+def test_count_flops_band_unit_is_the_widest_planned_window(side, wrap):
+    cfg = ModelConfig(image_side=side, patch_size=4, embed_dim=16, num_layers=1,
+                      num_heads=2, mlp_ratio=2.0, num_classes=3, codebook_size=8,
+                      band_wrap=wrap)
+    full = count_flops(cfg, "global")
+    for b in range(1, side + 1):
+        seq = max(ids.size for ids in plan_windows(cfg, b).window_ids) + 1
+        band = count_flops(cfg, "band_unit", band_width=b)
+        # attention grows with the square of the sequence, the rest linearly
+        assert band.attention * cfg.seq_len ** 2 == full.attention * seq ** 2, b
+        assert band.fully_connected * cfg.seq_len == full.fully_connected * seq, b
+        assert band.total <= full.total, b
 
 
 def test_count_flops_needs_band_width_in_band_mode():

@@ -108,7 +108,7 @@ def test_stage_reconstruction_term_matches_per_sample_reference(mode):
     if mode == "vae":
         targets = draw.integers(0, cfg.codebook_size, size=(n, cfg.num_tokens))
     else:
-        targets = draw.standard_normal((n, cfg.num_tokens, cfg.teacher_width))
+        targets = draw.standard_normal((n, cfg.num_tokens, cfg.embed_dim))
     # a keep width and ratio that leave partial columns and unequal counts
     stage = StageConfig(keep_width=5, reconstruct_ratio=0.6, epochs=1, lr=1e-3)
     plan = tiny_plan(mode=mode, batch_size=n)
@@ -192,6 +192,18 @@ def test_train_full_distill_trains_teacher():
     params, records, artifact = train_full(cfg, plan, imgs, ys, seed=0)
     assert isinstance(artifact, ModelParams)
     assert any(r["phase"] == "teacher" for r in records)
+
+
+def test_teacher_trains_with_the_plan_weight_decay():
+    cfg = small_cfg()
+    imgs, ys = small_data(n=16)
+    teachers = []
+    for weight_decay in (0.01, 0.5):
+        plan = tiny_plan(mode="distill", stages=[], finetune_epochs=0,
+                         teacher_epochs=2, weight_decay=weight_decay)
+        teachers.append(train_full(cfg, plan, imgs, ys, seed=0)[2])
+    assert not np.array_equal(teachers[0]["head.weight"].data,
+                              teachers[1]["head.weight"].data)
 
 
 def test_train_baseline_matches_epoch_budget():
