@@ -316,6 +316,36 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _emit("slice", out, (x,), backward_fn)
 
 
+def split_heads(x: Tensor, num_heads: int) -> Tensor:
+    """(B, L, d) -> contiguous (B, num_heads, L, d / num_heads): head j holds
+    columns [j * d / num_heads, (j + 1) * d / num_heads) of the last axis."""
+    if x.data.ndim != 3 or num_heads < 1 or x.shape[-1] % num_heads:
+        raise ShapeError(f"split_heads: cannot split {x.shape} into {num_heads} heads")
+    b, length, d = x.shape
+    out = np.ascontiguousarray(
+        x.data.reshape(b, length, num_heads, d // num_heads).transpose(0, 2, 1, 3))
+
+    def backward_fn(g: np.ndarray):
+        # C-contiguous on purpose: the bias gradients sum this array, and a
+        # strided view would be summed in another order and round differently
+        return (np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(b, length, d),)
+
+    return _emit("split_heads", out, (x,), backward_fn)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(B, H, L, dh) -> (B, L, H * dh), the inverse of ``split_heads``."""
+    if x.data.ndim != 4:
+        raise ShapeError(f"merge_heads: expected (B, H, L, dh), got {x.shape}")
+    b, heads, length, dh = x.shape
+    out = x.data.transpose(0, 2, 1, 3).reshape(b, length, heads * dh)
+
+    def backward_fn(g: np.ndarray):
+        return (np.ascontiguousarray(g.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)),)
+
+    return _emit("merge_heads", out, (x,), backward_fn)
+
+
 def mean(x: Tensor) -> Tensor:
     """Full reduction to a scalar mean."""
     out = np.asarray(x.data.mean(), dtype=x.dtype)

@@ -15,6 +15,7 @@ certified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,8 @@ class CertifyConfig:
         if self.threshold_on not in ("probs", "logits"):
             raise ContractError(f"CertifyConfig: unknown threshold_on "
                                 f"'{self.threshold_on}'")
+        if not math.isfinite(self.threshold):
+            raise ContractError(f"CertifyConfig: threshold {self.threshold} is not finite")
         if self.threshold_on == "probs" and not (0.0 < self.threshold < 1.0):
             raise ContractError(f"CertifyConfig: probability threshold "
                                 f"{self.threshold} outside (0, 1)")

@@ -142,7 +142,7 @@ def _render_shape(rng: np.random.Generator, side: int, label: int) -> np.ndarray
     amp = rng.uniform(0.55, 0.95)
     tint = 1.0 - rng.uniform(0.0, 0.25, size=3)
     mask = np.zeros((side, side), dtype=bool)
-    yy, xx = np.mgrid[0:side, 0:side]
+    yy, xx = np.ogrid[0:side, 0:side]  # broadcast grids, for classes 3, 6 and 7
 
     if label == 0:
         # one horizontal bar, thickness 2-3
@@ -244,6 +244,6 @@ def stack_images(images: list[LabeledImage]) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: list -> ((n, 3, s, s) float64, (n,) int64)."""
     if not images:
         raise ContractError("stack_images: no images to stack")
-    x = np.stack([im.image for im in images]).astype(np.float64)
+    x = np.stack([im.image for im in images]).astype(np.float64, copy=False)
     y = np.array([im.label for im in images], dtype=np.int64)
     return x, y

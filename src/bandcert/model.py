@@ -4,7 +4,13 @@ One encoder entry point, ``_encode``, takes gathered patch vectors, the
 position-table rows to add to them (or none, for the full sequence) and an
 optional additive attention bias. It projects the patches, prepends the
 class token, adds the position rows, runs the blocks and the final layer
-norm, and reads the class logits.
+norm, and reads the class logits. Attention runs all heads at once on
+(batch, heads, rows, head_dim) stacks. By default only the class row
+reaches the output: the last block computes keys and values for every row
+but its query, attention, out-projection, MLP and the final norm for the
+class row alone. ``tokens=True`` keeps every row through every block and
+returns them as ``tokens_out``, for the reconstruction loss, the teacher
+features and the restriction oracle.
 
 * ``forward_global``: the full token sequence, optionally with an additive
   attention mask restricting which tokens may be attended to.
@@ -14,9 +20,10 @@ norm, and reads the class logits.
   By the restriction argument (attention is the only token-mixing op) this
   equals the masked global forward on the gathered rows.
 * ``forward_windows``: the windowed path fine-tuning and certification
-  share. Each image row has its own band position; it ablates, patchifies
-  once and runs one encoder call per window width on the token ids the
-  ``WindowPlan`` holds. ``finetune_band`` takes a loss term per width, and
+  share, logits only. It takes k band positions per image, patchifies each
+  image once, gathers each window's tokens by the ``WindowPlan``, ablates
+  only those, and runs one encoder call per window width.
+  ``finetune_band`` takes a loss term per width, and
   ``batched_certify_forward`` places the logits per (image, position) and
   counts forwards from the plan's groups of token-disjoint windows.
 
@@ -36,7 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DataFormatError, NumericError
-from .smoothing import BandSpec, ablate_batch, band_token_columns
+from .smoothing import BandSpec, band_keep, band_token_columns
 
 CHECKPOINT_MAGIC = b"ECVT"
 CHECKPOINT_VERSION = 1
@@ -202,8 +209,8 @@ def patchify(inputs: np.ndarray, patch_size: int) -> np.ndarray:
 
 @dataclass
 class EncoderActivations:
-    tokens_out: Tensor   # H_O, after the final layer norm
-    logits: Tensor       # class logits read from the class token
+    tokens_out: Tensor | None  # H_O after the final layer norm; None unless asked for
+    logits: Tensor             # class logits read from the class token
 
 
 def _affine_ln(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
@@ -215,28 +222,29 @@ def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return ad.add(ad.matmul(x, params[prefix + ".weight"]), params[prefix + ".bias"])
 
 
-def _encoder(params: ModelParams, h: Tensor, attn_bias: Tensor | None) -> Tensor:
+def _encoder(params: ModelParams, h: Tensor, attn_bias: Tensor | None,
+             tokens: bool) -> Tensor:
     cfg = params.cfg
-    dh = cfg.head_dim
-    scale = Tensor(np.asarray(1.0 / math.sqrt(dh), dtype=h.dtype))
+    heads = cfg.num_heads
+    scale = Tensor(np.asarray(1.0 / math.sqrt(cfg.head_dim), dtype=h.dtype))
     for i in range(cfg.num_layers):
         p = f"blocks.{i}"
         try:
             pre = _affine_ln(h, params, p + ".ln1")
-            q = ad.add(ad.matmul(pre, params[p + ".attn.wq"]), params[p + ".attn.bq"])
+            query = pre
+            if i == cfg.num_layers - 1 and not tokens:
+                # Only the class row reaches the logits: the last block keys
+                # and values every row but queries, mixes and norms row 0.
+                h = ad.slice_axis(h, 1, 0, 1)
+                query = ad.slice_axis(pre, 1, 0, 1)
+            q = ad.add(ad.matmul(query, params[p + ".attn.wq"]), params[p + ".attn.bq"])
             k = ad.add(ad.matmul(pre, params[p + ".attn.wk"]), params[p + ".attn.bk"])
             v = ad.add(ad.matmul(pre, params[p + ".attn.wv"]), params[p + ".attn.bv"])
-            heads = []
-            for j in range(cfg.num_heads):
-                qh = ad.slice_axis(q, -1, j * dh, (j + 1) * dh)
-                kh = ad.slice_axis(k, -1, j * dh, (j + 1) * dh)
-                vh = ad.slice_axis(v, -1, j * dh, (j + 1) * dh)
-                scores = ad.mul(ad.matmul(qh, kh, transpose_b=True), scale)
-                if attn_bias is not None:
-                    scores = ad.add(scores, attn_bias)
-                att = ad.softmax_lastdim(scores)
-                heads.append(ad.matmul(att, vh))
-            o = heads[0] if len(heads) == 1 else ad.concat(heads, axis=-1)
+            q, k, v = (ad.split_heads(t, heads) for t in (q, k, v))
+            scores = ad.mul(ad.matmul(q, k, transpose_b=True), scale)
+            if attn_bias is not None:
+                scores = ad.add(scores, attn_bias)
+            o = ad.merge_heads(ad.matmul(ad.softmax_lastdim(scores), v))
             o = ad.add(ad.matmul(o, params[p + ".attn.wo"]), params[p + ".attn.bo"])
             h = ad.add(h, o)
             pre2 = _affine_ln(h, params, p + ".ln2")
@@ -259,7 +267,7 @@ def _class_logits(params: ModelParams, h_out: Tensor) -> Tensor:
 
 
 def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None = None,
-            attn_bias: Tensor | None = None) -> EncoderActivations:
+            attn_bias: Tensor | None = None, *, tokens: bool = False) -> EncoderActivations:
     """The one encoder entry point: H_I = [cls; E x_1; ...; E x_K] + pos rows,
     then the blocks, the final layer norm and the class logits.
 
@@ -267,6 +275,11 @@ def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None
     rows to add, (K+1,) shared by the batch or (B, K+1) per sample: 0 for
     the class token, then patch-token id + 1 for each patch. ``None`` means
     the full sequence in grid order, which adds the whole table.
+
+    With ``tokens`` every row runs through every block and ``tokens_out``
+    holds all of them. Without it the last block runs its query, attention,
+    out-projection, MLP and the final norm on the class row alone (keys and
+    values still come from every row), and ``tokens_out`` is None.
     """
     cfg = params.cfg
     x = Tensor(np.ascontiguousarray(patches, dtype=params.dtype))
@@ -279,17 +292,21 @@ def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None
         pos_rows = params["pos_embed"]
     else:
         pos_rows = ad.embedding_lookup(params["pos_embed"], pos_ids)
-    h_out = _encoder(params, ad.add(h, pos_rows), attn_bias)
-    return EncoderActivations(tokens_out=h_out, logits=_class_logits(params, h_out))
+    h_out = _encoder(params, ad.add(h, pos_rows), attn_bias, tokens)
+    return EncoderActivations(tokens_out=h_out if tokens else None,
+                              logits=_class_logits(params, h_out))
 
 
 def forward_global(inputs: np.ndarray, params: ModelParams,
-                   allowed_tokens: np.ndarray | None = None) -> EncoderActivations:
+                   allowed_tokens: np.ndarray | None = None, *,
+                   tokens: bool = False) -> EncoderActivations:
     """Full-sequence forward on 4-channel inputs (B, 4, H, W).
 
     ``allowed_tokens`` is an optional boolean (seq_len,) mask; when given,
     every token's attention is restricted to the allowed set via a large
     negative additive bias (used by the restriction-identity oracle).
+    ``tokens`` asks for every output row as well as the logits (see
+    ``_encode``).
     """
     cfg = params.cfg
     patches = patchify(inputs, cfg.patch_size)
@@ -304,7 +321,7 @@ def forward_global(inputs: np.ndarray, params: ModelParams,
         if not allowed.any():
             raise ContractError("forward_global: allowed mask is empty")
         bias = Tensor(np.where(allowed, 0.0, ad.MASK_OFF).astype(params.dtype))
-    return _encode(params, patches, attn_bias=bias)
+    return _encode(params, patches, attn_bias=bias, tokens=tokens)
 
 
 def window_token_ids(cfg: ModelConfig, band: BandSpec) -> np.ndarray:
@@ -320,16 +337,16 @@ def _column_token_ids(cfg: ModelConfig, cols) -> np.ndarray:
 
 
 def forward_band_unit(inputs: np.ndarray, params: ModelParams,
-                      band: BandSpec) -> EncoderActivations:
+                      band: BandSpec, *, tokens: bool = False) -> EncoderActivations:
     """Isolated band forward: encoder runs only on [cls] + the band's tokens.
 
     ``inputs`` must already be ablated 4-channel images for this band.
     Projection happens after the gather, so nothing is spent embedding
-    tokens that are dropped anyway.
+    tokens that are dropped anyway. ``tokens`` is as in ``forward_global``.
     """
     ids = window_token_ids(params.cfg, band)
     return _encode(params, patchify(inputs, params.cfg.patch_size)[:, ids, :],
-                   np.concatenate([[0], ids + 1]))
+                   np.concatenate([[0], ids + 1]), tokens=tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -459,25 +476,49 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
 
 def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelParams,
                     plan: WindowPlan):
-    """Ablate -> patchify -> window encoder, one band position per image row.
+    """Patchify -> gather -> ablate -> window encoder, logits only.
 
-    ``images`` is (n, 3, h, w), ``positions`` (n,) band positions in [0, w).
-    Yields (rows, logits) per window width, narrowest first: the ascending
-    rows of that width and their (len(rows), num_classes) logits Tensor.
-    Every encoder op is row-local or a per-slice gufunc, so a row's logits
-    do not depend on the rows stacked with it.
+    ``images`` is (n, 3, h, w) and ``positions`` an (n, k) array of band
+    positions in [0, w): flat row r = i * k + j runs image i at band
+    position positions[i, j]. Yields (rows, logits) per window width,
+    narrowest first: the ascending flat rows of that width and their
+    (len(rows), num_classes) logits Tensor.
+
+    Each image is patchified once. A window gathers its tokens and only
+    then is ablated: its pixels are multiplied by the band's per-pixel-
+    column keep flags and the keep plane is appended as the fourth
+    channel. Those are the multiplications ``ablate_batch`` does, so the
+    window's patch vectors equal ablate_batch -> patchify -> gather bit for
+    bit. Every encoder op is row-local or a per-slice gufunc, so a row's
+    logits do not depend on the rows stacked with it.
     """
     cfg = params.cfg
-    ablated = ablate_batch(images, positions, plan.band_width, wrap=cfg.band_wrap)
-    patches = patchify(ablated, cfg.patch_size)
-    by_len: dict[int, list[int]] = {}
-    for i, p in enumerate(positions):
-        by_len.setdefault(plan.window_ids[p].size, []).append(i)
-    for _, rows in sorted(by_len.items()):
-        ids = np.stack([plan.window_ids[positions[i]] for i in rows])
-        with_cls = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64), ids + 1], axis=1)
-        rows = np.asarray(rows, dtype=np.int64)
-        yield rows, _encode(params, patches[rows[:, None], ids], with_cls).logits
+    ps = cfg.patch_size
+    imgs = np.asarray(images)
+    keep = band_keep(imgs, positions, plan.band_width, wrap=cfg.band_wrap)
+    pos = np.asarray(positions, dtype=np.int64)
+    if pos.ndim != 2 or pos.shape[0] != imgs.shape[0]:
+        raise ContractError(f"forward_windows: positions {pos.shape} are not "
+                            f"(n_images={imgs.shape[0]}, k)")
+    if imgs.shape[2:] != (cfg.image_side, cfg.image_side):
+        raise ContractError(f"forward_windows: images {imgs.shape} do not match side "
+                            f"{cfg.image_side}")
+    per_image = pos.shape[1]
+    pos = pos.reshape(-1)
+    patches = patchify(imgs, ps)
+    _, n_cols = cfg.grid
+    sizes = np.array([ids.size for ids in plan.window_ids])[pos]
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        ids = np.stack([plan.window_ids[p] for p in pos[rows]])
+        n, k = ids.shape
+        # keep flag of each pixel column of each gathered token: (n, k, ps)
+        col_keep = keep[rows[:, None, None], (ids % n_cols)[:, :, None] * ps + np.arange(ps)]
+        flags = col_keep[:, :, None, None, :]
+        pixels = patches[(rows // per_image)[:, None], ids].reshape(n, k, 3, ps, ps) * flags
+        windows = np.concatenate([pixels, np.broadcast_to(flags, (n, k, 1, ps, ps))], axis=2)
+        with_cls = np.concatenate([np.zeros((n, 1), dtype=np.int64), ids + 1], axis=1)
+        yield rows, _encode(params, windows.reshape(n, k, cfg.patch_dim), with_cls).logits
 
 
 def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: WindowPlan,
@@ -487,9 +528,10 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
     Returns ((n_images, n_positions, num_classes) array, forwards used).
     ``positions`` defaults to every band position; each entry, repeats
     included, gets its own logits, and one outside [0, w) is an error.
-    Every image is tiled once per wanted position and the whole stack goes
-    through ``forward_windows``, so each row's logits are bit-identical to
-    a lone forward_band_unit call on that image and band.
+    Every image is asked for every wanted position in one
+    ``forward_windows`` call, which patchifies each image once and ablates
+    only the gathered window tokens, so each row's logits are bit-identical
+    to a lone forward_band_unit call on that image and band.
 
     The forwards count follows the plan: one per group of token-disjoint
     windows that holds a wanted position. The full plan stays within
@@ -517,10 +559,10 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
     out = np.zeros((n_img, len(wanted), cfg.num_classes), dtype=params.dtype)
     if not wanted:
         return out, forwards
-    tiled = np.tile(imgs, (len(wanted), 1, 1, 1))
-    pos_vec = np.repeat(np.asarray(wanted, dtype=np.int64), n_img)
-    for rows, logits in forward_windows(tiled, pos_vec, params, plan):
-        out[rows % n_img, rows // n_img] = logits.data
+    k = len(wanted)
+    grid = np.broadcast_to(np.asarray(wanted, dtype=np.int64), (n_img, k))
+    for rows, logits in forward_windows(imgs, grid, params, plan):
+        out[rows // k, rows % k] = logits.data
     return out, forwards
 
 
@@ -551,7 +593,10 @@ def count_flops(cfg: ModelConfig, mode: str, band_width: int | None = None) -> F
 
     ``global`` uses the full sequence; ``band_unit`` uses the widest window
     the plan builds (``widest_window_columns`` token columns on every grid
-    row) plus the class token.
+    row) plus the class token. The count is for the full-token forward
+    (``tokens=True``), every row through every block; the logits-only
+    forward that certification runs does less in its last block, so this
+    is an upper bound on it.
     """
     if mode == "global":
         seq = cfg.seq_len

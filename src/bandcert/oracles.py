@@ -266,12 +266,12 @@ def attention_equivalence(params: ModelParams, images: np.ndarray,
     abl = ablate_batch(images, np.full(images.shape[0], band.position),
                        band.width, wrap=cfg.band_wrap)
     abl = abl.astype(params.dtype)
-    iso = forward_band_unit(abl, params, band)
+    iso = forward_band_unit(abl, params, band, tokens=True)
     ids = window_token_ids(cfg, band)
     allowed = np.zeros(cfg.seq_len, dtype=bool)
     allowed[0] = True
     allowed[ids + 1] = True
-    masked = forward_global(abl, params, allowed_tokens=allowed)
+    masked = forward_global(abl, params, allowed_tokens=allowed, tokens=True)
     rows = np.concatenate([[0], ids + 1])
     token_diff = np.abs(masked.tokens_out.data[:, rows, :] - iso.tokens_out.data).max()
     logit_diff = np.abs(masked.logits.data - iso.logits.data).max()
@@ -307,6 +307,12 @@ def _primitive_cases(rng: np.random.Generator):
                                             Tensor(np.vstack([y24, x24])))), x24),
         "slice": (lambda t: ad.mean(ad.mul(ad.slice_axis(t, 1, 1, 3),
                                            Tensor(y24[:, 1:3]))), x24),
+        "split_heads": (lambda t: ad.mean(ad.mul(ad.split_heads(t, 2),
+                                                 Tensor(y24.reshape(1, 2, 2, 2)))),
+                        x24.reshape(1, 2, 4)),
+        "merge_heads": (lambda t: ad.mean(ad.mul(ad.merge_heads(t),
+                                                 Tensor(y24.reshape(1, 2, 4)))),
+                        x24.reshape(1, 2, 2, 2)),
         "mean": (lambda t: ad.mean(t), x24),
         "cross_entropy": (lambda t: ad.cross_entropy(t, targets), rng.normal(size=(3, 5))),
         "l2_distance": (lambda t: ad.l2_distance(t, Tensor(y24)), x24 + 0.3),

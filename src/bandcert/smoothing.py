@@ -41,26 +41,38 @@ class BandSpec:
         return cols[cols < image_width]
 
 
+def band_keep(images: np.ndarray, positions, width: int, wrap: bool = True) -> np.ndarray:
+    """Per-pixel-column keep flags of bands over an (n, 3, h, w) batch: a
+    (positions.size, w) 0/1 array in the images' dtype whose row i keeps
+    the width-``width`` band at the i-th entry of the flattened positions.
+    Any other image shape, or a position outside [0, w), is an error."""
+    imgs = np.asarray(images)
+    if imgs.ndim != 4 or imgs.shape[1] != 3:
+        raise ContractError(f"band ablation: expected (n, 3, h, w), got {imgs.shape}")
+    w = imgs.shape[3]
+    pos = np.asarray(positions, dtype=np.int64).reshape(-1)
+    if pos.size and (pos.min() < 0 or pos.max() >= w):
+        raise ContractError(f"band ablation: band positions must lie in [0, {w}), "
+                            f"got {pos.min()}..{pos.max()}")
+    offsets = pos[:, None] + np.arange(width)[None, :]
+    keep = np.zeros((pos.size, w), dtype=imgs.dtype)
+    if wrap:
+        keep[np.arange(pos.size)[:, None], offsets % w] = 1.0
+    else:
+        valid = offsets < w
+        keep[np.repeat(np.arange(pos.size), valid.sum(axis=1)), offsets[valid]] = 1.0
+    return keep
+
+
 def ablate_batch(images: np.ndarray, positions: np.ndarray, width: int,
                  wrap: bool = True) -> np.ndarray:
     """Vectorized per-sample ablation: (n,3,h,w) + (n,) positions ->
     (n,4,h,w) model inputs."""
     imgs = np.asarray(images)
-    if imgs.ndim != 4 or imgs.shape[1] != 3:
-        raise ContractError(f"ablate_batch: expected (n, 3, h, w), got {imgs.shape}")
+    keep = band_keep(imgs, positions, width, wrap=wrap)
     n, _, h, w = imgs.shape
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.size and (pos.min() < 0 or pos.max() >= w):
-        raise ContractError(f"ablate_batch: band positions must lie in [0, {w}), "
-                            f"got {pos.min()}..{pos.max()}")
-    offsets = pos[:, None] + np.arange(width)[None, :]
-    keep = np.zeros((n, w), dtype=imgs.dtype)
-    if wrap:
-        cols = offsets % w
-        keep[np.arange(n)[:, None], cols] = 1.0
-    else:
-        valid = offsets < w
-        keep[np.repeat(np.arange(n), valid.sum(axis=1)), offsets[valid]] = 1.0
+    if keep.shape[0] != n:
+        raise ContractError(f"ablate_batch: {keep.shape[0]} band positions for {n} images")
     pixels = imgs * keep[:, None, None, :]
     mask = np.broadcast_to(keep[:, None, None, :], (n, 1, h, w))
     return np.concatenate([pixels, mask], axis=1)

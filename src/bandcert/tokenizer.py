@@ -168,5 +168,5 @@ def with_full_mask(images: np.ndarray) -> np.ndarray:
 def teacher_features(teacher: ModelParams, images: np.ndarray) -> np.ndarray:
     """Post-norm patch-token features (B, N, d) of clean images under the
     frozen teacher. Callers treat the result as constant targets."""
-    acts = forward_global(with_full_mask(images), teacher)
+    acts = forward_global(with_full_mask(images), teacher, tokens=True)
     return np.ascontiguousarray(acts.tokens_out.data[:, 1:, :])

@@ -35,6 +35,12 @@ from .tokenizer import (Codebook, fit_codebook, image_patches, teacher_features,
                         tokenize_images, with_full_mask)
 
 
+def _check_rates(owner: str, **values: float) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ContractError(f"{owner}: {name} {value} is not a finite value >= 0")
+
+
 @dataclass
 class StageConfig:
     keep_width: int          # ablation band width during this stage
@@ -50,6 +56,7 @@ class StageConfig:
                                 f"outside (0, 1]")
         if self.epochs < 0:
             raise ContractError("StageConfig: negative epochs")
+        _check_rates("StageConfig", lr=self.lr)
 
 
 @dataclass
@@ -69,10 +76,13 @@ class TrainPlan:
     def __post_init__(self):
         if self.mode not in ("vae", "distill"):
             raise ContractError(f"TrainPlan: unknown mode '{self.mode}'")
-        if self.lambda_rec < 0:
-            raise ContractError("TrainPlan: negative lambda_rec")
         if self.batch_size < 1:
             raise ContractError("TrainPlan: batch_size < 1")
+        _check_rates("TrainPlan", lambda_rec=self.lambda_rec, finetune_lr=self.finetune_lr,
+                     weight_decay=self.weight_decay, teacher_lr=self.teacher_lr)
+        for name in ("finetune_epochs", "warmup_epochs", "teacher_epochs"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"TrainPlan: {name} {getattr(self, name)} < 0")
 
 
 KEEP_RATIOS = (0.6, 0.3)
@@ -173,7 +183,7 @@ def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
     def batch_loss(batch):
         positions = rng.integers(0, cfg.image_side, size=batch.size)
         abl = ablate_batch(images[batch], positions, stage.keep_width, wrap=cfg.band_wrap)
-        acts = forward_global(abl, params)
+        acts = forward_global(abl, params, tokens=True)
         ce = ad.cross_entropy(acts.logits, labels[batch])
         # One flat gather over the batch's (B*N, d) patch rows; the mean over
         # all flagged tokens is the reconstruction term.
@@ -217,7 +227,8 @@ def finetune_band(params: ModelParams, plan: TrainPlan,
         positions = rng.integers(0, cfg.image_side, size=batch.size)
         loss = None
         hits = 0
-        for rows, logits in forward_windows(images[batch], positions, params, windows):
+        for rows, logits in forward_windows(images[batch], positions[:, None], params,
+                                            windows):
             term = ad.cross_entropy(logits, ys[rows])
             term = ad.mul(term, Tensor(np.asarray(len(rows) / batch.size,
                                                   dtype=ad.TRAIN_DTYPE)))

@@ -134,6 +134,22 @@ def test_concat_slice_roundtrip_and_grads():
     assert err < 1e-7
 
 
+def test_split_merge_heads_match_per_head_slices():
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((2, 5, 6)))
+    heads = ad.split_heads(x, 3)
+    assert heads.shape == (2, 3, 5, 2) and heads.data.flags.c_contiguous
+    for j in range(3):
+        np.testing.assert_array_equal(heads.data[:, j], x.data[..., 2 * j:2 * j + 2])
+    np.testing.assert_array_equal(ad.merge_heads(heads).data, x.data)
+    with pytest.raises(ShapeError):
+        ad.split_heads(x, 4)  # 4 does not divide 6
+    with pytest.raises(ShapeError):
+        ad.split_heads(Tensor(np.zeros((5, 6))), 3)
+    with pytest.raises(ShapeError):
+        ad.merge_heads(x)
+
+
 def test_adamw_requires_exact_gradient_coverage():
     p = Tensor(np.ones(3), requires_grad=True)
     q = Tensor(np.ones(3), requires_grad=True)

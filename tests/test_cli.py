@@ -74,6 +74,30 @@ def test_bad_model_value_is_usage_error(override, capsys, monkeypatch):
     assert len(err) == 1 and key in err[0], err
 
 
+@pytest.mark.parametrize("override", [
+    "train.lr=nan", "train.lr=-1", "train.finetune_lr=inf", "train.teacher_lr=-inf",
+    "train.weight_decay=nan", "train.lambda_rec=-1", "train.lambda_rec=inf",
+    "train.finetune_epochs=-1", "train.teacher_epochs=-1", "train.warmup_epochs=-1"])
+def test_bad_train_value_is_usage_error(override, tmp_path, capsys, monkeypatch):
+    code, err = run_main(["train", "--set", override, "--out-dir", str(tmp_path / "o")],
+                         capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    key = override.split("=")[0].split(".")[1]
+    assert len(err) == 1 and key in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_logit_threshold_is_usage_error(value, tmp_path, capsys, monkeypatch):
+    code, err = run_main(["certify", "--checkpoint", "absent.ecvt",
+                          "--set", "certify.threshold_on=logits",
+                          "--set", f"certify.threshold={value}",
+                          "--out-dir", str(tmp_path / "o")], capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and "threshold" in err[0], err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, key", [
     (["train", "--set", "model.teacher_dim=8"], "teacher_dim"),
     (["certify", "--checkpoint", "absent.ecvt",

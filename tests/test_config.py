@@ -1,3 +1,5 @@
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +31,14 @@ def test_edge_values_return_or_raise_contract_error(values, same_band):
         cfg = load_config(overrides=[f"{k}={v}" for k, v in values.items()])
         build_dataset_spec(cfg)
         model_cfg = build_model_config(cfg)
-        build_train_plan(cfg, model_cfg)
+        train_plan = build_train_plan(cfg, model_cfg)
+        # a plan that builds holds only rates and counts training can use
+        rates = [s.lr for s in train_plan.stages] + [
+            train_plan.lambda_rec, train_plan.finetune_lr, train_plan.weight_decay,
+            train_plan.teacher_lr]
+        assert all(math.isfinite(r) and r >= 0 for r in rates), rates
+        assert min(train_plan.finetune_epochs, train_plan.warmup_epochs,
+                   train_plan.teacher_epochs, *(s.epochs for s in train_plan.stages)) >= 0
         cert_cfg = build_certify_config(cfg)
         plan_windows(model_cfg, cert_cfg.band_width)
         ModelParams.init(model_cfg, seed=0)

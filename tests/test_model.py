@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandcert import model
+from bandcert.autodiff import Tensor
 from bandcert.errors import ContractError, DataFormatError
 from bandcert.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams,
                             batched_certify_forward, count_flops,
@@ -78,7 +80,7 @@ def test_forward_global_shapes_and_mask_channel_requirement():
     params = ModelParams.init(cfg, seed=1)
     abl = ablate_batch(np.random.default_rng(0).random((2, 3, 8, 8)),
                        np.array([0, 3]), 4)
-    acts = forward_global(abl, params)
+    acts = forward_global(abl, params, tokens=True)
     assert acts.logits.data.shape == (2, 3)
     assert acts.tokens_out.data.shape == (2, cfg.seq_len, cfg.embed_dim)
 
@@ -170,7 +172,7 @@ def test_windowed_forward_equals_band_unit():
         params = ModelParams.init(cfg, seed=5).cast(dtype)
         seen = []
         widths = []
-        for rows, logits in forward_windows(imgs, positions, params, plan):
+        for rows, logits in forward_windows(imgs, positions[:, None], params, plan):
             assert rows.tolist() == sorted(rows.tolist())
             widths.append(plan.window_ids[positions[rows[0]]].size)
             for r, row_logits in zip(rows, logits.data):
@@ -181,6 +183,93 @@ def test_windowed_forward_equals_band_unit():
             seen.extend(rows.tolist())
         assert sorted(seen) == list(range(len(positions)))
         assert widths == sorted(set(widths)) and len(widths) > 1
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+def test_window_patches_equal_ablate_patchify_gather(wrap, monkeypatch):
+    # forward_windows ablates after the gather; the patch vectors it encodes
+    # must equal ablate_batch -> patchify -> gather bit for bit
+    cfg = tiny_cfg(image_side=16, band_wrap=wrap)
+    imgs = np.random.default_rng(11).random((3, 3, 16, 16))
+    positions = np.array([[0, 5, 15, 9], [3, 3, 14, 1], [7, 12, 2, 10]])
+    encoded = []
+    real_encode = model._encode
+
+    def spy(params, patches, pos_ids=None, *args, **kwargs):
+        encoded.append((patches, pos_ids))
+        return real_encode(params, patches, pos_ids, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode", spy)
+    for dtype in (np.float32, np.float64):
+        params = ModelParams.init(cfg, seed=2).cast(dtype)
+        for b in (1, 3, 4, 6, 16):
+            plan = plan_windows(cfg, b)
+            encoded.clear()
+            seen = []
+            for rows, _ in forward_windows(imgs.astype(dtype), positions, params, plan):
+                patches, pos_ids = encoded[-1]
+                for r, got, got_ids in zip(rows, patches, pos_ids):
+                    i, p = r // positions.shape[1], int(positions.flat[r])
+                    abl = ablate_batch(imgs[i:i + 1].astype(dtype), np.array([p]), b,
+                                       wrap=wrap)
+                    ids = plan.window_ids[p]
+                    want = patchify(abl, cfg.patch_size)[0, ids]
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+                    np.testing.assert_array_equal(got_ids, np.concatenate([[0], ids + 1]))
+                seen.extend(rows.tolist())
+            assert sorted(seen) == list(range(positions.size))
+
+
+def test_forward_windows_rejects_bad_inputs():
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3)
+    plan = plan_windows(cfg, 2)
+    imgs = np.random.default_rng(2).random((2, 3, 8, 8))
+    cases = [
+        (imgs[:, :2], np.zeros((2, 1), dtype=int)),          # not RGB
+        (np.ones((2, 4, 8, 8)), np.zeros((2, 1), dtype=int)),  # already ablated
+        (imgs[0], np.zeros((3, 1), dtype=int)),                # no batch axis
+        (imgs, np.array([[0], [8]])),                          # position >= w
+        (imgs, np.array([[0, -1], [1, 2]])),                   # position < 0
+        (imgs, np.array([0, 1])),                              # not (n, k)
+        (imgs, np.zeros((3, 1), dtype=int)),                   # rows != images
+    ]
+    for bad_imgs, bad_pos in cases:
+        with pytest.raises(ContractError):
+            list(forward_windows(bad_imgs, bad_pos, params, plan))
+
+
+def _scaled_params(cfg, dtype):
+    # weights ten times the init scale, so logits are O(1) and a rounding
+    # difference would show
+    params = ModelParams.init(cfg, seed=9)
+    return ModelParams(cfg, {n: Tensor(t.data * 10.0) for n, t in params.tensors.items()}
+                       ).cast(dtype)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+def test_class_row_logits_match_full_token_logits(dtype, tol):
+    cfg = tiny_cfg(image_side=16, num_layers=3)
+    params = _scaled_params(cfg, dtype)
+    imgs = np.random.default_rng(12).random((4, 3, 16, 16))
+    for p in (0, 6, 13):
+        band = BandSpec(p, 5)
+        abl = ablate_batch(imgs, np.full(4, p), 5).astype(dtype)
+        allowed = np.zeros(cfg.seq_len, dtype=bool)
+        allowed[0] = True
+        allowed[window_token_ids(cfg, band) + 1] = True
+        runs = {
+            "global": lambda **kw: forward_global(abl, params, **kw),
+            "masked": lambda **kw: forward_global(abl, params, allowed_tokens=allowed, **kw),
+            "band_unit": lambda **kw: forward_band_unit(abl, params, band, **kw),
+        }
+        for name, run in runs.items():
+            full, cut = run(tokens=True), run()
+            assert cut.tokens_out is None and full.tokens_out is not None
+            assert np.abs(full.logits.data).max() > 0.1, name
+            diff = np.abs(full.logits.data - cut.logits.data).max()
+            assert diff <= tol, (name, p, diff)
 
 
 def test_band_restriction_matches_masked_global_f64():

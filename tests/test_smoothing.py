@@ -57,6 +57,12 @@ def test_ablate_batch_rejects_positions_outside_image(positions, wrap):
         ablate_batch(imgs, np.array(positions), 4, wrap=wrap)
 
 
+def test_ablate_batch_rejects_a_position_count_unlike_the_image_count():
+    for positions in ([0], [0, 1, 2]):
+        with pytest.raises(ContractError):
+            ablate_batch(np.ones((2, 3, 8, 8)), np.array(positions), 2)
+
+
 def test_band_token_columns_misaligned_band():
     # pixels 3..6 with patch 4 touch token columns 0 and 1
     assert band_token_columns(BandSpec(3, 4), 4, 16) == [0, 1]

@@ -63,6 +63,24 @@ def test_plan_validation():
         TrainPlan(stages=[], band_width=2, batch_size=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
+@pytest.mark.parametrize("key", ["lambda_rec", "finetune_lr", "weight_decay", "teacher_lr",
+                                 "lr"])
+def test_plan_rejects_bad_rates(key, value):
+    with pytest.raises(ContractError, match=key):
+        if key == "lr":
+            StageConfig(keep_width=4, reconstruct_ratio=0.5, epochs=1, lr=value)
+        else:
+            TrainPlan(stages=[], band_width=2, **{key: value})
+
+
+@pytest.mark.parametrize("key", ["finetune_epochs", "teacher_epochs", "warmup_epochs"])
+def test_plan_rejects_negative_epochs(key):
+    with pytest.raises(ContractError, match=key):
+        TrainPlan(stages=[], band_width=2, **{key: -1})
+    TrainPlan(stages=[], band_width=2, **{key: 0})
+
+
 def test_stage_param_names_by_mode():
     assert stage_param_names("vae") == ("recon_proj.",)
     assert stage_param_names("distill") == ("recon_vocab.",)
@@ -127,7 +145,7 @@ def test_stage_reconstruction_term_matches_per_sample_reference(mode):
     terms = []
     for j, p in zip(order, positions):
         abl = ablate_batch(imgs[j:j + 1], np.array([p]), stage.keep_width)
-        tokens = forward_global(abl, params).tokens_out.data[0, 1:]
+        tokens = forward_global(abl, params, tokens=True).tokens_out.data[0, 1:]
         for t in np.flatnonzero(flags[p]):
             z = tokens[t] @ weight + bias
             if mode == "vae":
