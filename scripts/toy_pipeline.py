@@ -59,7 +59,7 @@ def main() -> int:
     cert_cfg = CertifyConfig(band_width=BAND_WIDTH)
 
     t0 = time.time()
-    params, records, artifact = train_full(cfg, plan, train_x, train_y, seed=args.seed)
+    params, records, _ = train_full(cfg, plan, train_x, train_y, seed=args.seed)
     print(f"staged training done in {time.time() - t0:.1f}s "
           f"({len(records)} epoch records)")
     staged = evaluate(test_x, test_y, params, wplan, cert_cfg)

@@ -13,7 +13,6 @@ of three modules later.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -391,28 +390,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         return (gx.reshape(logits.shape).astype(logits.dtype, copy=False),)
 
     return _emit("cross_entropy", out, (logits,), backward_fn)
-
-
-def l2_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Mean Euclidean distance between matching rows: mean_i ||a_i - b_i||_2.
-
-    The norm runs over the last axis; the mean over everything else. The
-    gradient at an exactly-zero distance is taken as 0 (subgradient).
-    """
-    _same_dtype("l2_distance", a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"l2_distance: shapes differ, {a.shape} vs {b.shape}")
-    diff = a.data - b.data
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    out = np.asarray(d.mean(), dtype=a.dtype)
-    count = max(d.size, 1)
-
-    def backward_fn(g: np.ndarray):
-        safe = np.where(d > 0, d, 1.0)[..., None]
-        ga = np.where(d[..., None] > 0, diff / safe, 0.0) * (g / count)
-        return (ga.astype(a.dtype, copy=False), (-ga).astype(a.dtype, copy=False))
-
-    return _emit("l2_distance", out, (a, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------

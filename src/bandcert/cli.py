@@ -161,12 +161,9 @@ def cmd_train(args, argv) -> int:
     if args.baseline:
         params, records = train_baseline(model_cfg, plan, images, labels, seed=seed)
     else:
-        params, records, artifact = train_full(model_cfg, plan, images, labels,
+        params, records, codebook = train_full(model_cfg, plan, images, labels,
                                                seed=seed)
-        if plan.mode == "vae":
-            save_codebook(artifact, os.path.join(args.out_dir, "codebook.eccb"))
-        else:
-            save_checkpoint(artifact, os.path.join(args.out_dir, "teacher.ecvt"))
+        save_codebook(codebook, os.path.join(args.out_dir, "codebook.eccb"))
     save_checkpoint(params, os.path.join(args.out_dir, "model.ecvt"))
     write_jsonl(os.path.join(args.out_dir, "train_metrics.jsonl"), records)
     with open(os.path.join(args.out_dir, "config.ini"), "w") as fh:

@@ -61,7 +61,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "band_wrap": (_to_bool, True),
     },
     "train": {
-        "mode": (str, "vae"),
         "band_width": (int, 4),
         "epochs_per_stage": (int, 8),
         "lr": (float, 1e-3),
@@ -71,8 +70,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "finetune_lr": (float, 1e-3),
         "weight_decay": (float, 0.01),
         "warmup_epochs": (int, 1),
-        "teacher_epochs": (int, 20),
-        "teacher_lr": (float, 1e-3),
         "seed": (int, 0),
     },
     "certify": {
@@ -147,9 +144,6 @@ def _validate(cfg: RunConfig) -> None:
                             f"got '{cfg.data['source']}'")
     if cfg.data["source"] == "cifar10" and not cfg.data["path"]:
         raise ContractError("[data] source cifar10 needs a path")
-    if cfg.train["mode"] not in ("vae", "distill"):
-        raise ContractError(f"[train] mode must be vae or distill, "
-                            f"got '{cfg.train['mode']}'")
     if cfg.train["band_width"] != cfg.certify["band_width"]:
         raise ContractError(f"band_width disagrees between [train] "
                             f"({cfg.train['band_width']}) and [certify] "

@@ -9,8 +9,8 @@ norm, and reads the class logits. Attention runs all heads at once on
 reaches the output: the last block computes keys and values for every row
 but its query, attention, out-projection, MLP and the final norm for the
 class row alone. ``tokens=True`` keeps every row through every block and
-returns them as ``tokens_out``, for the reconstruction loss, the teacher
-features and the restriction oracle.
+returns them as ``tokens_out``, for the reconstruction loss and the
+restriction oracle.
 
 * ``forward_global``: the full token sequence, optionally with an additive
   attention mask restricting which tokens may be attended to.

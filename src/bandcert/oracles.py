@@ -185,16 +185,22 @@ class AttackReport:
     positions_rescored: int
 
 
+_ABSTAIN = -1  # the prediction of a tied vote table
+
+
 def _recount_votes(base_table: VoteTable, base_scores: np.ndarray,
                    new_scores: np.ndarray, hit: np.ndarray,
                    cfg: CertifyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Vote counts for T trials that replace rows ``hit`` of the base score
-    table. Returns (counts (T, C), predicted (T,))."""
+    """Top-two margins and predictions for T trials that replace rows
+    ``hit`` of the base score table. Returns (margins (T,), predicted (T,));
+    as in ``vote``, a tied trial predicts nothing, ``_ABSTAIN``."""
     thr = cfg.threshold
     base_votes_hit = (base_scores[hit] > thr).sum(axis=0).astype(np.int64)
     new_votes = (new_scores > thr).sum(axis=1).astype(np.int64)  # (T, C)
     counts = base_table.votes[None, :] - base_votes_hit[None, :] + new_votes
-    return counts, np.argmax(counts, axis=1)
+    top2 = np.sort(counts, axis=1)[:, -2:]
+    margins = top2[:, 1] - top2[:, 0]
+    return margins, np.where(margins == 0, _ABSTAIN, np.argmax(counts, axis=1))
 
 
 def patch_locations(image_side: int, shape: tuple[int, int], count: int) -> list[tuple[int, int]]:
@@ -225,6 +231,7 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     certified = certified_against(base_table, patch_shape[1], cfg.band_width)
     rng = np.random.default_rng([int(seed), 0xA77, image_id])
 
+    base_predicted = _ABSTAIN if base_table.tied else base_table.predicted
     flips = 0
     min_margin = base_table.margin
     rescored = 0
@@ -237,11 +244,10 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
             rng.random((trials, 3, patch_shape[0], patch_shape[1]),
                        dtype=np.float32)
         new_scores = per_band_scores(patched, params, plan, cfg, positions=hit.tolist())
-        counts, preds = _recount_votes(base_table, base_scores[0], new_scores,
-                                       hit, cfg)
-        margins = np.sort(counts, axis=1)
-        min_margin = min(min_margin, int((margins[:, -1] - margins[:, -2]).min()))
-        flips += int((preds != base_table.predicted).sum())
+        margins, preds = _recount_votes(base_table, base_scores[0], new_scores,
+                                        hit, cfg)
+        min_margin = min(min_margin, int(margins.min()))
+        flips += int((preds != base_predicted).sum())
     return AttackReport(
         image_id=image_id,
         patch_shape=tuple(patch_shape),
@@ -315,7 +321,6 @@ def _primitive_cases(rng: np.random.Generator):
                         x24.reshape(1, 2, 2, 2)),
         "mean": (lambda t: ad.mean(t), x24),
         "cross_entropy": (lambda t: ad.cross_entropy(t, targets), rng.normal(size=(3, 5))),
-        "l2_distance": (lambda t: ad.l2_distance(t, Tensor(y24)), x24 + 0.3),
     }
     return cases
 

@@ -1,11 +1,8 @@
-"""Patch tokenizers used as reconstruction targets.
+"""The patch tokenizer that gives the reconstruction targets.
 
-Two interchangeable target builders:
-
-* a discrete codebook fit with k-means on clean pixel patches, giving each
-  patch an integer token id (``fit_codebook`` / ``Codebook.tokenize``);
-* a frozen teacher encoder whose post-norm patch features are regressed
-  against directly (``teacher_features``).
+A discrete codebook fit with k-means on clean pixel patches gives each
+patch an integer token id (``fit_codebook`` / ``Codebook.tokenize``); the
+curriculum stages predict those ids for the masked patches.
 
 The codebook serializes to a small binary container: magic "ECCB", u32
 version, u32 entry count, u32 entry dim, then float32 little-endian
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DataFormatError
-from .model import ModelParams, forward_global, patchify
+from .model import patchify
 
 CODEBOOK_MAGIC = b"ECCB"
 CODEBOOK_VERSION = 1
@@ -154,19 +151,3 @@ def load_codebook(path: str) -> Codebook:
         raise DataFormatError(f"{path}: non-finite centroid value")
     return Codebook(cent.reshape(k, dim).astype(np.float64))
 
-
-def with_full_mask(images: np.ndarray) -> np.ndarray:
-    """Clean (B, 3, H, W) images extended with an all-ones retained-pixel
-    plane, the encoding an unablated image gets."""
-    imgs = np.asarray(images)
-    if imgs.ndim != 4 or imgs.shape[1] != 3:
-        raise ContractError(f"with_full_mask: expected (B, 3, H, W), got {imgs.shape}")
-    ones = np.ones_like(imgs[:, :1])
-    return np.concatenate([imgs, ones], axis=1)
-
-
-def teacher_features(teacher: ModelParams, images: np.ndarray) -> np.ndarray:
-    """Post-norm patch-token features (B, N, d) of clean images under the
-    frozen teacher. Callers treat the result as constant targets."""
-    acts = forward_global(with_full_mask(images), teacher, tokens=True)
-    return np.ascontiguousarray(acts.tokens_out.data[:, 1:, :])

@@ -5,10 +5,10 @@ The schedule has two phases:
 1. Curriculum stages with global attention. Each stage ablates inputs to a
    keep band (wide early, shrinking to the certification width), and the
    loss couples classification with reconstruction of masked patch content:
-   ``ce + lambda_rec * rec``. The reconstruction target is either discrete
-   codebook ids of the clean patches (mode "vae") or frozen teacher features
-   (mode "distill"). Reconstructed positions always include the keep band's
-   tokens, widened to a per-stage share of the grid. Each stage builds its
+   ``ce + lambda_rec * rec``. The reconstruction target is the discrete
+   codebook id of each clean patch, predicted through the ``recon_vocab``
+   head. Reconstructed positions always include the keep band's tokens,
+   widened to a per-stage share of the grid. Each stage builds its
    flag table once, one row per band position, and ``rec`` is the mean over
    every flagged token of the batch, taken in one gather.
 
@@ -31,8 +31,7 @@ from .errors import ContractError
 from .model import (ModelConfig, ModelParams, RECON_PREFIXES, forward_global,
                     forward_windows, plan_windows)
 from .smoothing import ablate_batch, stage_masks
-from .tokenizer import (Codebook, fit_codebook, image_patches, teacher_features,
-                        tokenize_images, with_full_mask)
+from .tokenizer import Codebook, fit_codebook, image_patches, tokenize_images
 
 
 def _check_rates(owner: str, **values: float) -> None:
@@ -63,24 +62,19 @@ class StageConfig:
 class TrainPlan:
     stages: list[StageConfig]
     band_width: int                # final certification band width
-    mode: str = "vae"              # "vae" or "distill"
     lambda_rec: float = 1000.0
     batch_size: int = 16
     finetune_epochs: int = 6
     finetune_lr: float = 1e-3
     weight_decay: float = 0.01
     warmup_epochs: int = 1         # linear lr ramp at the start of each phase
-    teacher_epochs: int = 20
-    teacher_lr: float = 1e-3
 
     def __post_init__(self):
-        if self.mode not in ("vae", "distill"):
-            raise ContractError(f"TrainPlan: unknown mode '{self.mode}'")
         if self.batch_size < 1:
             raise ContractError("TrainPlan: batch_size < 1")
         _check_rates("TrainPlan", lambda_rec=self.lambda_rec, finetune_lr=self.finetune_lr,
-                     weight_decay=self.weight_decay, teacher_lr=self.teacher_lr)
-        for name in ("finetune_epochs", "warmup_epochs", "teacher_epochs"):
+                     weight_decay=self.weight_decay)
+        for name in ("finetune_epochs", "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ContractError(f"TrainPlan: {name} {getattr(self, name)} < 0")
 
@@ -109,15 +103,6 @@ def build_default_plan(cfg: ModelConfig, band_width: int, epochs_per_stage: int 
     return TrainPlan(stages=stages, band_width=band_width, **overrides)
 
 
-def stage_param_names(mode: str) -> tuple[str, ...]:
-    """Prefix of the reconstruction head the stage loss does not touch."""
-    if mode == "vae":
-        return ("recon_proj.",)
-    if mode == "distill":
-        return ("recon_vocab.",)
-    raise ContractError(f"stage_param_names: unknown mode '{mode}'")
-
-
 def _trainable(params: ModelParams, exclude: tuple[str, ...]) -> dict[str, Tensor]:
     return {n: t for n, t in params.tensors.items() if not n.startswith(exclude)}
 
@@ -135,30 +120,31 @@ def _warmup_scale(step: int, steps_per_epoch: int, warmup_epochs: int) -> float:
     return (step + 1) / total
 
 
-def _optimise(params: ModelParams, batch_loss, rng: np.random.Generator, *, n: int,
-              epochs: int, batch_size: int, lr: float, weight_decay: float,
-              warmup_epochs: int, exclude: tuple[str, ...], tags: dict) -> list[dict]:
+def _optimise(params: ModelParams, plan: TrainPlan, batch_loss,
+              rng: np.random.Generator, *, n: int, epochs: int, lr: float,
+              exclude: tuple[str, ...], tags: dict) -> list[dict]:
     """The one training loop: shuffled batches of ``n`` samples, a tape per
     batch, backward, one AdamW step over the parameters outside ``exclude``.
+    Batch size, weight decay and warmup come from ``plan``.
 
     ``batch_loss(batch)`` runs while the tape records and returns the scalar
     loss plus per-batch sums (already scaled by the batch size where they
     are means). Each epoch appends ``tags`` with the epoch number and every
-    sum divided by ``n``. With ``warmup_epochs`` 0 the lr scale is 1.0.
+    sum divided by ``n``.
     """
-    opt = AdamW(lr=lr, weight_decay=weight_decay)
+    opt = AdamW(lr=lr, weight_decay=plan.weight_decay)
     names = _trainable(params, exclude)
-    steps_per_epoch = math.ceil(n / batch_size)
+    steps_per_epoch = math.ceil(n / plan.batch_size)
     records = []
     step = 0
     for epoch in range(epochs):
         sums: dict[str, float] = {}
-        for batch in _epoch_batches(n, batch_size, rng):
+        for batch in _epoch_batches(n, plan.batch_size, rng):
             tape = Tape()
             with record(tape):
                 loss, batch_sums = batch_loss(batch)
             grads = ad.backward(tape, loss)
-            scale = _warmup_scale(step, steps_per_epoch, warmup_epochs)
+            scale = _warmup_scale(step, steps_per_epoch, plan.warmup_epochs)
             params.update(opt.step(names, grads, lr_scale=scale))
             names = _trainable(params, exclude)
             for key, value in batch_sums.items():
@@ -172,8 +158,7 @@ def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
               images: np.ndarray, labels: np.ndarray,
               recon_targets: np.ndarray, stage_index: int,
               seed: int) -> list[dict]:
-    """One curriculum stage. ``recon_targets`` is (B, N) int token ids in
-    vae mode or (B, N, embed_dim) float features in distill mode."""
+    """One curriculum stage. ``recon_targets`` is (B, N) int codebook ids."""
     cfg = params.cfg
     rng = np.random.default_rng([int(seed), 0xA, stage_index])
     lam = Tensor(np.asarray(plan.lambda_rec, dtype=ad.TRAIN_DTYPE))
@@ -192,24 +177,16 @@ def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
                                 (-1, cfg.embed_dim))
         picked = np.flatnonzero(flags[positions])
         gathered = ad.embedding_lookup(patch_rows, picked)
-        targets = recon_targets[batch]
-        if plan.mode == "vae":
-            logits = ad.add(ad.matmul(gathered, params["recon_vocab.weight"]),
-                            params["recon_vocab.bias"])
-            rec = ad.cross_entropy(logits, targets.reshape(-1)[picked])
-        else:
-            proj = ad.add(ad.matmul(gathered, params["recon_proj.weight"]),
-                          params["recon_proj.bias"])
-            feats = targets.reshape(-1, targets.shape[-1])[picked]
-            rec = ad.l2_distance(proj, Tensor(feats.astype(ad.TRAIN_DTYPE)))
+        logits = ad.add(ad.matmul(gathered, params["recon_vocab.weight"]),
+                        params["recon_vocab.bias"])
+        rec = ad.cross_entropy(logits, recon_targets[batch].reshape(-1)[picked])
         loss = ad.add(ce, ad.mul(rec, lam))
         return loss, {"loss": loss.item() * batch.size, "ce": ce.item() * batch.size,
                       "rec": rec.item() * batch.size}
 
-    return _optimise(params, batch_loss, rng, n=images.shape[0], epochs=stage.epochs,
-                     batch_size=plan.batch_size, lr=stage.lr,
-                     weight_decay=plan.weight_decay, warmup_epochs=plan.warmup_epochs,
-                     exclude=stage_param_names(plan.mode),
+    # recon_proj.* has no use; it stays, frozen, only in the checkpoint layout
+    return _optimise(params, plan, batch_loss, rng, n=images.shape[0],
+                     epochs=stage.epochs, lr=stage.lr, exclude=("recon_proj.",),
                      tags={"phase": "stage", "stage": stage_index,
                            "keep_width": stage.keep_width})
 
@@ -236,59 +213,27 @@ def finetune_band(params: ModelParams, plan: TrainPlan,
             hits += int((np.argmax(logits.data, axis=1) == ys[rows]).sum())
         return loss, {"loss": loss.item() * batch.size, "band_accuracy": float(hits)}
 
-    return _optimise(params, batch_loss, rng, n=images.shape[0],
-                     epochs=plan.finetune_epochs, batch_size=plan.batch_size,
-                     lr=plan.finetune_lr, weight_decay=plan.weight_decay,
-                     warmup_epochs=plan.warmup_epochs, exclude=RECON_PREFIXES,
+    return _optimise(params, plan, batch_loss, rng, n=images.shape[0],
+                     epochs=plan.finetune_epochs, lr=plan.finetune_lr,
+                     exclude=RECON_PREFIXES,
                      tags={"phase": "finetune", "band_width": plan.band_width})
-
-
-def train_teacher(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
-                  labels: np.ndarray, seed: int) -> tuple[ModelParams, list[dict]]:
-    """Plain clean-image classifier used as the frozen distillation target,
-    trained for the plan's ``teacher_epochs`` at ``teacher_lr``."""
-    teacher = ModelParams.init(cfg, seed=seed + 101)
-    rng = np.random.default_rng([int(seed), 0xC])
-    full = with_full_mask(images)
-
-    def batch_loss(batch):
-        logits = forward_global(full[batch], teacher).logits
-        loss = ad.cross_entropy(logits, labels[batch])
-        hits = (np.argmax(logits.data, axis=1) == labels[batch]).sum()
-        return loss, {"loss": loss.item() * batch.size, "accuracy": float(hits)}
-
-    records = _optimise(teacher, batch_loss, rng, n=images.shape[0],
-                        epochs=plan.teacher_epochs, batch_size=plan.batch_size,
-                        lr=plan.teacher_lr, weight_decay=plan.weight_decay,
-                        warmup_epochs=0, exclude=RECON_PREFIXES,
-                        tags={"phase": "teacher"})
-    return teacher, records
 
 
 def train_full(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
                labels: np.ndarray, seed: int,
-               ) -> tuple[ModelParams, list[dict], Codebook | ModelParams]:
+               ) -> tuple[ModelParams, list[dict], Codebook]:
     """Runs the whole schedule and returns (params, metric records, the
-    reconstruction-target artifact): the k-means codebook in vae mode, the
-    teacher it trains first in distill mode."""
+    k-means codebook whose ids are the reconstruction targets)."""
     params = ModelParams.init(cfg, seed=seed)
+    codebook = fit_codebook(image_patches(images, cfg.patch_size),
+                            cfg.codebook_size, seed=seed)
+    recon_targets = tokenize_images(codebook, images, cfg.patch_size)
     records: list[dict] = []
-    if plan.mode == "vae":
-        codebook = fit_codebook(image_patches(images, cfg.patch_size),
-                                cfg.codebook_size, seed=seed)
-        recon_targets = tokenize_images(codebook, images, cfg.patch_size)
-        artifact: Codebook | ModelParams = codebook
-    else:
-        teacher, teacher_records = train_teacher(cfg, plan, images, labels, seed=seed)
-        records.extend(teacher_records)
-        recon_targets = teacher_features(teacher, images)
-        artifact = teacher
-
     for si, stage in enumerate(plan.stages):
         records.extend(run_stage(params, stage, plan, images, labels,
                                  recon_targets, stage_index=si, seed=seed))
     records.extend(finetune_band(params, plan, images, labels, seed=seed))
-    return params, records, artifact
+    return params, records, codebook
 
 
 def train_baseline(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
@@ -305,12 +250,9 @@ def train_baseline(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
         loss = ad.cross_entropy(forward_global(abl, params).logits, labels[batch])
         return loss, {"loss": loss.item() * batch.size}
 
-    records = _optimise(params, batch_loss, rng, n=images.shape[0],
+    records = _optimise(params, plan, batch_loss, rng, n=images.shape[0],
                         epochs=sum(s.epochs for s in plan.stages),
-                        batch_size=plan.batch_size,
                         lr=plan.stages[0].lr if plan.stages else plan.finetune_lr,
-                        weight_decay=plan.weight_decay,
-                        warmup_epochs=plan.warmup_epochs, exclude=RECON_PREFIXES,
-                        tags={"phase": "baseline"})
+                        exclude=RECON_PREFIXES, tags={"phase": "baseline"})
     records.extend(finetune_band(params, plan, images, labels, seed=seed))
     return params, records

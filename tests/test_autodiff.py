@@ -180,7 +180,7 @@ def test_adamw_is_deterministic_and_respects_lr_scale():
 
 
 @pytest.mark.parametrize("case", ["matmul", "softmax", "layer_norm", "gelu",
-                                  "cross_entropy", "l2_distance", "mean"])
+                                  "cross_entropy", "mean"])
 def test_primitive_gradients_quick(case):
     rng = np.random.default_rng(8)
     if case == "matmul":
@@ -202,10 +202,6 @@ def test_primitive_gradients_quick(case):
         ys = rng.integers(0, 3, size=4)
         fn = lambda t: ad.cross_entropy(t, ys)
         x = rng.standard_normal((4, 3))
-    elif case == "l2_distance":
-        ref = rng.standard_normal((3, 5))
-        fn = lambda t: ad.l2_distance(t, Tensor(ref))
-        x = rng.standard_normal((3, 5))
     else:
         fn = ad.mean
         x = rng.standard_normal((3, 3))

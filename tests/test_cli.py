@@ -42,6 +42,17 @@ def test_resolve_threads_precedence(monkeypatch):
         resolve_threads(0)
 
 
+@pytest.mark.parametrize("script", ["toy_pipeline.py", "stage_ablation.py"])
+def test_scripts_start(script):
+    # both import the training API at module level, so --help checks that
+    # the imports they name still exist
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+    proc = subprocess.run([sys.executable, path, "--help"], capture_output=True,
+                          text=True)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "usage:" in proc.stdout
+
+
 def test_unknown_subcommand_is_usage_error():
     proc = run_cli("trane")
     assert proc.returncode == EXIT_USAGE
@@ -75,9 +86,9 @@ def test_bad_model_value_is_usage_error(override, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("override", [
-    "train.lr=nan", "train.lr=-1", "train.finetune_lr=inf", "train.teacher_lr=-inf",
-    "train.weight_decay=nan", "train.lambda_rec=-1", "train.lambda_rec=inf",
-    "train.finetune_epochs=-1", "train.teacher_epochs=-1", "train.warmup_epochs=-1"])
+    "train.lr=nan", "train.lr=-1", "train.finetune_lr=inf", "train.weight_decay=nan",
+    "train.lambda_rec=-1", "train.lambda_rec=inf", "train.finetune_epochs=-1",
+    "train.warmup_epochs=-1"])
 def test_bad_train_value_is_usage_error(override, tmp_path, capsys, monkeypatch):
     code, err = run_main(["train", "--set", override, "--out-dir", str(tmp_path / "o")],
                          capsys, monkeypatch)
@@ -101,7 +112,10 @@ def test_non_finite_logit_threshold_is_usage_error(value, tmp_path, capsys, monk
 @pytest.mark.parametrize("argv, key", [
     (["train", "--set", "model.teacher_dim=8"], "teacher_dim"),
     (["certify", "--checkpoint", "absent.ecvt",
-      "--set", "certify.require_simplex=false"], "require_simplex")])
+      "--set", "certify.require_simplex=false"], "require_simplex"),
+    (["train", "--set", "train.mode=distill"], "mode"),
+    (["train", "--set", "train.teacher_epochs=1"], "teacher_epochs"),
+    (["train", "--set", "train.teacher_lr=0.1"], "teacher_lr")])
 def test_removed_keys_are_usage_errors(argv, key, tmp_path, capsys, monkeypatch):
     code, err = run_main([*argv, "--out-dir", str(tmp_path / "o")], capsys, monkeypatch)
     assert code == EXIT_USAGE

@@ -34,11 +34,10 @@ def test_edge_values_return_or_raise_contract_error(values, same_band):
         train_plan = build_train_plan(cfg, model_cfg)
         # a plan that builds holds only rates and counts training can use
         rates = [s.lr for s in train_plan.stages] + [
-            train_plan.lambda_rec, train_plan.finetune_lr, train_plan.weight_decay,
-            train_plan.teacher_lr]
+            train_plan.lambda_rec, train_plan.finetune_lr, train_plan.weight_decay]
         assert all(math.isfinite(r) and r >= 0 for r in rates), rates
         assert min(train_plan.finetune_epochs, train_plan.warmup_epochs,
-                   train_plan.teacher_epochs, *(s.epochs for s in train_plan.stages)) >= 0
+                   *(s.epochs for s in train_plan.stages)) >= 0
         cert_cfg = build_certify_config(cfg)
         plan_windows(model_cfg, cert_cfg.band_width)
         ModelParams.init(model_cfg, seed=0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandcert import oracles
 from bandcert.certification import CertifyConfig
 from bandcert.errors import ContractError
 from bandcert.model import plan_windows
@@ -144,3 +145,30 @@ def test_empirical_attack_certified_image_never_flips(small_params):
                                     locations=[(0, 0)], trials=3, seed=1)
     if report.certified:
         assert report.flips == 0
+
+
+def test_empirical_attack_counts_a_tied_vote_as_a_flip(small_params, monkeypatch):
+    """A patch that ties the top class with a rival makes the vote abstain,
+    so it changes the prediction even though the tie's argmax is the base
+    class."""
+    params = small_params.cast(np.float32)
+    plan = plan_windows(params.cfg, 2)
+    ccfg = CertifyConfig(band_width=2)
+    both = [0.5, 0.1, 0.4]  # votes for classes 0 and 2
+    # A 1x1 patch at column 0 meets the bands at positions 7 and 0. Those
+    # vote for class 0 alone, the other six for both: 8 votes to 6.
+    base = np.array([[0.8, 0.1, 0.1]] + [both] * 6 + [[0.8, 0.1, 0.1]])
+
+    def fake_scores(images, params, plan, cfg, positions=None):
+        if positions is None:
+            return np.repeat(base[None], len(images), axis=0)
+        assert sorted(positions) == [0, 7]
+        return np.tile(np.array(both), (len(images), len(positions), 1))
+
+    monkeypatch.setattr(oracles, "per_band_scores", fake_scores)
+    img = np.random.default_rng(12).random((3, 8, 8))
+    report = empirical_patch_attack(img, params, plan, ccfg, patch_shape=(1, 1),
+                                    locations=[(0, 0), (4, 0)], trials=5, seed=0)
+    assert not report.certified
+    assert report.min_margin_seen == 0
+    assert report.flips == 2 * 5

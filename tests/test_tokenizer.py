@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bandcert.errors import ContractError, DataFormatError
 from bandcert.tokenizer import (CODEBOOK_MAGIC, Codebook, fit_codebook,
                                 image_patches, load_codebook, save_codebook,
-                                tokenize_images, with_full_mask)
+                                tokenize_images)
 
 
 def blobs(n_per_cluster=20, seed=0):
@@ -173,13 +173,3 @@ def test_codebook_damage_loads_exactly_or_raises(valid_codebook, tmp_path_factor
         return
     save_codebook(loaded, str(folder / "resaved.eccb"))
     assert (folder / "resaved.eccb").read_bytes() == bad
-
-
-def test_with_full_mask_appends_ones_plane():
-    imgs = np.random.default_rng(0).random((2, 3, 8, 8))
-    ext = with_full_mask(imgs)
-    assert ext.shape == (2, 4, 8, 8)
-    np.testing.assert_array_equal(ext[:, :3], imgs)
-    np.testing.assert_array_equal(ext[:, 3], 1.0)
-    with pytest.raises(ContractError):
-        with_full_mask(ext)  # already 4 channels

@@ -9,8 +9,8 @@ from bandcert.model import ModelConfig, ModelParams, forward_global
 from bandcert.smoothing import ablate_batch, stage_masks
 from bandcert.tokenizer import Codebook, fit_codebook, image_patches
 from bandcert.training import (StageConfig, TrainPlan, build_default_plan,
-                               finetune_band, run_stage, stage_param_names,
-                               train_baseline, train_full)
+                               finetune_band, run_stage, train_baseline,
+                               train_full)
 
 
 def small_cfg():
@@ -58,14 +58,11 @@ def test_stage_config_validation():
 
 def test_plan_validation():
     with pytest.raises(ContractError):
-        TrainPlan(stages=[], band_width=2, mode="gan")
-    with pytest.raises(ContractError):
         TrainPlan(stages=[], band_width=2, batch_size=0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.0])
-@pytest.mark.parametrize("key", ["lambda_rec", "finetune_lr", "weight_decay", "teacher_lr",
-                                 "lr"])
+@pytest.mark.parametrize("key", ["lambda_rec", "finetune_lr", "weight_decay", "lr"])
 def test_plan_rejects_bad_rates(key, value):
     with pytest.raises(ContractError, match=key):
         if key == "lr":
@@ -74,18 +71,11 @@ def test_plan_rejects_bad_rates(key, value):
             TrainPlan(stages=[], band_width=2, **{key: value})
 
 
-@pytest.mark.parametrize("key", ["finetune_epochs", "teacher_epochs", "warmup_epochs"])
+@pytest.mark.parametrize("key", ["finetune_epochs", "warmup_epochs"])
 def test_plan_rejects_negative_epochs(key):
     with pytest.raises(ContractError, match=key):
         TrainPlan(stages=[], band_width=2, **{key: -1})
     TrainPlan(stages=[], band_width=2, **{key: 0})
-
-
-def test_stage_param_names_by_mode():
-    assert stage_param_names("vae") == ("recon_proj.",)
-    assert stage_param_names("distill") == ("recon_vocab.",)
-    with pytest.raises(ContractError):
-        stage_param_names("other")
 
 
 def tiny_plan(**kw):
@@ -114,8 +104,7 @@ def test_stage_loss_decreases_and_freezes_head():
     np.testing.assert_array_equal(params["recon_proj.weight"].data, frozen_before)
 
 
-@pytest.mark.parametrize("mode", ["vae", "distill"])
-def test_stage_reconstruction_term_matches_per_sample_reference(mode):
+def test_stage_reconstruction_term_matches_per_sample_reference():
     cfg = ModelConfig(image_side=16, patch_size=4, embed_dim=16, num_layers=1,
                       num_heads=2, mlp_ratio=2.0, num_classes=3, codebook_size=8)
     n = 8
@@ -123,13 +112,10 @@ def test_stage_reconstruction_term_matches_per_sample_reference(mode):
                        train_size=n, test_size=4, seed=3)
     imgs, ys = stack_images(load_dataset(spec, "train"))
     draw = np.random.default_rng(1)
-    if mode == "vae":
-        targets = draw.integers(0, cfg.codebook_size, size=(n, cfg.num_tokens))
-    else:
-        targets = draw.standard_normal((n, cfg.num_tokens, cfg.embed_dim))
+    targets = draw.integers(0, cfg.codebook_size, size=(n, cfg.num_tokens))
     # a keep width and ratio that leave partial columns and unequal counts
     stage = StageConfig(keep_width=5, reconstruct_ratio=0.6, epochs=1, lr=1e-3)
-    plan = tiny_plan(mode=mode, batch_size=n)
+    plan = tiny_plan(batch_size=n)
     params = ModelParams.init(cfg, seed=0)
 
     # The stage's own draws: the batch permutation, then one band position
@@ -140,18 +126,14 @@ def test_stage_reconstruction_term_matches_per_sample_reference(mode):
     positions = stage_rng.integers(0, cfg.image_side, size=n)
     flags = stage_masks(stage.reconstruct_ratio, stage.keep_width, cfg.patch_size,
                         cfg.image_side)
-    head = "recon_vocab." if mode == "vae" else "recon_proj."
-    weight, bias = params[head + "weight"].data, params[head + "bias"].data
+    weight, bias = params["recon_vocab.weight"].data, params["recon_vocab.bias"].data
     terms = []
     for j, p in zip(order, positions):
         abl = ablate_batch(imgs[j:j + 1], np.array([p]), stage.keep_width)
         tokens = forward_global(abl, params, tokens=True).tokens_out.data[0, 1:]
         for t in np.flatnonzero(flags[p]):
             z = tokens[t] @ weight + bias
-            if mode == "vae":
-                terms.append(z.max() + np.log(np.exp(z - z.max()).sum()) - z[targets[j, t]])
-            else:
-                terms.append(np.linalg.norm(z - targets[j, t]))
+            terms.append(z.max() + np.log(np.exp(z - z.max()).sum()) - z[targets[j, t]])
     want = math.fsum(terms) / len(terms)
 
     record = run_stage(params, stage, plan, imgs, ys, targets, stage_index=0, seed=7)[0]
@@ -201,27 +183,6 @@ def test_train_full_vae_returns_codebook_artifact():
     phases = {r["phase"] for r in records}
     assert phases == {"stage", "finetune"}
     assert params.dtype == np.float64
-
-
-def test_train_full_distill_trains_teacher():
-    cfg = small_cfg()
-    imgs, ys = small_data(n=16)
-    plan = tiny_plan(mode="distill", teacher_epochs=2, lambda_rec=1.0)
-    params, records, artifact = train_full(cfg, plan, imgs, ys, seed=0)
-    assert isinstance(artifact, ModelParams)
-    assert any(r["phase"] == "teacher" for r in records)
-
-
-def test_teacher_trains_with_the_plan_weight_decay():
-    cfg = small_cfg()
-    imgs, ys = small_data(n=16)
-    teachers = []
-    for weight_decay in (0.01, 0.5):
-        plan = tiny_plan(mode="distill", stages=[], finetune_epochs=0,
-                         teacher_epochs=2, weight_decay=weight_decay)
-        teachers.append(train_full(cfg, plan, imgs, ys, seed=0)[2])
-    assert not np.array_equal(teachers[0]["head.weight"].data,
-                              teachers[1]["head.weight"].data)
 
 
 def test_train_baseline_matches_epoch_budget():
