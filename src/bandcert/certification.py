@@ -92,21 +92,17 @@ def vote(scores: np.ndarray, cfg: CertifyConfig) -> VoteTable:
 
 def affected_positions(patch_col: int, patch_width: int, band_width: int,
                        image_width: int, wrap: bool) -> np.ndarray:
-    """Band positions whose retained columns intersect a patch occupying
-    pixel columns [patch_col, patch_col + patch_width). With wrap-around
-    bands there are min(w, patch_width + band_width - 1) of them."""
+    """Band positions, ascending, whose columns meet a patch on pixel columns
+    [q, q + m): the bands at q - b + 1 .. q + m - 1, taken mod w with wrap
+    (min(w, m + b - 1) of them) and clipped to [0, w) without."""
     if patch_width < 1 or not (0 <= patch_col < image_width):
         raise ContractError("affected_positions: patch outside the image")
-    hits = []
-    patch = set((patch_col + j) % image_width if wrap else patch_col + j
-                for j in range(patch_width))
-    patch = {c for c in patch if 0 <= c < image_width}
-    for p in range(image_width):
-        cols = set((p + j) % image_width for j in range(band_width)) if wrap \
-            else set(range(p, min(p + band_width, image_width)))
-        if cols & patch:
-            hits.append(p)
-    return np.asarray(hits, dtype=np.int64)
+    if band_width < 1:
+        raise ContractError(f"affected_positions: band width {band_width} < 1")
+    first = patch_col - band_width + 1
+    if wrap:
+        return np.unique(np.arange(first, patch_col + patch_width) % image_width)
+    return np.arange(max(0, first), min(patch_col + patch_width, image_width))
 
 
 def certified_against(table: VoteTable, patch_width: int, band_width: int) -> bool:

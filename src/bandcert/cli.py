@@ -39,6 +39,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(raw: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    n = int(raw)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def resolve_threads(flag_value: int | None) -> int:
     if flag_value is not None:
         n = flag_value
@@ -123,12 +131,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="FLOP model and measured speedup")
     common(p, out_dir=False)
-    p.add_argument("--images", type=int, default=8, help="images to time")
+    p.add_argument("--images", type=_count, default=8, help="images to time (>= 1)")
 
     p = sub.add_parser("oracle", help="run the independent verification suite")
     common(p, out_dir=False)
-    p.add_argument("--tables", type=int, default=1000,
-                   help="random vote tables for the soundness sweep")
+    p.add_argument("--tables", type=_count, default=1000,
+                   help="random vote tables for the soundness sweep (>= 1)")
 
     p = sub.add_parser("export-config", help="print the effective configuration")
     p.add_argument("--config", default=None)

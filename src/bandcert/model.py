@@ -43,7 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError, DataFormatError, NumericError
-from .smoothing import BandSpec, band_keep, band_token_columns
+from .smoothing import BandSpec, band_keep, band_token_span
 
 CHECKPOINT_MAGIC = b"ECVT"
 CHECKPOINT_VERSION = 1
@@ -327,8 +327,15 @@ def forward_global(inputs: np.ndarray, params: ModelParams,
 def window_token_ids(cfg: ModelConfig, band: BandSpec) -> np.ndarray:
     """Patch-token ids (0-based, class token excluded) whose columns intersect
     the band, ascending."""
-    return _column_token_ids(cfg, band_token_columns(band, cfg.patch_size, cfg.image_side,
-                                                      wrap=cfg.band_wrap))
+    return _column_token_ids(cfg, _band_arcs(cfg, [band.position], band.width)[0])
+
+
+def _band_arcs(cfg: ModelConfig, positions, band_width: int) -> list[tuple[int, ...]]:
+    """Token columns of the band at each position, in band order."""
+    first, span = band_token_span(positions, band_width, cfg.patch_size,
+                                  cfg.image_side, wrap=cfg.band_wrap)
+    return [tuple((f + k) % cfg.grid[1] for k in range(s))
+            for f, s in zip(first.tolist(), span.tolist())]
 
 
 def _column_token_ids(cfg: ModelConfig, cols) -> np.ndarray:
@@ -450,9 +457,7 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
     if not (1 <= band_width <= w):
         raise ContractError(f"plan_windows: band width {band_width} outside [1, {w}]")
     _, n_cols = cfg.grid
-    arcs = [tuple(band_token_columns(BandSpec(p, band_width), cfg.patch_size, w,
-                                     wrap=cfg.band_wrap))
-            for p in range(w)]
+    arcs = _band_arcs(cfg, np.arange(w), band_width)
     groups = sorted(sorted(g) for g in _template_groups(arcs, n_cols))
 
     flat = sorted(p for g in groups for p in g)
@@ -581,11 +586,9 @@ class FlopCount:
 
 
 def widest_window_columns(cfg: ModelConfig, band_width: int) -> int:
-    """Token columns of the widest window ``plan_windows`` builds: a band of
-    b pixels starting at the last pixel of a patch column reaches
-    (b + p - 2) // p further columns, and no window is wider than the grid."""
-    _, n_cols = cfg.grid
-    return min(n_cols, (band_width + cfg.patch_size - 2) // cfg.patch_size + 1)
+    """Token columns of the widest window ``plan_windows`` builds: the longest
+    ``band_token_span`` over every band position."""
+    return max(map(len, _band_arcs(cfg, range(cfg.image_side), band_width)))
 
 
 def count_flops(cfg: ModelConfig, mode: str, band_width: int | None = None) -> FlopCount:

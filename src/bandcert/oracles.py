@@ -69,8 +69,16 @@ def intersection_sweep(max_width: int = 64,
 # adversarial re-voting
 
 
-def _argmax_lowest(counts: np.ndarray) -> int:
-    return int(np.argmax(counts))
+_ABSTAIN = -1  # the prediction of a tied vote table
+
+
+def _vote_rule(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``vote``'s rule on (..., C) vote counts: the top-two margins and the
+    predictions, the lowest-id top class or ``_ABSTAIN`` where the top two
+    tie."""
+    top2 = np.sort(counts, axis=-1)[..., -2:]
+    margins = top2[..., 1] - top2[..., 0]
+    return margins, np.where(margins == 0, _ABSTAIN, np.argmax(counts, axis=-1))
 
 
 def worst_case_flip(vote_sets: np.ndarray, patch_width: int, band_width: int,
@@ -79,28 +87,22 @@ def worst_case_flip(vote_sets: np.ndarray, patch_width: int, band_width: int,
 
     ``vote_sets`` is (w, C) bool: which classes cleared the threshold at
     each band position. The adversary owns every affected position and may
-    set its votes to any subset of classes. Per corrupted position the best
-    move against rival r is to drop the top class and vote r, so scanning
-    single rivals (plus the drop-only move) is exhaustive.
+    set its votes to any subset of classes. A trial flips when its
+    prediction under ``vote``'s rule, a tie abstaining, differs from the
+    table's. Voting for class r alone at every affected position is the
+    adversary's best move towards r winning outright, and towards a tie
+    with the top class, so scanning each class alone is exhaustive.
     """
     vs = np.asarray(vote_sets, dtype=bool)
     w, c = vs.shape
     counts = vs.sum(axis=0).astype(np.int64)
-    top = _argmax_lowest(counts)
+    _, base = _vote_rule(counts)
     for q in range(w):
         hit = affected_positions(q, patch_width, band_width, w, wrap)
-        lost_top = int(vs[hit, top].sum())
-        base = counts.copy()
-        base[top] -= lost_top
-        if _argmax_lowest(base) != top:
+        trials = np.tile(counts - vs[hit].sum(axis=0), (c, 1))  # row r: only r at hit
+        trials[np.arange(c), np.arange(c)] += hit.size
+        if (_vote_rule(trials)[1] != base).any():
             return True
-        for r in range(c):
-            if r == top:
-                continue
-            trial = base.copy()
-            trial[r] += int((~vs[hit, r]).sum())
-            if _argmax_lowest(trial) != top:
-                return True
     return False
 
 
@@ -113,7 +115,7 @@ def exhaustive_flip_bitmask(vote_sets: np.ndarray, patch_width: int,
     if (2 ** c) ** min(w, patch_width + band_width - 1) > 2_000_000:
         raise ContractError("exhaustive_flip_bitmask: table too large to enumerate")
     counts = vs.sum(axis=0).astype(np.int64)
-    top = _argmax_lowest(counts)
+    _, base_predicted = _vote_rule(counts)
     patterns = [np.array(bits, dtype=bool)
                 for bits in itertools.product((False, True), repeat=c)]
     for q in range(w):
@@ -122,7 +124,7 @@ def exhaustive_flip_bitmask(vote_sets: np.ndarray, patch_width: int,
         for combo in itertools.product(patterns, repeat=hit.size):
             trial = base + np.sum(combo, axis=0, dtype=np.int64) if combo \
                 else base
-            if _argmax_lowest(trial) != top:
+            if _vote_rule(trial)[1] != base_predicted:
                 return True
     return False
 
@@ -133,9 +135,7 @@ def check_certificate_soundness(vote_sets: np.ndarray, patch_width: int,
     """Certified tables must be unflippable. ``delta_fn(m, b)`` overrides
     the intersection bound so tests can verify a wrong bound gets caught."""
     vs = np.asarray(vote_sets, dtype=bool)
-    counts = vs.sum(axis=0).astype(np.int64)
-    order = np.argsort(-counts, kind="stable")
-    margin = int(counts[order[0]] - counts[order[1]])
+    margin = int(_vote_rule(vs.sum(axis=0).astype(np.int64))[0])
     delta = (delta_fn(patch_width, band_width) if delta_fn is not None
              else patch_width + band_width - 1)
     certified = margin > 0 and margin > 2 * delta
@@ -185,9 +185,6 @@ class AttackReport:
     positions_rescored: int
 
 
-_ABSTAIN = -1  # the prediction of a tied vote table
-
-
 def _recount_votes(base_table: VoteTable, base_scores: np.ndarray,
                    new_scores: np.ndarray, hit: np.ndarray,
                    cfg: CertifyConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +194,7 @@ def _recount_votes(base_table: VoteTable, base_scores: np.ndarray,
     thr = cfg.threshold
     base_votes_hit = (base_scores[hit] > thr).sum(axis=0).astype(np.int64)
     new_votes = (new_scores > thr).sum(axis=1).astype(np.int64)  # (T, C)
-    counts = base_table.votes[None, :] - base_votes_hit[None, :] + new_votes
-    top2 = np.sort(counts, axis=1)[:, -2:]
-    margins = top2[:, 1] - top2[:, 0]
-    return margins, np.where(margins == 0, _ABSTAIN, np.argmax(counts, axis=1))
+    return _vote_rule(base_table.votes[None, :] - base_votes_hit[None, :] + new_votes)
 
 
 def patch_locations(image_side: int, shape: tuple[int, int], count: int) -> list[tuple[int, int]]:

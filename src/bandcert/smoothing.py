@@ -1,11 +1,11 @@
-"""Column-band ablation and reconstruction-target masks.
+"""Column-band ablation, band geometry and reconstruction-target masks.
 
 A band keeps ``width`` consecutive pixel columns (cyclic by default) and
 zeroes the rest; a separate 0/1 mask plane records which columns survived so
-the model can tell "ablated" from "genuinely black". A training stage's
-reconstruction flags are one table with a row per band position, built once
-per stage: each row flags the band's own token columns, grown symmetrically
-until the target count is met.
+the model can tell "ablated" from "genuinely black". ``band_token_span`` alone
+says which token columns a band covers. A stage's reconstruction flags are one
+table with a row per band position, built once per stage: each row flags the
+band's own token columns, grown symmetrically until the target count is met.
 """
 
 from __future__ import annotations
@@ -30,15 +30,6 @@ class BandSpec:
             raise ContractError(f"BandSpec: width must be >= 1, got {self.width}")
         if self.position < 0:
             raise ContractError(f"BandSpec: position must be >= 0, got {self.position}")
-
-    def retained_columns(self, image_width: int, wrap: bool = True) -> np.ndarray:
-        """Pixel columns the band keeps, in band order."""
-        if self.position >= image_width:
-            raise ContractError(f"BandSpec: position {self.position} outside width {image_width}")
-        cols = self.position + np.arange(self.width)
-        if wrap:
-            return cols % image_width
-        return cols[cols < image_width]
 
 
 def band_keep(images: np.ndarray, positions, width: int, wrap: bool = True) -> np.ndarray:
@@ -78,20 +69,21 @@ def ablate_batch(images: np.ndarray, positions: np.ndarray, width: int,
     return np.concatenate([pixels, mask], axis=1)
 
 
-def band_token_columns(band: BandSpec, patch_size: int, image_width: int,
-                       wrap: bool = True) -> list[int]:
-    """Token-grid columns the band's pixels touch, in cyclic order from the
-    band's first column."""
-    cols = band.retained_columns(image_width, wrap=wrap)
-    n_cols = image_width // patch_size
-    toks = cols // patch_size
-    seen: list[int] = []
-    for t in toks:
-        t = int(t)
-        if t not in seen:
-            seen.append(t)
-    assert len(seen) <= n_cols
-    return seen
+def band_token_span(positions, width: int, patch_size: int, image_width: int,
+                    wrap: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(first, span) arrays for width-``width`` bands at ``positions``: the band
+    at p covers token columns (first + k) mod (w // patch_size) for k < span,
+    in band order; without wrap it stops at the last pixel column. A position
+    outside [0, w) or a width below 1 is an error."""
+    pos = np.asarray(positions, dtype=np.int64)
+    if width < 1:
+        raise ContractError(f"band width must be >= 1, got {width}")
+    if pos.size and (pos.min() < 0 or pos.max() >= image_width):
+        raise ContractError(f"band positions must lie in [0, {image_width}), "
+                            f"got {pos.min()}..{pos.max()}")
+    last_px = pos + width - 1 if wrap else np.minimum(pos + width, image_width) - 1
+    first = pos // patch_size
+    return first, np.minimum(last_px // patch_size - first + 1, image_width // patch_size)
 
 
 def stage_masks(reconstruct_ratio: float, keep_width: int, patch_size: int,
@@ -109,18 +101,12 @@ def stage_masks(reconstruct_ratio: float, keep_width: int, patch_size: int,
     """
     if not (0.0 <= reconstruct_ratio <= 1.0):
         raise ContractError(f"stage_masks: ratio {reconstruct_ratio} outside [0, 1]")
-    if keep_width < 1:
-        raise ContractError(f"stage_masks: keep width must be >= 1, got {keep_width}")
     if image_side % patch_size != 0:
         raise ContractError(f"stage_masks: patch {patch_size} does not divide side {image_side}")
     rows = cols = image_side // patch_size
     n = rows * cols
-    pos = np.arange(image_side)
-    last_px = pos + keep_width - 1
-    if not wrap:
-        last_px = np.minimum(last_px, image_side - 1)
-    first = pos // patch_size
-    span = np.minimum(last_px // patch_size - first + 1, cols)  # band token columns
+    first, span = band_token_span(np.arange(image_side), keep_width, patch_size,
+                                  image_side, wrap=wrap)
     last = (first + span - 1) % cols
     extra = np.clip(math.ceil(reconstruct_ratio * n), span * rows, n) - span * rows
 

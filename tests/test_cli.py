@@ -122,6 +122,17 @@ def test_removed_keys_are_usage_errors(argv, key, tmp_path, capsys, monkeypatch)
     assert len(err) == 1 and key in err[0], err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--images", "-2"], "--images"), (["bench", "--images", "0"], "--images"),
+    (["oracle", "--tables", "-1"], "--tables"), (["oracle", "--tables", "0"], "--tables")])
+def test_count_flag_below_one_is_usage_error(argv, flag, capsys, monkeypatch):
+    """A negative count used to end in a numpy traceback, and
+    ``bench --images 0`` printed a speedup from timing no images."""
+    code, err = run_main(argv, capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and flag in err[0], err
+
+
 def test_missing_checkpoint_is_data_error(trained_dir, tmp_path):
     # an absent file, and one cut short inside a header field
     blob = (trained_dir / "model.ecvt").read_bytes()

@@ -11,7 +11,7 @@ from bandcert.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams,
                             forward_band_unit, forward_global, forward_windows,
                             load_checkpoint, patchify, plan_windows,
                             save_checkpoint, window_token_ids)
-from bandcert.smoothing import BandSpec, ablate_batch, band_token_columns
+from bandcert.smoothing import BandSpec, ablate_batch
 
 
 def tiny_cfg(**kw):
@@ -87,12 +87,15 @@ def test_forward_global_shapes_and_mask_channel_requirement():
 
 def test_window_token_ids_match_band_columns():
     cfg = tiny_cfg()
-    band = BandSpec(3, 4)
-    ids = window_token_ids(cfg, band)
-    cols = band_token_columns(band, cfg.patch_size, cfg.image_side)
     rows, n_cols = cfg.grid
-    want = sorted(r * n_cols + c for r in range(rows) for c in cols)
-    assert ids.tolist() == want
+    for position in range(cfg.image_side):
+        for width in range(1, cfg.image_side + 1):
+            ids = window_token_ids(cfg, BandSpec(position, width))
+            cols = {(position + j) % cfg.image_side // cfg.patch_size for j in range(width)}
+            want = sorted(r * n_cols + c for r in range(rows) for c in cols)
+            assert ids.tolist() == want
+    with pytest.raises(ContractError):
+        window_token_ids(cfg, BandSpec(cfg.image_side, 4))
 
 
 @settings(max_examples=40, deadline=None)

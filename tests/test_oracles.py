@@ -22,12 +22,15 @@ def test_intersection_sweep_small():
     assert cases == sum(w * (w + 1) // 2 for w in range(1, 17))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.integers(3, 6), st.integers(2, 3), st.integers(1, 2),
-       st.integers(1, 2), st.integers(0, 10_000))
-def test_worst_case_flip_matches_exhaustive(w, c, m, b, seed):
+       st.integers(1, 2), st.integers(0, 10_000), st.booleans())
+def test_worst_case_flip_matches_exhaustive(w, c, m, b, seed, tied):
     rng = np.random.default_rng(seed)
     vs = rng.random((w, c)) < 0.5
+    if tied:  # classes 0 and 1 share the top count, so the table abstains
+        vs[:, 1] = vs[::-1, 0]
+        vs[:, 2:] &= vs[:, :1]
     fast = worst_case_flip(vs, m, b)
     slow = exhaustive_flip_bitmask(vs, m, b)
     assert fast == slow
@@ -71,6 +74,28 @@ def test_margin_exactly_two_delta_is_overturnable():
         assert res["margin"] == 2 * delta
         assert not res["certified"]
         assert res["flippable"]
+
+
+@pytest.mark.parametrize("classes", [[0, 1], [1, 0]])
+def test_a_reachable_tie_is_a_flip(classes):
+    """5 votes to 3 on 8 positions: one corrupted band (m = b = 1) reaches
+    4 to 4, and ``vote`` abstains on a tie. That is a flip whichever class
+    id holds the top, so a bound of 0.99 bands per patch must be unsound."""
+    vs = np.zeros((8, 2), dtype=bool)
+    vs[:5, classes[0]] = True
+    vs[5:, classes[1]] = True
+    assert worst_case_flip(vs, 1, 1)
+    assert exhaustive_flip_bitmask(vs, 1, 1)
+    res = check_certificate_soundness(vs, 1, 1, delta_fn=lambda m, b: 0.99)
+    assert res["certified"] and res["flippable"] and not res["sound"]
+
+
+def test_a_three_way_tie_can_be_broken():
+    """Every class votes at every position. Two corrupted bands that vote
+    for one class alone make it win 3 to 1 to 1; dropping only the
+    lowest-id class would leave the other two tied."""
+    vs = np.ones((3, 3), dtype=bool)
+    assert worst_case_flip(vs, 1, 2) and exhaustive_flip_bitmask(vs, 1, 2)
 
 
 def test_patch_locations_grid():
