@@ -8,7 +8,11 @@ reverse to return a gradient map for the leaves.
 
 Every primitive validates operand shapes up front and checks its output for
 NaN/Inf, so a numerical blow-up surfaces at the op that produced it instead
-of three modules later.
+of three modules later. The model's encoder calls these primitives only
+while a tape is recording (``recording()``), so the per-op checks apply
+only then; without a tape it runs the same arithmetic on plain arrays and
+checks once per encoder stage: the embedding, each block, the head (see
+``model``).
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ INFER_DTYPE = np.float32
 # but exp(x - max) underflows to exactly 0.0 for masked columns.
 MASK_OFF = -1.0e30
 
-_LN_EPS = 1e-8
+LN_EPS = 1e-8
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -98,6 +102,11 @@ def record(tape: Tape):
         yield tape
     finally:
         _ACTIVE_TAPE = None
+
+
+def recording() -> bool:
+    """True while a tape is active, i.e. while primitives record for backward."""
+    return _ACTIVE_TAPE is not None
 
 
 def _emit(op: str, out: np.ndarray, inputs: tuple[Tensor, ...],
@@ -212,7 +221,7 @@ def layer_norm(x: Tensor) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(_LN_EPS, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
     y = centered * inv
 
     def backward_fn(g: np.ndarray):

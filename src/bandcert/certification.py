@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -140,11 +141,15 @@ def per_band_scores(images: np.ndarray, params: ModelParams, plan: WindowPlan,
 class EvaluationResult:
     records: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    # wall time of the "score" (window forwards) and "vote" phases; it varies
+    # run to run, so it stays out of records and summary
+    seconds: dict = field(default_factory=dict)
 
 
 def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
              plan: WindowPlan, cfg: CertifyConfig) -> EvaluationResult:
-    """Vote and certify every image on its ``per_band_scores``."""
+    """Vote and certify every image on its ``per_band_scores``. ``labels``
+    is a 1-D integer array, one class id in [0, num_classes) per image."""
     if plan.band_width != cfg.band_width:
         raise ContractError(f"evaluate: plan band width {plan.band_width} != "
                             f"config band width {cfg.band_width}")
@@ -152,8 +157,18 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
     ys = np.asarray(labels)
     if imgs.size == 0:
         raise ContractError("evaluate: no images to certify")
-    scores = per_band_scores(imgs, params, plan, cfg)
     n = imgs.shape[0]
+    if ys.ndim != 1 or not np.issubdtype(ys.dtype, np.integer):
+        raise ContractError(f"evaluate: labels must be a 1-D integer array, got "
+                            f"shape {ys.shape} of {ys.dtype}")
+    if ys.shape[0] != n:
+        raise ContractError(f"evaluate: {ys.shape[0]} labels for {n} images")
+    classes = params.cfg.num_classes
+    if ys.min() < 0 or ys.max() >= classes:
+        raise ContractError(f"evaluate: label outside [0, {classes})")
+    start = perf_counter()
+    scores = per_band_scores(imgs, params, plan, cfg)
+    scored = perf_counter()
     w = plan.image_width
 
     records = []
@@ -192,4 +207,6 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
         "certified_accuracy": {k: v / n for k, v in certified_counts.items()},
         "forwards_per_image": int(plan.num_forwards),
     }
-    return EvaluationResult(records=records, summary=summary)
+    return EvaluationResult(records=records, summary=summary,
+                            seconds={"score": scored - start,
+                                     "vote": perf_counter() - scored})

@@ -90,14 +90,16 @@ def write_jsonl(path: str, records) -> None:
             fh.write("\n")
 
 
-def _write_meta(out_dir: str, command: str, started: float, argv: list[str]) -> None:
+def _write_meta(out_dir: str, command: str, started: float, argv: list[str],
+                **facts) -> None:
     """Wall-clock facts live only here so the result files stay byte-stable
-    across reruns."""
+    across reruns. ``facts`` are further keys a command reports."""
     write_json(os.path.join(out_dir, "meta.json"), {
         "command": command,
         "argv": argv,
         "started_unix": started,
         "elapsed_seconds": time.time() - started,
+        **facts,
     })
 
 
@@ -219,12 +221,14 @@ def cmd_certify(args, argv) -> int:
                          load_config)
     from .model import load_checkpoint, plan_windows
 
+    load_start = time.perf_counter()
     cfg = load_config(args.config, args.set)
     model_cfg = build_model_config(cfg)
     cert_cfg = build_certify_config(cfg)
     params = load_checkpoint(args.checkpoint, model_cfg, dtype=ad.INFER_DTYPE)
     images, labels = _load_split(cfg, args.split)
     plan = plan_windows(model_cfg, cert_cfg.band_width)
+    load_seconds = time.perf_counter() - load_start
 
     result = evaluate(images.astype(ad.INFER_DTYPE), labels, params, plan, cert_cfg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -232,7 +236,11 @@ def cmd_certify(args, argv) -> int:
     write_json(os.path.join(args.out_dir, "summary.json"), result.summary)
     with open(os.path.join(args.out_dir, "config.ini"), "w") as fh:
         fh.write(dump_config(cfg))
-    _write_meta(args.out_dir, "certify", started, argv)
+    n = len(result.records)
+    _write_meta(args.out_dir, "certify", started, argv,
+                phase_seconds={"load": load_seconds, **result.seconds},
+                images_per_s=n / sum(result.seconds.values()),
+                windows_executed=n * plan.image_width)
     print(json.dumps(result.summary, sort_keys=True, default=_json_default))
     return EXIT_OK
 

@@ -12,6 +12,16 @@ class row alone. ``tokens=True`` keeps every row through every block and
 returns them as ``tokens_out``, for the reconstruction loss and the
 restriction oracle.
 
+``_encoder`` writes that arithmetic once, over a small op vocabulary
+(embedding, linear, affine layer norm, attention, GELU, residual add,
+class-row slice) with two implementations. While a tape records
+(``autodiff.recording()``), ``_TapeOps`` runs the tape primitives, which
+check every op's output for NaN/Inf, so training can differentiate them.
+Otherwise, in certification, the attack and ``bench``, ``_PlainOps`` makes
+the same numpy calls on plain arrays, some in place, bit-identical to the
+tape, and checks once per stage (the embedding, each block, the head).
+Either way a non-finite value raises NumericError naming that stage.
+
 * ``forward_global``: the full token sequence, optionally with an additive
   attention mask restricting which tokens may be attended to.
 * ``forward_band_unit``: one window for a whole batch of already ablated
@@ -39,6 +49,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erf
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -213,61 +224,197 @@ class EncoderActivations:
     logits: Tensor             # class logits read from the class token
 
 
-def _affine_ln(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    y = ad.layer_norm(x)
-    return ad.add(ad.mul(y, params[prefix + ".gamma"]), params[prefix + ".beta"])
+class _TapeOps:
+    """The encoder's op vocabulary as tape primitives. Every op builds a
+    Tensor, records itself while a tape is active and checks its own output
+    for NaN/Inf, so ``check`` has nothing left to do."""
+
+    def __init__(self, params: ModelParams, attn_bias: np.ndarray | None):
+        self.params = params
+        self.bias = None if attn_bias is None else Tensor(attn_bias)
+        self.scale = Tensor(np.asarray(1.0 / math.sqrt(params.cfg.head_dim),
+                                       dtype=params.dtype))
+
+    def embed(self, patches: np.ndarray, pos_ids: np.ndarray | None) -> Tensor:
+        cfg, dtype = self.params.cfg, self.params.dtype
+        proj = ad.matmul(Tensor(np.ascontiguousarray(patches, dtype=dtype)),
+                         self.params["patch_embed.weight"])
+        cls = ad.reshape(self.params["cls_token"], (1, 1, cfg.embed_dim))
+        zeros = Tensor(np.zeros((proj.shape[0], 1, cfg.embed_dim), dtype=dtype))
+        h = ad.concat([ad.add(zeros, cls), proj], axis=1)
+        pos_rows = self.params["pos_embed"]
+        if pos_ids is not None:
+            pos_rows = ad.embedding_lookup(pos_rows, pos_ids)
+        return ad.add(h, pos_rows)
+
+    def affine_ln(self, x: Tensor, prefix: str) -> Tensor:
+        y = ad.mul(ad.layer_norm(x), self.params[prefix + ".gamma"])
+        return ad.add(y, self.params[prefix + ".beta"])
+
+    def linear(self, x: Tensor, weight: str, bias: str) -> Tensor:
+        return ad.add(ad.matmul(x, self.params[weight]), self.params[bias])
+
+    def attention(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+        heads = self.params.cfg.num_heads
+        q, k, v = (ad.split_heads(t, heads) for t in (q, k, v))
+        scores = ad.mul(ad.matmul(q, k, transpose_b=True), self.scale)
+        if self.bias is not None:
+            scores = ad.add(scores, self.bias)
+        return ad.merge_heads(ad.matmul(ad.softmax_lastdim(scores), v))
+
+    def gelu(self, x: Tensor) -> Tensor:
+        return ad.gelu(x)
+
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
+        return ad.add(a, b)
+
+    def class_row(self, x: Tensor) -> Tensor:
+        return ad.slice_axis(x, 1, 0, 1)
+
+    def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
+        return ad.reshape(x, shape)
+
+    def check(self, x: Tensor) -> None:
+        pass
+
+    def tensor(self, x: Tensor) -> Tensor:
+        return x
 
 
-def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    return ad.add(ad.matmul(x, params[prefix + ".weight"]), params[prefix + ".bias"])
+class _PlainOps:
+    """The same vocabulary on plain ndarrays, for inference: no Tensor, no
+    tape and no per-op scan. Each op makes the numpy calls of its tape twin
+    in the same order on operands of the same dtype and layout, and runs an
+    elementwise step in place where the twin makes a fresh array, so the
+    results are the tape's bit for bit. ``check`` is the one NaN/Inf scan,
+    taken once per encoder stage."""
+
+    def __init__(self, params: ModelParams, attn_bias: np.ndarray | None):
+        self.params = params
+        self.bias = attn_bias
+        self.scale = np.asarray(1.0 / math.sqrt(params.cfg.head_dim), dtype=params.dtype)
+
+    def _p(self, name: str) -> np.ndarray:
+        return self.params[name].data
+
+    def embed(self, patches: np.ndarray, pos_ids: np.ndarray | None) -> np.ndarray:
+        cfg, dtype = self.params.cfg, self.params.dtype
+        proj = np.matmul(np.ascontiguousarray(patches, dtype=dtype),
+                         self._p("patch_embed.weight"))
+        cls = self._p("cls_token").reshape(1, 1, cfg.embed_dim)
+        zeros = np.zeros((proj.shape[0], 1, cfg.embed_dim), dtype=dtype)
+        h = np.concatenate([zeros + cls, proj], axis=1)
+        pos_rows = self._p("pos_embed")
+        h += pos_rows if pos_ids is None else pos_rows[pos_ids]
+        return h
+
+    def affine_ln(self, x: np.ndarray, prefix: str) -> np.ndarray:
+        y = x - x.mean(axis=-1, keepdims=True)
+        var = (y * y).mean(axis=-1, keepdims=True)
+        y *= 1.0 / np.sqrt(var + np.asarray(ad.LN_EPS, dtype=x.dtype))
+        y *= self._p(prefix + ".gamma")
+        y += self._p(prefix + ".beta")
+        return y
+
+    def linear(self, x: np.ndarray, weight: str, bias: str) -> np.ndarray:
+        y = np.matmul(x, self._p(weight))
+        y += self._p(bias)
+        return y
+
+    def attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        heads = self.params.cfg.num_heads
+
+        def split_heads(t):
+            n, rows, d = t.shape
+            return np.ascontiguousarray(
+                t.reshape(n, rows, heads, d // heads).transpose(0, 2, 1, 3))
+
+        q, k, v = (split_heads(t) for t in (q, k, v))
+        scores = np.matmul(q, np.swapaxes(k, -1, -2))
+        scores *= self.scale
+        if self.bias is not None:
+            scores += self.bias
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        o = np.matmul(scores, v)
+        n, _, rows, dh = o.shape
+        return o.transpose(0, 2, 1, 3).reshape(n, rows, heads * dh)
+
+    def gelu(self, x: np.ndarray) -> np.ndarray:
+        # x * Phi(x) into x, which is the MLP's own fresh array; Phi is built
+        # in one scratch buffer that is freed before the next op allocates
+        cdf = x / np.sqrt(np.asarray(2.0, dtype=x.dtype))
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        x *= cdf
+        return x
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
+
+    def class_row(self, x: np.ndarray) -> np.ndarray:
+        return x[:, 0:1].copy()
+
+    def reshape(self, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        return x.reshape(shape)
+
+    def check(self, x: np.ndarray) -> None:
+        if not np.isfinite(x).all():
+            raise NumericError("produced non-finite values")
+
+    def tensor(self, x: np.ndarray) -> Tensor:
+        return Tensor(x)
 
 
-def _encoder(params: ModelParams, h: Tensor, attn_bias: Tensor | None,
-             tokens: bool) -> Tensor:
-    cfg = params.cfg
-    heads = cfg.num_heads
-    scale = Tensor(np.asarray(1.0 / math.sqrt(cfg.head_dim), dtype=h.dtype))
-    for i in range(cfg.num_layers):
-        p = f"blocks.{i}"
-        try:
-            pre = _affine_ln(h, params, p + ".ln1")
+def _encoder(ops, patches: np.ndarray, pos_ids: np.ndarray | None,
+             tokens: bool) -> tuple:
+    """Embedding, blocks, final layer norm and class logits, written once
+    over the op vocabulary ``ops``. Returns (H_O, logits) in the ops' own
+    array type. A non-finite value raises NumericError naming the stage:
+    ``encoder embedding``, ``encoder block i`` or ``encoder head``."""
+    cfg = ops.params.cfg
+    stage = "embedding"
+    try:
+        h = ops.embed(patches, pos_ids)
+        ops.check(h)
+        for i in range(cfg.num_layers):
+            stage = f"block {i}"
+            p = f"blocks.{i}"
+            pre = ops.affine_ln(h, p + ".ln1")
             query = pre
             if i == cfg.num_layers - 1 and not tokens:
                 # Only the class row reaches the logits: the last block keys
                 # and values every row but queries, mixes and norms row 0.
-                h = ad.slice_axis(h, 1, 0, 1)
-                query = ad.slice_axis(pre, 1, 0, 1)
-            q = ad.add(ad.matmul(query, params[p + ".attn.wq"]), params[p + ".attn.bq"])
-            k = ad.add(ad.matmul(pre, params[p + ".attn.wk"]), params[p + ".attn.bk"])
-            v = ad.add(ad.matmul(pre, params[p + ".attn.wv"]), params[p + ".attn.bv"])
-            q, k, v = (ad.split_heads(t, heads) for t in (q, k, v))
-            scores = ad.mul(ad.matmul(q, k, transpose_b=True), scale)
-            if attn_bias is not None:
-                scores = ad.add(scores, attn_bias)
-            o = ad.merge_heads(ad.matmul(ad.softmax_lastdim(scores), v))
-            o = ad.add(ad.matmul(o, params[p + ".attn.wo"]), params[p + ".attn.bo"])
-            h = ad.add(h, o)
-            pre2 = _affine_ln(h, params, p + ".ln2")
-            m = ad.add(ad.matmul(pre2, params[p + ".mlp.w1"]), params[p + ".mlp.b1"])
-            m = ad.gelu(m)
-            m = ad.add(ad.matmul(m, params[p + ".mlp.w2"]), params[p + ".mlp.b2"])
-            h = ad.add(h, m)
-        except NumericError as e:
-            raise NumericError(f"encoder block {i}: {e}") from e
-    return _affine_ln(h, params, "final_ln")
-
-
-def _class_logits(params: ModelParams, h_out: Tensor) -> Tensor:
-    # Keep the class row 3-d so the head matmul runs as a per-slice gufunc.
-    # A 2-d (batch, dim) gemm picks different BLAS kernels at different row
-    # counts, which breaks bit-identity between batched and lone forwards.
-    cls = ad.slice_axis(h_out, 1, 0, 1)
-    logits = _linear(cls, params, "head")
-    return ad.reshape(logits, (h_out.shape[0], params.cfg.num_classes))
+                h = ops.class_row(h)
+                query = ops.class_row(pre)
+            q = ops.linear(query, p + ".attn.wq", p + ".attn.bq")
+            k = ops.linear(pre, p + ".attn.wk", p + ".attn.bk")
+            v = ops.linear(pre, p + ".attn.wv", p + ".attn.bv")
+            o = ops.linear(ops.attention(q, k, v), p + ".attn.wo", p + ".attn.bo")
+            h = ops.add(h, o)
+            m = ops.linear(ops.affine_ln(h, p + ".ln2"), p + ".mlp.w1", p + ".mlp.b1")
+            m = ops.linear(ops.gelu(m), p + ".mlp.w2", p + ".mlp.b2")
+            h = ops.add(h, m)
+            ops.check(h)
+        stage = "head"
+        h_out = ops.affine_ln(h, "final_ln")
+        # Keep the class row 3-d so the head matmul runs as a per-slice
+        # gufunc. A 2-d (batch, dim) gemm picks different BLAS kernels at
+        # different row counts, which breaks bit-identity between batched
+        # and lone forwards.
+        logits = ops.linear(ops.class_row(h_out), "head.weight", "head.bias")
+        logits = ops.reshape(logits, (h_out.shape[0], cfg.num_classes))
+        ops.check(h_out)
+        ops.check(logits)
+    except NumericError as e:
+        raise NumericError(f"encoder {stage}: {e}") from e
+    return h_out, logits
 
 
 def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None = None,
-            attn_bias: Tensor | None = None, *, tokens: bool = False) -> EncoderActivations:
+            attn_bias: np.ndarray | None = None, *, tokens: bool = False) -> EncoderActivations:
     """The one encoder entry point: H_I = [cls; E x_1; ...; E x_K] + pos rows,
     then the blocks, the final layer norm and the class logits.
 
@@ -275,26 +422,24 @@ def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None
     rows to add, (K+1,) shared by the batch or (B, K+1) per sample: 0 for
     the class token, then patch-token id + 1 for each patch. ``None`` means
     the full sequence in grid order, which adds the whole table.
+    ``attn_bias`` is an additive attention bias of the params' dtype.
 
     With ``tokens`` every row runs through every block and ``tokens_out``
     holds all of them. Without it the last block runs its query, attention,
     out-projection, MLP and the final norm on the class row alone (keys and
     values still come from every row), and ``tokens_out`` is None.
+
+    While a tape records, the ops are tape primitives, so training can
+    differentiate them; otherwise they run on plain arrays, with the same
+    bits and one NaN/Inf check per stage instead of one per op.
     """
-    cfg = params.cfg
-    x = Tensor(np.ascontiguousarray(patches, dtype=params.dtype))
-    proj = ad.matmul(x, params["patch_embed.weight"])
-    b = proj.shape[0]
-    cls = ad.reshape(params["cls_token"], (1, 1, cfg.embed_dim))
-    zeros = Tensor(np.zeros((b, 1, cfg.embed_dim), dtype=params.dtype))
-    h = ad.concat([ad.add(zeros, cls), proj], axis=1)
-    if pos_ids is None:
-        pos_rows = params["pos_embed"]
-    else:
-        pos_rows = ad.embedding_lookup(params["pos_embed"], pos_ids)
-    h_out = _encoder(params, ad.add(h, pos_rows), attn_bias, tokens)
-    return EncoderActivations(tokens_out=h_out if tokens else None,
-                              logits=_class_logits(params, h_out))
+    ops = (_TapeOps if ad.recording() else _PlainOps)(params, attn_bias)
+    # overflow and inf - inf surface as one NumericError from the stage
+    # checks, so numpy's warnings about them would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_out, logits = _encoder(ops, patches, pos_ids, tokens)
+    return EncoderActivations(tokens_out=ops.tensor(h_out) if tokens else None,
+                              logits=ops.tensor(logits))
 
 
 def forward_global(inputs: np.ndarray, params: ModelParams,
@@ -320,7 +465,7 @@ def forward_global(inputs: np.ndarray, params: ModelParams,
                                 f"!= ({cfg.seq_len},)")
         if not allowed.any():
             raise ContractError("forward_global: allowed mask is empty")
-        bias = Tensor(np.where(allowed, 0.0, ad.MASK_OFF).astype(params.dtype))
+        bias = np.where(allowed, 0.0, ad.MASK_OFF).astype(params.dtype)
     return _encode(params, patches, attn_bias=bias, tokens=tokens)
 
 

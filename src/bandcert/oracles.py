@@ -215,10 +215,25 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
                            image_id: int = 0) -> AttackReport:
     """Randomized patch contents at fixed anchors. Only the band positions
     whose columns meet the patch are re-scored; the rest of the vote table
-    cannot change, which is exactly the structure the certificate uses."""
+    cannot change, which is exactly the structure the certificate uses.
+
+    Every (row, col) anchor must place the whole patch inside the image, and
+    ``trials`` is at least 1."""
     img = np.asarray(image, dtype=ad.INFER_DTYPE)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ContractError(f"empirical_patch_attack: expected (3, h, w), got {img.shape}")
+    _, rows, cols = img.shape
+    ph, pw = patch_shape
+    if not (1 <= ph <= rows and 1 <= pw <= cols):
+        raise ContractError(f"empirical_patch_attack: patch {ph}x{pw} does not fit "
+                            f"a {rows}x{cols} image")
+    outside = [(r, c) for r, c in locations
+               if not (0 <= r <= rows - ph and 0 <= c <= cols - pw)]
+    if outside:
+        raise ContractError(f"empirical_patch_attack: a {ph}x{pw} patch at anchors "
+                            f"{outside[:3]} leaves the {rows}x{cols} image")
+    if trials < 1:
+        raise ContractError(f"empirical_patch_attack: trials {trials} < 1")
     w = plan.image_width
     base_scores = per_band_scores(img[None], params, plan, cfg)
     base_table = vote(base_scores[0], cfg)
@@ -321,7 +336,10 @@ def _primitive_cases(rng: np.random.Generator):
 
 def fd_gradient_report(seed: int = 0, probes: int = 4, h: float = 1e-5) -> dict[str, float]:
     """Max relative tape-vs-finite-difference error for every primitive and
-    for a full encoder block driven end to end."""
+    for a full encoder block driven end to end, once through the class
+    logits (``encoder_block``) and once through every output token
+    (``encoder_tokens``, the path the reconstruction loss trains). The
+    finite differences run without a tape, on the plain-array encoder."""
     rng = np.random.default_rng([int(seed), 0xFD])
     report = {}
     for name, (fn, x) in _primitive_cases(rng).items():
@@ -332,6 +350,7 @@ def fd_gradient_report(seed: int = 0, probes: int = 4, h: float = 1e-5) -> dict[
     sp = ModelParams.init(cfg, seed=seed + 2)
     x = rng.random((2, 4, 8, 8))
     y = np.array([0, 2])
+    token_weights = Tensor(rng.normal(size=(2, cfg.seq_len, cfg.embed_dim)))
 
     # Probe the patch embedding: its gradient flows through every op in the
     # block (attention softmax, both norms, the MLP, the residuals, the
@@ -339,16 +358,23 @@ def fd_gradient_report(seed: int = 0, probes: int = 4, h: float = 1e-5) -> dict[
     # quotient is not roundoff-dominated. Query/key weights at random init
     # have gradients near the FD noise floor (~1e-11 absolute for h=1e-5),
     # which makes per-coordinate relative error meaningless there.
-    def block_loss(t):
-        old = sp.tensors["patch_embed.weight"]
-        sp.tensors["patch_embed.weight"] = t
-        try:
-            acts = forward_global(x, sp)
-            return ad.cross_entropy(acts.logits, y)
-        finally:
-            sp.tensors["patch_embed.weight"] = old
+    def loss_with_embedding(loss_of):
+        def loss(t):
+            old = sp.tensors["patch_embed.weight"]
+            sp.tensors["patch_embed.weight"] = t
+            try:
+                return loss_of()
+            finally:
+                sp.tensors["patch_embed.weight"] = old
+        return loss
 
-    report["encoder_block"] = ad.check_gradient(
-        block_loss, sp.tensors["patch_embed.weight"].data, probes=probes,
-        seed=seed + 3, h=h)
+    losses = {
+        "encoder_block": lambda: ad.cross_entropy(forward_global(x, sp).logits, y),
+        "encoder_tokens": lambda: ad.mean(ad.mul(
+            forward_global(x, sp, tokens=True).tokens_out, token_weights)),
+    }
+    for k, (name, loss_of) in enumerate(losses.items()):
+        report[name] = ad.check_gradient(
+            loss_with_embedding(loss_of), sp.tensors["patch_embed.weight"].data,
+            probes=probes, seed=seed + 3 + k, h=h)
     return report

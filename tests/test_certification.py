@@ -162,6 +162,7 @@ def test_evaluate_records_and_summary(small_params):
     # a wider patch can never certify more images than a narrower one
     assert s["certified_accuracy"]["2x2"] <= s["certified_accuracy"]["1x1"]
     assert s["forwards_per_image"] == plan.num_forwards
+    assert set(res.seconds) == {"score", "vote"}
 
 
 def test_evaluate_rejects_plan_config_mismatch(small_params):
@@ -177,6 +178,23 @@ def test_evaluate_rejects_zero_images(small_params):
     with pytest.raises(ContractError):
         evaluate(np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=int), small_params, plan,
                  CertifyConfig(band_width=2))
+
+
+@pytest.mark.parametrize("labels", [
+    np.zeros(2, dtype=int),
+    np.zeros(4, dtype=int),
+    np.zeros((3, 2), dtype=int),
+    np.zeros((3, 1), dtype=int),
+    np.zeros(3),
+    np.array([True, False, True]),
+    np.array([0, 1, 3]),
+    np.array([0, -1, 2]),
+], ids=["short", "extra", "2d", "column", "float", "bool", "class_3_of_3", "negative"])
+def test_evaluate_rejects_malformed_labels(small_params, labels):
+    plan = plan_windows(small_params.cfg, 2)
+    imgs = np.random.default_rng(1).random((3, 3, 8, 8))
+    with pytest.raises(ContractError, match="^evaluate: "):
+        evaluate(imgs, labels, small_params, plan, CertifyConfig(band_width=2))
 
 
 def test_softmax_scores_rows_are_distributions():

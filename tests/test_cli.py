@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from bandcert.cli import (_BLAS_VARS, EXIT_DATA, EXIT_OK, EXIT_USAGE, THREADS_ENV,
-                          UsageError, main, resolve_threads)
+from bandcert.cli import (_BLAS_VARS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
+                          THREADS_ENV, UsageError, main, resolve_threads)
 
 TINY = [
     "--set", "data.image_side=8", "--set", "data.train_size=12",
@@ -161,6 +161,23 @@ def test_non_finite_weight_is_data_error(trained_dir, tmp_path):
     assert len(lines) == 1 and "patch_embed.weight" in lines[0], proc.stderr
 
 
+def test_overflowing_weights_are_numeric_error(trained_dir, tmp_path):
+    # finite weights, so the checkpoint loads, but block 0's second layer
+    # norm overflows float32 on every input
+    blob = bytearray((trained_dir / "model.ecvt").read_bytes())
+    name = b"blocks.0.ln2.gamma"
+    start = blob.index(name) + len(name) + 4 + 8  # after rank and its one dim
+    (dim,) = struct.unpack_from("<Q", blob, start - 8)
+    struct.pack_into(f"<{dim}f", blob, start, *[3.4028234663852886e38] * dim)
+    huge = tmp_path / "huge.ecvt"
+    huge.write_bytes(bytes(blob))
+    proc = run_cli("certify", *TINY, "--out-dir", str(tmp_path / "o"),
+                   "--checkpoint", str(huge))
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and "encoder block 0" in lines[0], proc.stderr
+
+
 def test_export_config_roundtrip(tmp_path):
     first = run_cli("export-config", "--set", "train.band_width=3",
                     "--set", "certify.band_width=3")
@@ -205,6 +222,23 @@ def test_certify_writes_records_and_summary(trained_dir, tmp_path):
     assert all("max_certified_m" in r for r in records)
     stdout_summary = json.loads(proc.stdout)
     assert stdout_summary == summary
+
+
+def test_certify_meta_reports_phases_and_results_are_byte_stable(trained_dir, tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        proc = run_cli("certify", *TINY, "--out-dir", str(out),
+                       "--checkpoint", str(trained_dir / "model.ecvt"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("records.jsonl", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    meta = json.loads((outs[0] / "meta.json").read_text())
+    assert set(meta["phase_seconds"]) == {"load", "score", "vote"}
+    assert all(v >= 0 for v in meta["phase_seconds"].values())
+    assert meta["images_per_s"] > 0
+    assert meta["windows_executed"] == 4 * 8  # test images x band positions
+    summary = json.loads((outs[0] / "summary.json").read_text())
+    assert not {"phase_seconds", "images_per_s", "windows_executed"} & set(summary)
 
 
 def test_finetune_resumes_a_checkpoint(trained_dir, tmp_path):

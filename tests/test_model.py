@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandcert import model
-from bandcert.autodiff import Tensor
-from bandcert.errors import ContractError, DataFormatError
+from bandcert.autodiff import Tape, Tensor, record
+from bandcert.errors import ContractError, DataFormatError, NumericError
 from bandcert.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams,
                             batched_certify_forward, count_flops,
                             forward_band_unit, forward_global, forward_windows,
@@ -243,12 +245,12 @@ def test_forward_windows_rejects_bad_inputs():
             list(forward_windows(bad_imgs, bad_pos, params, plan))
 
 
-def _scaled_params(cfg, dtype):
+def _scaled_params(cfg, dtype, seed=9, trainable=False):
     # weights ten times the init scale, so logits are O(1) and a rounding
     # difference would show
-    params = ModelParams.init(cfg, seed=9)
+    params = ModelParams.init(cfg, seed=seed)
     return ModelParams(cfg, {n: Tensor(t.data * 10.0) for n, t in params.tensors.items()}
-                       ).cast(dtype)
+                       ).cast(dtype, trainable=trainable)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
@@ -289,6 +291,89 @@ def test_band_restriction_matches_masked_global_f64():
         g = forward_global(abl, params, allowed_tokens=allowed).logits.data
         u = forward_band_unit(abl, params, band).logits.data
         assert np.abs(g - u).max() < 1e-10
+
+
+def _on_tape(fn):
+    """Run ``fn`` while a tape records, so the encoder takes the tape path.
+    Returns (fn's result, the tape)."""
+    tape = Tape()
+    with record(tape):
+        return fn(), tape
+
+
+def _same_bytes(a: Tensor, b: Tensor) -> bool:
+    return a.data.dtype == b.data.dtype and a.shape == b.shape and \
+        a.data.tobytes() == b.data.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), wrap=st.booleans(), width=st.integers(1, 8),
+       position=st.integers(0, 7), dtype=st.sampled_from([np.float32, np.float64]))
+def test_plain_encoder_is_bit_identical_to_the_tape(seed, wrap, width, position, dtype):
+    # Without a tape the encoder runs on plain arrays; its logits and tokens
+    # must be the tape's byte for byte, on every entry point
+    cfg = tiny_cfg(band_wrap=wrap)
+    params = _scaled_params(cfg, dtype, seed=seed % 7, trainable=True)
+    rng = np.random.default_rng(seed)
+    imgs = rng.random((3, 3, 8, 8)).astype(dtype)
+    band = BandSpec(position, width)
+    abl = ablate_batch(imgs, np.full(3, position), width, wrap=wrap).astype(dtype)
+    allowed = rng.random(cfg.seq_len) < 0.5
+    allowed[0] = True
+    runs = {
+        "global": lambda **kw: forward_global(abl, params, **kw),
+        "masked": lambda **kw: forward_global(abl, params, allowed_tokens=allowed, **kw),
+        "band_unit": lambda **kw: forward_band_unit(abl, params, band, **kw),
+    }
+    for name, run in runs.items():
+        for tokens in (False, True):
+            plain = run(tokens=tokens)
+            taped, tape = _on_tape(lambda: run(tokens=tokens))
+            assert tape.entries
+            assert _same_bytes(plain.logits, taped.logits), (name, tokens)
+            if tokens:
+                assert _same_bytes(plain.tokens_out, taped.tokens_out), name
+
+    plan = plan_windows(cfg, width)
+    positions = rng.integers(0, 8, size=(3, 2))
+    plain = list(forward_windows(imgs, positions, params, plan))
+    taped, tape = _on_tape(lambda: list(forward_windows(imgs, positions, params, plan)))
+    assert tape.entries and len(plain) == len(taped)
+    for (rows, logits), (taped_rows, taped_logits) in zip(plain, taped):
+        np.testing.assert_array_equal(rows, taped_rows)
+        assert _same_bytes(logits, taped_logits)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_values_name_the_encoder_stage_on_both_paths(dtype):
+    cfg = tiny_cfg()  # two blocks
+    params = ModelParams.init(cfg, seed=1).cast(dtype)
+    imgs = np.random.default_rng(0).random((2, 3, 8, 8)).astype(dtype)
+    abl = ablate_batch(imgs, np.array([0, 3]), 4).astype(dtype)
+    nan_abl = abl.copy()
+    nan_abl[0, 0, 0, 0] = np.nan
+    nan_imgs = imgs.copy()
+    nan_imgs[1, 2, 3, 0] = np.nan
+    # finite weights whose products overflow in block 1's second layer norm
+    overflowing = ModelParams(cfg, {**params.tensors, "blocks.1.ln2.gamma": Tensor(
+        np.full(cfg.embed_dim, np.finfo(dtype).max, dtype=dtype))})
+    plan = plan_windows(cfg, 4)
+    cases = [
+        ("encoder embedding", lambda: forward_global(nan_abl, params)),
+        ("encoder embedding", lambda: batched_certify_forward(nan_imgs, params, plan)),
+        ("encoder block 1", lambda: forward_global(abl, overflowing, tokens=True)),
+        ("encoder block 1", lambda: forward_band_unit(abl, overflowing, BandSpec(0, 4))),
+        ("encoder block 1", lambda: batched_certify_forward(imgs, overflowing, plan)),
+    ]
+    for stage, run in cases:
+        # the tape names the op that overflowed; the plain path checks once
+        # per stage
+        for path, op in ((run, ""), (lambda: _on_tape(run), r"\w+: ")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the error is the only report
+                with pytest.raises(NumericError,
+                                   match=f"^{stage}: {op}produced non-finite values$"):
+                    path()
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):

@@ -131,8 +131,10 @@ def test_attention_equivalence_f32(small_params):
 
 def test_fd_gradient_report_probes_everything():
     report = fd_gradient_report(seed=0, probes=2)
-    assert "matmul" in report and "encoder_block" in report
-    assert len(report) >= 15
+    assert set(report) == {
+        "matmul", "matmul_tb", "add", "mul", "softmax_lastdim", "layer_norm", "gelu",
+        "embedding_lookup", "reshape", "concat", "slice", "split_heads",
+        "merge_heads", "mean", "cross_entropy", "encoder_block", "encoder_tokens"}
     for name, err in report.items():
         assert err < 1e-4, f"{name}: relative error {err}"
 
@@ -155,6 +157,30 @@ def test_empirical_attack_smoke(small_params):
     assert report.positions_rescored <= min(8, 2 + 2 - 1)
     assert report.flips >= 0
     assert report.min_margin_seen <= 8
+
+
+@pytest.mark.parametrize("patch_shape, locations, trials", [
+    ((9, 2), [(0, 0)], 5),
+    ((2, 9), [(0, 0)], 5),
+    ((2, 0), [(0, 0)], 5),
+    ((2, 2), [(0, 0), (7, 7)], 5),
+    ((2, 2), [(-1, 0)], 5),
+    ((2, 2), [(0, 0)], 0),
+], ids=["taller", "wider", "empty", "anchor_7_7", "anchor_-1_0", "no_trials"])
+def test_empirical_attack_rejects_bad_patches_and_trials(small_params, monkeypatch,
+                                                         patch_shape, locations, trials):
+    params = small_params.cast(np.float32)
+    plan = plan_windows(params.cfg, 2)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("scored before the arguments were checked")
+
+    monkeypatch.setattr(oracles, "per_band_scores", no_sweep)
+    img = np.random.default_rng(4).random((3, 8, 8))
+    with pytest.raises(ContractError, match="^empirical_patch_attack: "):
+        empirical_patch_attack(img, params, plan, CertifyConfig(band_width=2),
+                               patch_shape=patch_shape, locations=locations,
+                               trials=trials, seed=0)
 
 
 def test_empirical_attack_certified_image_never_flips(small_params):
