@@ -17,6 +17,7 @@ checks once per encoder stage: the embedding, each block, the head (see
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -448,7 +449,14 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
 
 
 class AdamW:
-    """Adam with decoupled weight decay. Moment state persists across steps."""
+    """Adam with decoupled weight decay (Loshchilov & Hutter, ICLR 2019).
+
+    The parameter set is fixed by the first step: its names, their order,
+    shapes and one dtype. The moments persist across steps as one flat
+    array each over that set, and every step updates all of it at once.
+    The update is elementwise, so this gives the same bits as a loop over
+    the tensors.
+    """
 
     def __init__(self, lr: float, weight_decay: float = 0.0):
         if lr < 0 or weight_decay < 0:
@@ -456,26 +464,47 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._layout: tuple[tuple[str, tuple[int, ...]], ...] | None = None
+        # flat m, v, then the gradient and two scratch buffers
+        self._bufs: tuple[np.ndarray, ...] = ()
 
     def step(self, params: dict[str, Tensor], grads: dict[Tensor, Tensor],
              lr_scale: float = 1.0) -> dict[str, Tensor]:
         """One update over a named parameter dict.
 
         ``grads`` must cover exactly the given parameters (a missing or
-        surplus gradient is a caller bug, not a silent skip). Returns fresh
-        leaf tensors; the inputs are never mutated.
+        surplus gradient is a caller bug, not a silent skip), and the
+        parameters must match the first step's. Returns fresh leaf tensors,
+        views into one new flat array; the inputs are never mutated.
         """
-        grad_ids = {id(t) for t in grads}
-        param_ids = {id(t) for t in params.values()}
-        missing = [name for name, t in params.items() if id(t) not in grad_ids]
+        if not params:
+            raise ContractError("AdamW.step: empty parameter set")
+        missing = [name for name, t in params.items() if t not in grads]
         if missing:
             raise ContractError(f"AdamW.step: no gradient for parameters {missing}")
+        param_ids = {id(t) for t in params.values()}
         surplus = [t for t in grads if id(t) not in param_ids]
         if surplus:
             raise ContractError(f"AdamW.step: gradients for {len(surplus)} tensors "
                                 f"that are not in the parameter set")
+        for name, p in params.items():
+            if grads[p].shape != p.shape:
+                raise ShapeError(f"AdamW.step: grad shape {grads[p].shape} != param "
+                                 f"shape {p.shape} for '{name}'")
+        # one shared buffer would promote float32 and change its bits
+        dtypes = {t.dtype for p in params.values() for t in (p, grads[p])}
+        if len(dtypes) != 1:
+            raise ContractError(f"AdamW.step: parameters and gradients mix dtypes "
+                                f"{sorted(d.name for d in dtypes)}")
+        (dtype,) = dtypes
+        layout = tuple((name, p.shape) for name, p in params.items())
+        if self._layout is None:
+            self._layout = layout
+            size = sum(p.size for p in params.values())
+            self._bufs = tuple(np.zeros(size, dtype=dtype) for _ in range(5))
+        elif layout != self._layout or dtype != self._bufs[0].dtype:
+            raise ContractError("AdamW.step: the parameter names, order, shapes or "
+                                "dtype differ from the first step's")
 
         self.step_count += 1
         t = self.step_count
@@ -483,28 +512,32 @@ class AdamW:
         lr = self.lr * lr_scale
         bias1 = 1.0 - b1 ** t
         bias2 = 1.0 - b2 ** t
+        m, v, g, a, b = self._bufs
+        flat = np.concatenate([p.data.reshape(-1) for p in params.values()])
+        np.concatenate([grads[p].data.reshape(-1) for p in params.values()], out=g)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;  then
+        # new = p - lr (m/bias1 / (sqrt(v/bias2) + eps) + wd p), op by op
+        # in that order, into the preallocated buffers
+        np.multiply(m, b1, out=m)
+        np.add(m, np.multiply(g, 1.0 - b1, out=a), out=m)
+        np.multiply(v, b2, out=v)
+        np.add(v, np.multiply(np.multiply(g, g, out=a), 1.0 - b2, out=a), out=v)
+        np.divide(m, bias1, out=a)
+        np.add(np.sqrt(np.divide(v, bias2, out=b), out=b), ADAM_EPS, out=b)
+        np.divide(a, b, out=a)
+        np.add(a, np.multiply(flat, self.weight_decay, out=b), out=a)
+        new = np.subtract(flat, np.multiply(a, lr, out=a))
+
         fresh: dict[str, Tensor] = {}
-        for name, p in params.items():
-            g = grads[p].data
-            if g.shape != p.shape:
-                raise ShapeError(f"AdamW.step: grad shape {g.shape} != param "
-                                 f"shape {p.shape} for '{name}'")
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            mhat = m / bias1
-            vhat = v / bias2
-            new = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
-                                 + self.weight_decay * p.data)
-            if not np.isfinite(new).all():
-                raise NumericError(f"AdamW.step: non-finite update for '{name}'")
-            fresh[name] = Tensor(new, requires_grad=True)
+        offset = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            fresh[name] = Tensor(new[offset:offset + size].reshape(shape),
+                                 requires_grad=True)
+            offset += size
+        if not np.isfinite(new).all():
+            bad = next(name for name, f in fresh.items() if not np.isfinite(f.data).all())
+            raise NumericError(f"AdamW.step: non-finite update for '{bad}'")
         return fresh
 
 

@@ -144,6 +144,10 @@ def _validate(cfg: RunConfig) -> None:
                             f"got '{cfg.data['source']}'")
     if cfg.data["source"] == "cifar10" and not cfg.data["path"]:
         raise ContractError("[data] source cifar10 needs a path")
+    for section in ("data", "train"):
+        if cfg.section(section)["seed"] < 0:
+            raise ContractError(f"[{section}] seed must be non-negative, "
+                                f"got {cfg.section(section)['seed']}")
     if cfg.train["band_width"] != cfg.certify["band_width"]:
         raise ContractError(f"band_width disagrees between [train] "
                             f"({cfg.train['band_width']}) and [certify] "

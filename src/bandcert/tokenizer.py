@@ -21,7 +21,8 @@ from .model import patchify
 
 CODEBOOK_MAGIC = b"ECCB"
 CODEBOOK_VERSION = 1
-LLOYD_ITERS = 50
+LLOYD_ITERS = 50  # a cap: the fit stops once an assignment repeats
+SQ_DIST_ROWS = 256  # rows per block in _sq_dists
 
 
 @dataclass
@@ -57,29 +58,40 @@ class Codebook:
 
 
 def _sq_dists(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Exact squared distances (M, K). The expanded x2 - 2xc + c2 form can
-    go slightly negative from cancellation, which would break argmin ties,
-    so compute differences directly when the problem is small enough."""
+    """Exact squared distances (M, K), summed over the differences (the
+    expanded x2 - 2xc + c2 form can go slightly negative from cancellation,
+    which would break argmin ties). ``SQ_DIST_ROWS`` rows at a time go
+    through one reused (rows, K, dim) difference block into the (M, K)
+    output, so no (M, K, dim) array is built; each row's sums come out as
+    the same bits as in one whole-array pass."""
     m, k = x.shape[0], c.shape[0]
-    if m * k * x.shape[1] <= 200_000_000:
-        diff = x[:, None, :] - c[None, :, :]
-        return np.einsum("mkd,mkd->mk", diff, diff)
-    d2 = (x * x).sum(1)[:, None] - 2.0 * (x @ c.T) + (c * c).sum(1)[None, :]
-    return np.maximum(d2, 0.0)
+    dtype = np.result_type(x, c)
+    out = np.empty((m, k), dtype=dtype)
+    block = np.empty((min(m, SQ_DIST_ROWS), k, x.shape[1]), dtype=dtype)
+    for start in range(0, m, SQ_DIST_ROWS):
+        stop = min(start + SQ_DIST_ROWS, m)
+        diff = np.subtract(x[start:stop, None, :], c[None, :, :], out=block[:stop - start])
+        np.einsum("mkd,mkd->mk", diff, diff, out=out[start:stop])
+    return out
 
 
 def fit_codebook(patches: np.ndarray, k: int, seed: int) -> Codebook:
-    """Seeded k-means++ then ``LLOYD_ITERS`` Lloyd iterations.
+    """Seeded k-means++ then at most ``LLOYD_ITERS`` Lloyd iterations.
 
-    Empty clusters keep their previous centroid. Asking for more entries
-    than there are distinct patches cannot produce k meaningful centroids
-    and raises instead of silently duplicating.
+    The iterations stop early once an assignment repeats the one before
+    it: the cluster means would come out as the same bits, so every later
+    iteration would change nothing. Empty clusters keep their previous
+    centroid. Asking for more entries than there are distinct patches
+    cannot produce k meaningful centroids and raises instead of silently
+    duplicating; so does a non-finite patch value.
     """
     pts = np.asarray(patches, dtype=np.float64)
     if pts.ndim != 2:
         raise ContractError(f"fit_codebook: patches must be (M, dim), got {pts.shape}")
     if k < 2:
         raise ContractError(f"fit_codebook: k={k} is too small")
+    if not np.isfinite(pts).all():
+        raise ContractError("fit_codebook: non-finite patch value")
     distinct = np.unique(pts, axis=0)
     if k > distinct.shape[0]:
         raise ContractError(f"fit_codebook: k={k} exceeds {distinct.shape[0]} "
@@ -99,8 +111,12 @@ def fit_codebook(patches: np.ndarray, k: int, seed: int) -> Codebook:
             centroids[i] = pts[rng.choice(pts.shape[0], p=probs)]
         best_d2 = np.minimum(best_d2, _sq_dists(pts, centroids[i:i + 1])[:, 0])
 
+    prev = None
     for _ in range(LLOYD_ITERS):
         assign = np.argmin(_sq_dists(pts, centroids), axis=1)
+        if prev is not None and np.array_equal(assign, prev):
+            break
+        prev = assign
         for ci in range(k):
             members = pts[assign == ci]
             if members.shape[0]:

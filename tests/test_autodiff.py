@@ -179,6 +179,96 @@ def test_adamw_is_deterministic_and_respects_lr_scale():
     np.testing.assert_allclose(np.ones(3) - half, (np.ones(3) - a) * 0.5, atol=1e-12)
 
 
+def _per_tensor_adamw(params, grad_steps, lr, weight_decay, lr_scales):
+    """AdamW as a loop over the tensors, one moment pair each."""
+    b1, b2 = ad.ADAM_BETAS
+    m = {n: np.zeros_like(p) for n, p in params.items()}
+    v = {n: np.zeros_like(p) for n, p in params.items()}
+    for t, (grads, scale) in enumerate(zip(grad_steps, lr_scales), start=1):
+        fresh = {}
+        for name, p in params.items():
+            g = grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+            mhat = m[name] / (1.0 - b1 ** t)
+            vhat = v[name] / (1.0 - b2 ** t)
+            fresh[name] = p - lr * scale * (mhat / (np.sqrt(vhat) + ad.ADAM_EPS)
+                                            + weight_decay * p)
+        params = fresh
+    return params
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_flat_adamw_matches_per_tensor_reference_bytes(dtype):
+    rng = np.random.default_rng(3)
+    shapes = {"w": (4, 3), "b": (3,), "s": (), "k": (2, 1, 5)}
+    params = {n: np.asarray(rng.standard_normal(s), dtype=dtype) for n, s in shapes.items()}
+    grad_steps = [{n: np.asarray(rng.standard_normal(s) * 10.0 ** rng.integers(-4, 3),
+                                 dtype=dtype)
+                   for n, s in shapes.items()} for _ in range(5)]
+    scales = [0.2, 0.6, 1.0, 1.0, 0.35]
+    want = _per_tensor_adamw(params, grad_steps, 0.05, 0.1, scales)
+
+    opt = AdamW(lr=0.05, weight_decay=0.1)
+    cur = {n: Tensor(p, requires_grad=True) for n, p in params.items()}
+    for grads, scale in zip(grad_steps, scales):
+        cur = opt.step(cur, {cur[n]: Tensor(g) for n, g in grads.items()}, lr_scale=scale)
+    assert list(cur) == list(shapes)
+    for name in shapes:
+        got = cur[name].data
+        assert got.dtype == dtype and got.shape == shapes[name]
+        assert got.tobytes() == want[name].tobytes(), name
+
+
+def test_adamw_names_the_tensor_with_a_non_finite_update():
+    p = Tensor(np.ones(3), requires_grad=True)
+    q = Tensor(np.ones((2, 2)), requires_grad=True)
+    r = Tensor(np.ones(2), requires_grad=True)
+    opt = AdamW(lr=0.1)
+    bad = np.ones((2, 2))
+    bad[1, 0] = np.inf
+    with pytest.raises(NumericError, match="'q'"), np.errstate(invalid="ignore"):
+        opt.step({"p": p, "q": q, "r": r},
+                 {p: Tensor(np.ones(3)), q: Tensor(bad), r: Tensor(np.full(2, np.nan))})
+
+
+def test_adamw_parameter_set_is_fixed_by_the_first_step():
+    def fresh(*shapes):
+        return [Tensor(np.ones(s), requires_grad=True) for s in shapes]
+
+    def grads_for(*ts):
+        return {t: Tensor(np.ones(t.shape, dtype=t.dtype)) for t in ts}
+
+    opt = AdamW(lr=0.1)
+    p, q = fresh(3, 2)
+    out = opt.step({"p": p, "q": q}, grads_for(p, q))
+    out = opt.step(out, grads_for(*out.values()))  # the same set again is fine
+    changed = [
+        {"q": out["q"], "p": out["p"]},                  # order
+        {"p": out["p"], "r": out["q"]},                  # a name
+        {"p": out["p"]},                                 # a dropped tensor
+        dict(zip("pq", fresh(3, (1, 2)))),               # a shape
+    ]
+    for params in changed:
+        with pytest.raises(ContractError, match="first step"):
+            opt.step(params, grads_for(*params.values()))
+    p32, q32 = (Tensor(t.data.astype(np.float32), requires_grad=True)
+                for t in out.values())
+    with pytest.raises(ContractError, match="first step"):
+        opt.step({"p": p32, "q": q32}, grads_for(p32, q32))
+    assert opt.step_count == 2
+
+
+def test_adamw_rejects_mixed_dtypes():
+    p = Tensor(np.ones(3), requires_grad=True)
+    q = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+    with pytest.raises(ContractError, match="mix dtypes"):
+        AdamW(lr=0.1).step({"p": p, "q": q}, {p: Tensor(np.ones(3)),
+                                              q: Tensor(np.ones(2, dtype=np.float32))})
+    with pytest.raises(ContractError, match="mix dtypes"):
+        AdamW(lr=0.1).step({"p": p}, {p: Tensor(np.ones(3, dtype=np.float32))})
+
+
 @pytest.mark.parametrize("case", ["matmul", "softmax", "layer_norm", "gelu",
                                   "cross_entropy", "mean"])
 def test_primitive_gradients_quick(case):

@@ -88,7 +88,7 @@ def test_bad_model_value_is_usage_error(override, capsys, monkeypatch):
 @pytest.mark.parametrize("override", [
     "train.lr=nan", "train.lr=-1", "train.finetune_lr=inf", "train.weight_decay=nan",
     "train.lambda_rec=-1", "train.lambda_rec=inf", "train.finetune_epochs=-1",
-    "train.warmup_epochs=-1"])
+    "train.warmup_epochs=-1", "train.seed=-1", "data.seed=-5"])
 def test_bad_train_value_is_usage_error(override, tmp_path, capsys, monkeypatch):
     code, err = run_main(["train", "--set", override, "--out-dir", str(tmp_path / "o")],
                          capsys, monkeypatch)

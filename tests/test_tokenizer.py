@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandcert import tokenizer
 from bandcert.errors import ContractError, DataFormatError
-from bandcert.tokenizer import (CODEBOOK_MAGIC, Codebook, fit_codebook,
-                                image_patches, load_codebook, save_codebook,
-                                tokenize_images)
+from bandcert.tokenizer import (CODEBOOK_MAGIC, LLOYD_ITERS, SQ_DIST_ROWS, Codebook,
+                                fit_codebook, image_patches, load_codebook,
+                                save_codebook, tokenize_images)
 
 
 def blobs(n_per_cluster=20, seed=0):
@@ -43,6 +44,70 @@ def test_fit_rejects_degenerate_requests():
         fit_codebook(dup, k=3, seed=0)
     with pytest.raises(ContractError):
         fit_codebook(pts.reshape(-1), k=3, seed=0)
+
+
+def test_fit_rejects_non_finite_patches():
+    pts, _ = blobs()
+    for bad in (np.nan, np.inf, -np.inf):
+        dirty = pts.copy()
+        dirty[7, 2] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            fit_codebook(dirty, k=3, seed=0)
+
+
+def _one_shot_sq_dists(x, c):
+    diff = x[:, None, :] - c[None, :, :]
+    return np.einsum("mkd,mkd->mk", diff, diff)
+
+
+def _reference_fit(pts, k, seed):
+    """fit_codebook as it was before the early stop: k-means++ seeding, then
+    all LLOYD_ITERS Lloyd iterations on one-shot distances."""
+    pts = np.asarray(pts, dtype=np.float64)
+    rng = np.random.default_rng([int(seed), 0xC0DE])
+    centroids = np.empty((k, pts.shape[1]))
+    centroids[0] = pts[rng.integers(pts.shape[0])]
+    best_d2 = _one_shot_sq_dists(pts, centroids[:1])[:, 0]
+    for i in range(1, k):
+        total = best_d2.sum()
+        if total <= 0.0:
+            centroids[i] = pts[rng.integers(pts.shape[0])]
+        else:
+            centroids[i] = pts[rng.choice(pts.shape[0], p=best_d2 / total)]
+        best_d2 = np.minimum(best_d2, _one_shot_sq_dists(pts, centroids[i:i + 1])[:, 0])
+    for _ in range(LLOYD_ITERS):
+        assign = np.argmin(_one_shot_sq_dists(pts, centroids), axis=1)
+        for ci in range(k):
+            members = pts[assign == ci]
+            if members.shape[0]:
+                centroids[ci] = members.mean(axis=0)
+    return centroids
+
+
+@pytest.mark.parametrize("source", ["blobs", "images"])
+def test_fit_matches_full_lloyd_reference_bytes(source):
+    # stopping at a repeated assignment must leave the centroids that all
+    # LLOYD_ITERS iterations reach, to the byte
+    for seed in (0, 1, 2):
+        if source == "blobs":
+            pts, _ = blobs(n_per_cluster=40, seed=seed)
+        else:
+            rng = np.random.default_rng(seed)
+            pts = image_patches(rng.random((24, 3, 8, 8)), 4)
+        for k in (2, 3, 7):
+            got = fit_codebook(pts, k=k, seed=seed).centroids
+            assert got.tobytes() == _reference_fit(pts, k, seed).tobytes(), (seed, k)
+
+
+@pytest.mark.parametrize("m", [0, 1, SQ_DIST_ROWS - 1, SQ_DIST_ROWS, SQ_DIST_ROWS + 1,
+                               3 * SQ_DIST_ROWS + 17])
+def test_chunked_sq_dists_match_one_shot_bytes(m):
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((m, 12))
+    c = rng.standard_normal((5, 12))
+    got = tokenizer._sq_dists(x, c)
+    assert got.shape == (m, 5)
+    assert got.tobytes() == _one_shot_sq_dists(x, c).tobytes()
 
 
 def test_tokenize_ties_go_to_lowest_id():
