@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -230,7 +231,9 @@ def cmd_certify(args, argv) -> int:
     plan = plan_windows(model_cfg, cert_cfg.band_width)
     load_seconds = time.perf_counter() - load_start
 
+    faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     result = evaluate(images.astype(ad.INFER_DTYPE), labels, params, plan, cert_cfg)
+    minor_page_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
     os.makedirs(args.out_dir, exist_ok=True)
     write_jsonl(os.path.join(args.out_dir, "records.jsonl"), result.records)
     write_json(os.path.join(args.out_dir, "summary.json"), result.summary)
@@ -240,7 +243,9 @@ def cmd_certify(args, argv) -> int:
     _write_meta(args.out_dir, "certify", started, argv,
                 phase_seconds={"load": load_seconds, **result.seconds},
                 images_per_s=n / sum(result.seconds.values()),
-                windows_executed=n * plan.image_width)
+                windows_executed=n * plan.image_width,
+                forwards_planned=plan.num_forwards,
+                minor_page_faults=minor_page_faults)
     print(json.dumps(result.summary, sort_keys=True, default=_json_default))
     return EXIT_OK
 
@@ -295,6 +300,9 @@ def cmd_bench(args, argv) -> int:
             "band_unit_sweep": band.total * model_cfg.image_side,
         },
         "num_forwards": plan.num_forwards,
+        # a lower bound on any packing of the plan's windows; b + p is an
+        # upper bound only at the geometries the tests check, not in general
+        "forwards_lower_bound": plan.forwards_lower_bound,
         "forwards_bound": b + model_cfg.patch_size,
         "seconds_global_sweep": t_global,
         "seconds_band_sweep": t_band,

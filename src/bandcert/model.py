@@ -18,9 +18,12 @@ class-row slice) with two implementations. While a tape records
 (``autodiff.recording()``), ``_TapeOps`` runs the tape primitives, which
 check every op's output for NaN/Inf, so training can differentiate them.
 Otherwise, in certification, the attack and ``bench``, ``_PlainOps`` makes
-the same numpy calls on plain arrays, some in place, bit-identical to the
-tape, and checks once per stage (the embedding, each block, the head).
-Either way a non-finite value raises NumericError naming that stage.
+the same numpy calls on plain arrays, bit-identical to the tape, and checks
+once per stage (the embedding, each block, the head). It writes every
+intermediate the size of its input batch into a ``_Workspace`` through
+``out=``, so a repeated call reuses memory it has already faulted in
+instead of allocating it afresh. Either way a non-finite value raises
+NumericError naming that stage.
 
 * ``forward_global``: the full token sequence, optionally with an additive
   attention mask restricting which tokens may be attended to.
@@ -32,7 +35,9 @@ Either way a non-finite value raises NumericError naming that stage.
 * ``forward_windows``: the windowed path fine-tuning and certification
   share, logits only. It takes k band positions per image, patchifies each
   image once, gathers each window's tokens by the ``WindowPlan``, ablates
-  only those, and runs one encoder call per window width.
+  only those, and encodes each window width. Off the tape it runs a width
+  in row blocks whose widest intermediate stays within
+  ``WINDOW_BLOCK_BYTES``, through the workspace the ``WindowPlan`` owns.
   ``finetune_band`` takes a loss term per width, and
   ``batched_certify_forward`` places the logits per (image, position) and
   counts forwards from the plan's groups of token-disjoint windows.
@@ -46,7 +51,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -59,6 +65,9 @@ from .smoothing import BandSpec, band_keep, band_token_span
 CHECKPOINT_MAGIC = b"ECVT"
 CHECKPOINT_VERSION = 1
 INPUT_CHANNELS = 4  # RGB + ablation mask plane, as ablate_batch emits them
+# Off the tape, forward_windows encodes as many rows at a time as keep the
+# block's widest intermediate within this many bytes.
+WINDOW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -204,8 +213,11 @@ class ModelParams:
 # tokenization of the pixel grid
 
 
-def patchify(inputs: np.ndarray, patch_size: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, N, C*P*P) patch vectors, row-major patch order."""
+def patchify(inputs: np.ndarray, patch_size: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """(B, C, H, W) -> (B, N, C*P*P) patch vectors, row-major patch order,
+    in the inputs' dtype; written into ``out``, a C-contiguous array of that
+    shape, when it is given."""
     x = np.asarray(inputs)
     if x.ndim != 4:
         raise ContractError(f"patchify: expected (B, C, H, W), got {x.shape}")
@@ -215,7 +227,31 @@ def patchify(inputs: np.ndarray, patch_size: int) -> np.ndarray:
     rows, cols = h // patch_size, w // patch_size
     x = x.reshape(b, c, rows, patch_size, cols, patch_size)
     x = x.transpose(0, 2, 4, 1, 3, 5)
-    return np.ascontiguousarray(x.reshape(b, rows * cols, c * patch_size * patch_size))
+    if out is None:
+        return np.ascontiguousarray(x.reshape(b, rows * cols, c * patch_size * patch_size))
+    np.copyto(out.reshape(x.shape), x)
+    return out
+
+
+class _Workspace:
+    """Scratch memory that outlives one call, the way an FFT plan owns its
+    work area: one flat byte buffer per named slot. ``take`` returns a
+    C-contiguous view at the front of a slot's buffer and reallocates only
+    when a larger request comes, so a repeated call of the same shapes
+    touches only memory it has already faulted in. A view stays valid until
+    the next ``take`` of its slot. Not thread-safe."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.lease = threading.Lock()  # held while a forward_windows sweep runs
+
+    def take(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self.buffers.get(slot)
+        if buf is None or buf.size < nbytes:
+            buf = self.buffers[slot] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
 
 @dataclass
@@ -284,67 +320,93 @@ class _TapeOps:
 class _PlainOps:
     """The same vocabulary on plain ndarrays, for inference: no Tensor, no
     tape and no per-op scan. Each op makes the numpy calls of its tape twin
-    in the same order on operands of the same dtype and layout, and runs an
-    elementwise step in place where the twin makes a fresh array, so the
-    results are the tape's bit for bit. ``check`` is the one NaN/Inf scan,
-    taken once per encoder stage."""
+    in the same order on operands of the same dtype and layout, so the
+    results are the tape's bit for bit. Where the twin makes a fresh array
+    the size of the batch, this op writes into a slot of the workspace
+    through ``out=``, or runs in place; only per-row arrays (means, maxima,
+    the class row) are allocated. Slots whose lifetimes do not overlap
+    share a buffer: ``scratch`` holds one op's temporary (the embedding's
+    position rows, the layer norm's squares, the GELU's Phi), ``ln`` every
+    layer norm's output, and each linear's output is keyed by its weight's
+    name within the block. ``check`` is the one NaN/Inf scan, taken once per
+    encoder stage, and ``tensor`` copies its array out of the workspace."""
 
-    def __init__(self, params: ModelParams, attn_bias: np.ndarray | None):
+    def __init__(self, params: ModelParams, attn_bias: np.ndarray | None,
+                 workspace: _Workspace):
         self.params = params
         self.bias = attn_bias
         self.scale = np.asarray(1.0 / math.sqrt(params.cfg.head_dim), dtype=params.dtype)
+        self.ws = workspace
 
     def _p(self, name: str) -> np.ndarray:
         return self.params[name].data
 
+    def _take(self, slot: str, shape: tuple[int, ...]) -> np.ndarray:
+        return self.ws.take(slot, shape, self.params.dtype)
+
     def embed(self, patches: np.ndarray, pos_ids: np.ndarray | None) -> np.ndarray:
-        cfg, dtype = self.params.cfg, self.params.dtype
-        proj = np.matmul(np.ascontiguousarray(patches, dtype=dtype),
-                         self._p("patch_embed.weight"))
-        cls = self._p("cls_token").reshape(1, 1, cfg.embed_dim)
-        zeros = np.zeros((proj.shape[0], 1, cfg.embed_dim), dtype=dtype)
-        h = np.concatenate([zeros + cls, proj], axis=1)
+        d = self.params.cfg.embed_dim
+        patches = np.ascontiguousarray(patches, dtype=self.params.dtype)
+        n, k, _ = patches.shape
+        # [0 + cls; patches @ E], the tape's concatenation, built in place
+        h = self._take("h", (n, k + 1, d))
+        h[:, :1] = 0
+        h[:, :1] += self._p("cls_token")
+        np.matmul(patches, self._p("patch_embed.weight"), out=h[:, 1:])
         pos_rows = self._p("pos_embed")
-        h += pos_rows if pos_ids is None else pos_rows[pos_ids]
+        if pos_ids is not None:
+            # ids are in range by construction; "clip" lets take write into
+            # out directly, where "raise" fills a temporary first
+            pos_rows = np.take(pos_rows, pos_ids, axis=0, mode="clip",
+                               out=self._take("scratch", np.shape(pos_ids) + (d,)))
+        h += pos_rows
         return h
 
     def affine_ln(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        y = x - x.mean(axis=-1, keepdims=True)
-        var = (y * y).mean(axis=-1, keepdims=True)
+        y = np.subtract(x, x.mean(axis=-1, keepdims=True), out=self._take("ln", x.shape))
+        var = np.multiply(y, y, out=self._take("scratch", x.shape)).mean(axis=-1,
+                                                                         keepdims=True)
         y *= 1.0 / np.sqrt(var + np.asarray(ad.LN_EPS, dtype=x.dtype))
         y *= self._p(prefix + ".gamma")
         y += self._p(prefix + ".beta")
         return y
 
     def linear(self, x: np.ndarray, weight: str, bias: str) -> np.ndarray:
-        y = np.matmul(x, self._p(weight))
+        w = self._p(weight)
+        y = np.matmul(x, w, out=self._take(weight.rsplit(".", 1)[-1],
+                                           x.shape[:-1] + w.shape[-1:]))
         y += self._p(bias)
         return y
 
     def attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         heads = self.params.cfg.num_heads
 
-        def split_heads(t):
+        def split_heads(t, slot):
             n, rows, d = t.shape
-            return np.ascontiguousarray(
-                t.reshape(n, rows, heads, d // heads).transpose(0, 2, 1, 3))
+            out = self._take(slot, (n, heads, rows, d // heads))
+            np.copyto(out, t.reshape(n, rows, heads, d // heads).transpose(0, 2, 1, 3))
+            return out
 
-        q, k, v = (split_heads(t) for t in (q, k, v))
-        scores = np.matmul(q, np.swapaxes(k, -1, -2))
+        q, k, v = (split_heads(t, slot) for t, slot in
+                   ((q, "q_heads"), (k, "k_heads"), (v, "v_heads")))
+        scores = np.matmul(q, np.swapaxes(k, -1, -2),
+                           out=self._take("scores", q.shape[:-1] + k.shape[-2:-1]))
         scores *= self.scale
         if self.bias is not None:
             scores += self.bias
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
-        o = np.matmul(scores, v)
+        o = np.matmul(scores, v, out=self._take("heads_out", q.shape))
         n, _, rows, dh = o.shape
-        return o.transpose(0, 2, 1, 3).reshape(n, rows, heads * dh)
+        merged = self._take("merged", (n, rows, heads * dh))
+        np.copyto(merged.reshape(n, rows, heads, dh), o.transpose(0, 2, 1, 3))
+        return merged
 
     def gelu(self, x: np.ndarray) -> np.ndarray:
-        # x * Phi(x) into x, which is the MLP's own fresh array; Phi is built
-        # in one scratch buffer that is freed before the next op allocates
-        cdf = x / np.sqrt(np.asarray(2.0, dtype=x.dtype))
+        # x * Phi(x) into x, the MLP's own slot; Phi is built in scratch
+        cdf = np.divide(x, np.sqrt(np.asarray(2.0, dtype=x.dtype)),
+                        out=self._take("scratch", x.shape))
         erf(cdf, out=cdf)
         cdf += 1.0
         cdf *= 0.5
@@ -352,7 +414,9 @@ class _PlainOps:
         return x
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a + b
+        # a is the residual stream, which nothing else reads
+        a += b
+        return a
 
     def class_row(self, x: np.ndarray) -> np.ndarray:
         return x[:, 0:1].copy()
@@ -361,11 +425,11 @@ class _PlainOps:
         return x.reshape(shape)
 
     def check(self, x: np.ndarray) -> None:
-        if not np.isfinite(x).all():
+        if not np.isfinite(x, out=self.ws.take("finite", x.shape, np.bool_)).all():
             raise NumericError("produced non-finite values")
 
     def tensor(self, x: np.ndarray) -> Tensor:
-        return Tensor(x)
+        return Tensor(x.copy())
 
 
 def _encoder(ops, patches: np.ndarray, pos_ids: np.ndarray | None,
@@ -414,7 +478,8 @@ def _encoder(ops, patches: np.ndarray, pos_ids: np.ndarray | None,
 
 
 def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None = None,
-            attn_bias: np.ndarray | None = None, *, tokens: bool = False) -> EncoderActivations:
+            attn_bias: np.ndarray | None = None, *, tokens: bool = False,
+            workspace: _Workspace | None = None) -> EncoderActivations:
     """The one encoder entry point: H_I = [cls; E x_1; ...; E x_K] + pos rows,
     then the blocks, the final layer norm and the class logits.
 
@@ -431,9 +496,16 @@ def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None
 
     While a tape records, the ops are tape primitives, so training can
     differentiate them; otherwise they run on plain arrays, with the same
-    bits and one NaN/Inf check per stage instead of one per op.
+    bits and one NaN/Inf check per stage instead of one per op, in the
+    given ``workspace`` (a fresh one when None). Nothing returned points
+    into the workspace. ``forward_windows`` calls this once per row block,
+    so when rows fail at different stages its error names the first failing
+    stage of the first failing block.
     """
-    ops = (_TapeOps if ad.recording() else _PlainOps)(params, attn_bias)
+    if ad.recording():
+        ops = _TapeOps(params, attn_bias)
+    else:
+        ops = _PlainOps(params, attn_bias, workspace or _Workspace())
     # overflow and inf - inf surface as one NumericError from the stage
     # checks, so numpy's warnings about them would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -507,14 +579,32 @@ def forward_band_unit(inputs: np.ndarray, params: ModelParams,
 
 @dataclass
 class WindowPlan:
+    """Each band position's window tokens, and the windows packed into
+    forwards of token-disjoint windows.
+
+    A plan also owns the workspace its plain-array sweeps run in (see
+    ``forward_windows``), the way an FFT plan owns its work area, so a
+    repeated sweep reuses memory it has already faulted in. Hence a plan
+    must not run from two threads at once: it runs one sweep at a time, and
+    a sweep started while another on the same plan is still being iterated,
+    in this thread or another, raises ContractError.
+    """
     band_width: int
     image_width: int
     window_ids: list[np.ndarray]     # per band position: window_token_ids
     groups: list[list[int]]          # band positions packed per forward
+    workspace: _Workspace = field(default_factory=_Workspace, repr=False, compare=False)
 
     @property
     def num_forwards(self) -> int:
         return len(self.groups)
+
+    @property
+    def forwards_lower_bound(self) -> int:
+        """The largest column load: the most windows that cover any one
+        token column. Windows in one forward are token-disjoint, so every
+        packing of these windows needs at least this many forwards."""
+        return int(np.bincount(np.concatenate(self.window_ids)).max())
 
 
 def _template_groups(arcs: list[tuple[int, ...]], n_cols: int) -> list[list[int]]:
@@ -624,6 +714,38 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
     )
 
 
+def _row_bytes(cfg: ModelConfig, k: int, dtype) -> int:
+    """Bytes per row of the widest encoder intermediate for k-token windows:
+    k + 1 sequence rows by the widest of the embedding, MLP, patch-vector
+    and attention-score widths."""
+    mlp = int(round(cfg.mlp_ratio * cfg.embed_dim))
+    width = max(cfg.embed_dim, mlp, cfg.patch_dim, cfg.num_heads * (k + 1))
+    return (k + 1) * width * np.dtype(dtype).itemsize
+
+
+def _window_vectors(patches: np.ndarray, keep: np.ndarray, rows: np.ndarray,
+                    per_image: int, ids: np.ndarray, cfg: ModelConfig,
+                    workspace: _Workspace) -> np.ndarray:
+    """Gather, then ablate: the (n, k, patch_dim) patch vectors of the
+    windows on flat ``rows``, whose tokens are ``ids`` (n, k), built in the
+    workspace's ``gather`` and ``windows`` slots."""
+    ps = cfg.patch_size
+    n, k = ids.shape
+    _, n_cols = cfg.grid
+    # keep flag of each pixel column of each gathered token: (n, k, ps)
+    col_keep = keep.reshape(keep.shape[0], n_cols, ps)[rows[:, None], ids % n_cols]
+    flags = col_keep[:, :, None, None, :]
+    pixels = np.take(patches.reshape(-1, patches.shape[2]),
+                     (rows // per_image)[:, None] * cfg.num_tokens + ids, axis=0,
+                     mode="clip", out=workspace.take("gather", (n, k, patches.shape[2]),
+                                                     patches.dtype))
+    windows = workspace.take("windows", (n, k, INPUT_CHANNELS, ps, ps),
+                             np.result_type(patches, keep))
+    np.multiply(pixels.reshape(n, k, 3, ps, ps), flags, out=windows[:, :, :3])
+    windows[:, :, 3:] = flags
+    return windows.reshape(n, k, cfg.patch_dim)
+
+
 def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelParams,
                     plan: WindowPlan):
     """Patchify -> gather -> ablate -> window encoder, logits only.
@@ -641,6 +763,13 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     window's patch vectors equal ablate_batch -> patchify -> gather bit for
     bit. Every encoder op is row-local or a per-slice gufunc, so a row's
     logits do not depend on the rows stacked with it.
+
+    Off the tape, a width runs in row blocks, gather -> ablate -> encode,
+    each holding as many rows as keep its widest intermediate within
+    ``WINDOW_BLOCK_BYTES``, all of them in the plan's workspace; the logits
+    of a width are a fresh array. While a tape records, the tape keeps
+    every op's inputs until backward and splitting a width would reorder
+    its gradient sums, so each width runs as one block of fresh arrays.
     """
     cfg = params.cfg
     ps = cfg.patch_size
@@ -655,20 +784,31 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
                             f"{cfg.image_side}")
     per_image = pos.shape[1]
     pos = pos.reshape(-1)
-    patches = patchify(imgs, ps)
-    _, n_cols = cfg.grid
-    sizes = np.array([ids.size for ids in plan.window_ids])[pos]
-    for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        ids = np.stack([plan.window_ids[p] for p in pos[rows]])
-        n, k = ids.shape
-        # keep flag of each pixel column of each gathered token: (n, k, ps)
-        col_keep = keep[rows[:, None, None], (ids % n_cols)[:, :, None] * ps + np.arange(ps)]
-        flags = col_keep[:, :, None, None, :]
-        pixels = patches[(rows // per_image)[:, None], ids].reshape(n, k, 3, ps, ps) * flags
-        windows = np.concatenate([pixels, np.broadcast_to(flags, (n, k, 1, ps, ps))], axis=2)
-        with_cls = np.concatenate([np.zeros((n, 1), dtype=np.int64), ids + 1], axis=1)
-        yield rows, _encode(params, windows.reshape(n, k, cfg.patch_dim), with_cls).logits
+    taped = ad.recording()
+    if not plan.workspace.lease.acquire(blocking=False):
+        raise ContractError("forward_windows: this plan is already running a sweep")
+    try:
+        patches = patchify(imgs, ps, out=None if taped else plan.workspace.take(
+            "patches", (imgs.shape[0], cfg.num_tokens, 3 * ps * ps), imgs.dtype))
+        sizes = np.array([ids.size for ids in plan.window_ids])[pos]
+        for size in np.unique(sizes):
+            rows = np.flatnonzero(sizes == size)
+            ids = np.stack([plan.window_ids[p] for p in pos[rows]])
+            n, k = ids.shape
+            with_cls = np.concatenate([np.zeros((n, 1), dtype=np.int64), ids + 1], axis=1)
+            # the tape keeps every op's inputs until backward, so a taped
+            # width runs as one block of fresh arrays
+            ws = _Workspace() if taped else plan.workspace
+            step = n if taped else max(1, WINDOW_BLOCK_BYTES
+                                       // _row_bytes(cfg, k, params.dtype))
+            blocks = []
+            for start in range(0, n, step):
+                b = slice(start, start + step)
+                windows = _window_vectors(patches, keep, rows[b], per_image, ids[b], cfg, ws)
+                blocks.append(_encode(params, windows, with_cls[b], workspace=ws).logits)
+            yield rows, blocks[0] if taped else Tensor(np.concatenate([t.data for t in blocks]))
+    finally:
+        plan.workspace.lease.release()
 
 
 def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: WindowPlan,
@@ -684,13 +824,15 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
     to a lone forward_band_unit call on that image and band.
 
     The forwards count follows the plan: one per group of token-disjoint
-    windows that holds a wanted position. The full plan stays within
-    band_width + patch_size forwards at the wrapped-band (w, p, b) the
-    tests check: (16, 4, 2), (16, 4, 4), (32, 4, 4), (32, 4, 8) and
-    (64, 8, 8). That is no general bound for wrapped bands: w=16, p=4, b=7
-    plans 12 forwards against 11. With unwrapped bands it held at every
-    geometry tried (w from 16 to 224, p in {4, 8, 14, 16}, b up to 32 plus
-    w/2 and w), which is a measurement, not a proof.
+    windows that holds a wanted position. No packing of the full plan's
+    windows takes fewer than ``plan.forwards_lower_bound`` forwards. The
+    plan stays within band_width + patch_size forwards at the wrapped-band
+    (w, p, b) the tests check: (16, 4, 2), (16, 4, 4), (32, 4, 4),
+    (32, 4, 8) and (64, 8, 8). That is no general bound for wrapped
+    bands: w=16, p=4, b=7 plans 12 forwards against 11. With unwrapped
+    bands it held at every geometry tried (w from 16 to 224, p in
+    {4, 8, 14, 16}, b up to 32 plus w/2 and w), which is a measurement,
+    not a proof.
     """
     cfg = params.cfg
     imgs = np.asarray(images)

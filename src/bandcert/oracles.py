@@ -244,14 +244,17 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     flips = 0
     min_margin = base_table.margin
     rescored = 0
+    # one batch of trial images for every location: each location restores
+    # the previous patch region from the clean image before drawing its own
+    patched = np.repeat(img[None], trials, axis=0)
+    region = (slice(None), slice(None), slice(0, 0), slice(0, 0))
     for (r0, c0) in locations:
         hit = affected_positions(c0, patch_shape[1], cfg.band_width, w,
                                  wrap=params.cfg.band_wrap)
         rescored = max(rescored, hit.size)
-        patched = np.repeat(img[None], trials, axis=0)
-        patched[:, :, r0:r0 + patch_shape[0], c0:c0 + patch_shape[1]] = \
-            rng.random((trials, 3, patch_shape[0], patch_shape[1]),
-                       dtype=np.float32)
+        patched[region] = img[region[1:]]
+        region = (slice(None), slice(None), slice(r0, r0 + ph), slice(c0, c0 + pw))
+        patched[region] = rng.random((trials, 3, ph, pw), dtype=np.float32)
         new_scores = per_band_scores(patched, params, plan, cfg, positions=hit.tolist())
         margins, preds = _recount_votes(base_table, base_scores[0], new_scores,
                                         hit, cfg)

@@ -8,6 +8,7 @@ import pytest
 
 from bandcert.cli import (_BLAS_VARS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                           THREADS_ENV, UsageError, main, resolve_threads)
+from bandcert.model import ModelConfig, plan_windows
 
 TINY = [
     "--set", "data.image_side=8", "--set", "data.train_size=12",
@@ -237,8 +238,16 @@ def test_certify_meta_reports_phases_and_results_are_byte_stable(trained_dir, tm
     assert all(v >= 0 for v in meta["phase_seconds"].values())
     assert meta["images_per_s"] > 0
     assert meta["windows_executed"] == 4 * 8  # test images x band positions
+    for key in ("forwards_planned", "minor_page_faults"):
+        assert isinstance(meta[key], int) and meta[key] >= 0, key
+    tiny = ModelConfig(image_side=8, patch_size=4, embed_dim=16, num_layers=1,
+                       num_heads=2, mlp_ratio=2.0, codebook_size=8)
+    assert meta["forwards_planned"] == plan_windows(tiny, 2).num_forwards
     summary = json.loads((outs[0] / "summary.json").read_text())
-    assert not {"phase_seconds", "images_per_s", "windows_executed"} & set(summary)
+    records = (outs[0] / "records.jsonl").read_text()
+    for key in ("phase_seconds", "images_per_s", "windows_executed",
+                "forwards_planned", "minor_page_faults"):
+        assert key not in summary and key not in records, key
 
 
 def test_finetune_resumes_a_checkpoint(trained_dir, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandcert import autodiff as ad
 from bandcert import model
 from bandcert.autodiff import Tape, Tensor, record
 from bandcert.errors import ContractError, DataFormatError, NumericError
@@ -125,6 +126,23 @@ def test_plan_toy_geometry_forward_count():
     assert plan_windows(cfg, 4).num_forwards <= 8
 
 
+def test_forwards_lower_bound_holds_for_every_plan():
+    # the largest column load bounds every packing from below, so it must
+    # never exceed what the packer plans; unwrapped, the packer meets it
+    for w in (8, 12, 16, 24, 32, 40, 48, 64):
+        for p in (d for d in range(1, w + 1) if w % d == 0):
+            for wrap in (True, False):
+                cfg = ModelConfig(image_side=w, patch_size=p, embed_dim=4, num_layers=1,
+                                  num_heads=1, mlp_ratio=1.0, num_classes=2,
+                                  codebook_size=2, band_wrap=wrap)
+                for b in range(1, w + 1):
+                    plan = plan_windows(cfg, b)
+                    if wrap:
+                        assert plan.forwards_lower_bound <= plan.num_forwards, (w, p, b)
+                    else:
+                        assert plan.forwards_lower_bound == plan.num_forwards, (w, p, b)
+
+
 def test_batched_forward_is_bit_identical_to_lone_forwards():
     cfg = tiny_cfg()
     plan = plan_windows(cfg, 4)
@@ -243,6 +261,112 @@ def test_forward_windows_rejects_bad_inputs():
     for bad_imgs, bad_pos in cases:
         with pytest.raises(ContractError):
             list(forward_windows(bad_imgs, bad_pos, params, plan))
+
+
+def _sweeps(imgs, positions, params, plan):
+    """One batched sweep of every band position and one forward_windows
+    sweep of ``positions``, as plain arrays."""
+    table, _ = batched_certify_forward(imgs, params, plan)
+    return [table] + [a for rows, logits in forward_windows(imgs, positions, params, plan)
+                      for a in (rows, logits.data)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_blocks_give_the_bits_of_one_block(dtype, monkeypatch):
+    cfg = tiny_cfg(image_side=16)
+    params = _scaled_params(cfg, dtype)
+    plan = plan_windows(cfg, 3)
+    rng = np.random.default_rng(4)
+    imgs = rng.random((5, 3, 16, 16)).astype(dtype)
+    positions = rng.integers(0, 16, size=(5, 3))
+    whole = _sweeps(imgs, positions, params, plan)
+    block_rows = []
+    real_encode = model._encode
+
+    def spy(params, patches, *args, **kwargs):
+        block_rows.append(len(patches))
+        return real_encode(params, patches, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode", spy)
+    widest = max(ids.size for ids in plan.window_ids)
+    for budget, rows in ((1, 1), (3 * model._row_bytes(cfg, widest, dtype), 3)):
+        monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)
+        block_rows.clear()
+        blocked = _sweeps(imgs, positions, params, plan)
+        assert rows in block_rows and max(block_rows) < 5 * 16
+        assert len(blocked) == len(whole)
+        for got, want in zip(blocked, whole):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_repeated_sweep_reuses_the_plan_workspace():
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    plan = plan_windows(cfg, 3)
+    rng = np.random.default_rng(1)
+    batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
+    buffers = dict(plan.workspace.buffers)
+    assert buffers
+    batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
+    assert plan.workspace.buffers.keys() == buffers.keys()
+    assert all(plan.workspace.buffers[slot] is buf for slot, buf in buffers.items())
+
+
+@pytest.mark.parametrize("budget", [model.WINDOW_BLOCK_BYTES, 1])
+def test_results_do_not_alias_the_workspace(budget, monkeypatch):
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    plan = plan_windows(cfg, 3)
+    rng = np.random.default_rng(2)
+    positions = rng.integers(0, 8, size=(4, 2))
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)  # one block or many
+    first = _sweeps(rng.random((4, 3, 8, 8)), positions, params, plan)
+    held = [a.copy() for a in first]
+    _sweeps(rng.random((4, 3, 8, 8)), positions, params, plan)
+    for got, want in zip(first, held):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_a_plan_runs_one_sweep_at_a_time():
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    plan = plan_windows(cfg, 3)
+    imgs = np.random.default_rng(3).random((2, 3, 8, 8))
+    running = forward_windows(imgs, np.array([[0, 1], [2, 3]]), params, plan)
+    next(running)
+    with pytest.raises(ContractError):
+        batched_certify_forward(imgs, params, plan)
+    list(running)
+    batched_certify_forward(imgs, params, plan)
+
+
+def test_a_plain_sweep_before_backward_leaves_the_gradients_alone():
+    # the tape holds each width's inputs until backward; a plain sweep on
+    # the same plan in between must not touch them
+    cfg = tiny_cfg()
+    plan = plan_windows(cfg, 3)
+    rng = np.random.default_rng(6)
+    imgs = rng.random((4, 3, 8, 8))
+    positions = rng.integers(0, 8, size=(4, 2))
+    labels = rng.integers(0, 3, size=8)
+
+    def gradients(sweep_between: bool):
+        params = _scaled_params(cfg, np.float64, trainable=True)
+        tape = Tape()
+        with record(tape):
+            terms = [ad.cross_entropy(logits, labels[rows])
+                     for rows, logits in forward_windows(imgs, positions, params, plan)]
+            loss = ad.add(*terms)
+        assert len(terms) == 2
+        if sweep_between:
+            batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
+        grads = ad.backward(tape, loss)
+        return {name: grads[t].data for name, t in params.tensors.items() if t in grads}
+
+    alone, swept = gradients(False), gradients(True)
+    assert alone.keys() == swept.keys() and "patch_embed.weight" in alone
+    for name, g in alone.items():
+        assert g.tobytes() == swept[name].tobytes(), name
 
 
 def _scaled_params(cfg, dtype, seed=9, trainable=False):
@@ -374,6 +498,24 @@ def test_non_finite_values_name_the_encoder_stage_on_both_paths(dtype):
                 with pytest.raises(NumericError,
                                    match=f"^{stage}: {op}produced non-finite values$"):
                     path()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_non_finite_row_in_the_last_block_names_its_stage(dtype, monkeypatch):
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", 1)  # one row per block
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=1).cast(dtype)
+    plan = plan_windows(cfg, 4)
+    imgs = np.random.default_rng(0).random((3, 3, 8, 8)).astype(dtype)
+    positions = np.zeros((3, 1), dtype=int)  # one width: token column 0
+    imgs[2, 1, 5, 2] = np.nan  # image 2's row is the last of three blocks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError,
+                           match="^encoder embedding: produced non-finite values$"):
+            list(forward_windows(imgs, positions, params, plan))
+    # the failed sweep released the plan
+    assert len(list(forward_windows(imgs[:2], positions[:2], params, plan))) == 1
 
 
 def test_checkpoint_roundtrip_is_exact(tmp_path):

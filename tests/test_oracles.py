@@ -159,6 +159,33 @@ def test_empirical_attack_smoke(small_params):
     assert report.min_margin_seen <= 8
 
 
+def test_empirical_attack_patches_only_the_current_location(small_params, monkeypatch):
+    # each location's trial images equal the clean image outside that
+    # location's patch, whatever the locations before it patched
+    params = small_params.cast(np.float32)
+    plan = plan_windows(params.cfg, 2)
+    img = np.random.default_rng(9).random((3, 8, 8)).astype(np.float32)
+    scored = []
+
+    def spy(images, params, plan, cfg, positions=None):
+        if positions is not None:
+            scored.append(np.array(images))
+        return real_scores(images, params, plan, cfg, positions=positions)
+
+    real_scores = oracles.per_band_scores
+    monkeypatch.setattr(oracles, "per_band_scores", spy)
+    locations = [(0, 0), (3, 3), (5, 1), (3, 3)]
+    empirical_patch_attack(img, params, plan, CertifyConfig(band_width=2),
+                           patch_shape=(2, 3), locations=locations, trials=4, seed=0)
+    assert len(scored) == len(locations)
+    for (r0, c0), trials in zip(locations, scored):
+        inside = np.zeros((8, 8), dtype=bool)
+        inside[r0:r0 + 2, c0:c0 + 3] = True
+        np.testing.assert_array_equal(trials[:, :, ~inside],
+                                      np.broadcast_to(img[:, ~inside], (4, 3, 64 - 6)))
+        assert (trials[:, :, inside] != img[:, inside]).all()
+
+
 @pytest.mark.parametrize("patch_shape, locations, trials", [
     ((9, 2), [(0, 0)], 5),
     ((2, 9), [(0, 0)], 5),
