@@ -49,6 +49,9 @@ class CertifyConfig:
         for shape in self.patch_shapes:
             if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
                 raise ContractError(f"CertifyConfig: bad patch shape {shape}")
+            if self.patch_shapes.count(shape) > 1:  # evaluate counts by shape_key
+                raise ContractError(f"CertifyConfig: patch shape {self.shape_key(shape)} "
+                                    f"is listed twice")
 
     def shape_key(self, shape: tuple[int, int]) -> str:
         return f"{shape[0]}x{shape[1]}"

@@ -1,9 +1,9 @@
 """INI-style experiment configuration.
 
 Four sections: [data], [model], [train], [certify]. Every key has a typed
-default; a key or section the schema does not know is a hard error rather
-than a silent ignore, so typos fail fast. ``--set section.key=value``
-overrides win over the file.
+default; a key or section the schema does not know, [DEFAULT] included, is
+an error, so typos fail fast. Values are read literally, with no ``%``
+interpolation. ``--set section.key=value`` overrides win over the file.
 """
 
 from __future__ import annotations
@@ -121,8 +121,12 @@ def load_config(path: str | None = None,
     """Defaults, then the INI file, then ``section.key=value`` overrides."""
     cfg = default_config()
     if path is not None:
-        cp = configparser.ConfigParser()
-        read = cp.read(path)
+        # no header matches the empty name, so [DEFAULT] is a plain section
+        cp = configparser.ConfigParser(interpolation=None, default_section="")
+        try:
+            read = cp.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as e:
+            raise ContractError(f"config file '{path}': {' '.join(str(e).split())}") from None
         if not read:
             raise ContractError(f"config file '{path}' not found or unreadable")
         for section in cp.sections():

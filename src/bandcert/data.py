@@ -49,7 +49,7 @@ class DatasetSpec:
 
     ``train_size``/``test_size`` cap a cifar10 split, where 0 means the whole
     split; for synthetic they are the number of images to generate, and 0
-    is an error (an empty split).
+    is an error (an empty split). Neither may be negative.
     """
 
     source: str = "synthetic"
@@ -68,6 +68,9 @@ class DatasetSpec:
             raise ContractError("DatasetSpec: image_side must be >= 4")
         if self.upsample_factor < 1:
             raise ContractError("DatasetSpec: upsample_factor must be >= 1")
+        for name in ("train_size", "test_size"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"DatasetSpec: {name} {getattr(self, name)} < 0")
         if self.source == "synthetic" and not (2 <= self.num_classes <= 8):
             raise ContractError("DatasetSpec: synthetic supports 2..8 classes")
 
@@ -214,15 +217,11 @@ def gen_synthetic(spec: DatasetSpec, n: int, split: str = "train") -> list[Label
 
 def load_dataset(spec: DatasetSpec, split: str) -> list[LabeledImage]:
     """Loader dispatch plus optional nearest-neighbor upsampling."""
+    n = spec.train_size if split == "train" else spec.test_size
     if spec.source == "synthetic":
-        n = spec.train_size if split == "train" else spec.test_size
         images = gen_synthetic(spec, n, split)
     else:
-        images = load_cifar10(spec.path, split)
-        if spec.train_size and split == "train":
-            images = images[: spec.train_size]
-        if spec.test_size and split == "test":
-            images = images[: spec.test_size]
+        images = load_cifar10(spec.path, split)[:n or None]
     if not images:
         raise ContractError(f"load_dataset: the {split} split has no images")
     if spec.upsample_factor > 1:

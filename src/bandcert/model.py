@@ -44,7 +44,8 @@ NumericError naming that stage.
 
 The checkpoint format is a little-endian binary container: magic "ECVT",
 u32 version, then per tensor u32 name length, UTF-8 name, u32 rank, u64
-dims, raw float32 data.
+dims, raw float32 data. Version 2 holds the classifier, as ``ModelParams``
+does; ``load_checkpoint`` checks and drops version 1's four ``recon_*`` tensors.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .errors import ContractError, DataFormatError, NumericError
 from .smoothing import BandSpec, band_keep, band_token_span
 
 CHECKPOINT_MAGIC = b"ECVT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 INPUT_CHANNELS = 4  # RGB + ablation mask plane, as ablate_batch emits them
 # Off the tape, forward_windows encodes as many rows at a time as keep the
 # block's widest intermediate within this many bytes.
@@ -148,17 +149,16 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["final_ln.beta"] = (d,)
     shapes["head.weight"] = (d, cfg.num_classes)
     shapes["head.bias"] = (cfg.num_classes,)
-    shapes["recon_vocab.weight"] = (d, cfg.codebook_size)
-    shapes["recon_vocab.bias"] = (cfg.codebook_size,)
-    shapes["recon_proj.weight"] = (d, d)
-    shapes["recon_proj.bias"] = (d,)
     return shapes
 
-RECON_PREFIXES = ("recon_vocab.", "recon_proj.")
+
+def _recon_head_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    return {"recon_vocab.weight": (cfg.embed_dim, cfg.codebook_size),
+            "recon_vocab.bias": (cfg.codebook_size,)}
 
 
 class ModelParams:
-    """Named parameter tensors in a fixed order (the checkpoint order)."""
+    """The classifier's named tensors in a fixed order (the checkpoint order)."""
 
     def __init__(self, cfg: ModelConfig, tensors: dict[str, Tensor]):
         expected = _param_shapes(cfg)
@@ -173,9 +173,16 @@ class ModelParams:
 
     @classmethod
     def init(cls, cfg: ModelConfig, seed: int) -> "ModelParams":
+        return cls.init_with_recon_head(cfg, seed)[0]
+
+    @classmethod
+    def init_with_recon_head(cls, cfg: ModelConfig,
+                             seed: int) -> tuple["ModelParams", dict[str, Tensor]]:
+        """The classifier, then the curriculum's reconstruction head
+        (``recon_vocab.*``, training state), drawn from one seeded stream."""
         rng = np.random.default_rng([int(seed), 0x5eed])
         tensors: dict[str, Tensor] = {}
-        for name, shape in _param_shapes(cfg).items():
+        for name, shape in {**_param_shapes(cfg), **_recon_head_shapes(cfg)}.items():
             leaf = name.split(".")[-1]
             if leaf in ("beta", "bias", "bq", "bk", "bv", "bo", "b1", "b2"):
                 arr = np.zeros(shape)
@@ -185,7 +192,8 @@ class ModelParams:
                 arr = rng.normal(0.0, 0.02, size=shape)
             tensors[name] = Tensor(np.ascontiguousarray(arr, dtype=ad.TRAIN_DTYPE),
                                    requires_grad=True)
-        return cls(cfg, tensors)
+        head = {name: tensors.pop(name) for name in _recon_head_shapes(cfg)}
+        return cls(cfg, tensors), head
 
     @property
     def dtype(self):
@@ -196,14 +204,6 @@ class ModelParams:
             name: Tensor(np.ascontiguousarray(t.data, dtype=dtype),
                          requires_grad=trainable)
             for name, t in self.tensors.items()})
-
-    def update(self, fresh: dict[str, Tensor]) -> None:
-        for name, t in fresh.items():
-            if name not in self.tensors:
-                raise ContractError(f"ModelParams.update: unknown parameter '{name}'")
-            if t.shape != self.tensors[name].shape:
-                raise ContractError(f"ModelParams.update: shape change for '{name}'")
-            self.tensors[name] = t
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -939,9 +939,9 @@ def load_checkpoint(path: str, cfg: ModelConfig, dtype=ad.INFER_DTYPE) -> ModelP
         return blob[off - size:off]
 
     (version,) = struct.unpack("<I", take(4, "version"))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise DataFormatError(f"{path}: checkpoint version {version}, this build "
-                              f"reads version {CHECKPOINT_VERSION}")
+                              f"reads versions 1 and {CHECKPOINT_VERSION}")
     tensors: dict[str, np.ndarray] = {}
     while off < len(blob):
         (nlen,) = struct.unpack("<I", take(4, "tensor header"))
@@ -961,18 +961,21 @@ def load_checkpoint(path: str, cfg: ModelConfig, dtype=ad.INFER_DTYPE) -> ModelP
             raise DataFormatError(f"{path}: tensor '{name}' has dims {dims}: {e}") from None
 
     expected = _param_shapes(cfg)
+    if version == 1:  # the reconstruction head, then an unused d x d projection
+        d = cfg.embed_dim
+        expected |= _recon_head_shapes(cfg)
+        expected |= {"recon_proj.weight": (d, d), "recon_proj.bias": (d,)}
     if set(tensors) != set(expected):
         missing = sorted(set(expected) - set(tensors))
         extra = sorted(set(tensors) - set(expected))
         raise DataFormatError(f"{path}: tensor names do not match the config "
                               f"(missing {missing[:3]}, extra {extra[:3]})")
-    out: dict[str, Tensor] = {}
     for name, shape in expected.items():
         if tensors[name].shape != shape:
             raise DataFormatError(f"{path}: '{name}' stored as {tensors[name].shape}, "
                                   f"config wants {shape}")
         if not np.isfinite(tensors[name]).all():
             raise DataFormatError(f"{path}: tensor '{name}' holds NaN or Inf")
-        out[name] = Tensor(np.ascontiguousarray(tensors[name], dtype=dtype),
-                           requires_grad=False)
-    return ModelParams(cfg, out)
+    return ModelParams(cfg, {
+        name: Tensor(np.ascontiguousarray(tensors[name], dtype=dtype), requires_grad=False)
+        for name in _param_shapes(cfg)})

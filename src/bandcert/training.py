@@ -14,8 +14,8 @@ The schedule has two phases:
 
 2. Band-unit fine-tuning. The encoder now only sees the tokens a
    certification window would gather, with a fresh random band per sample,
-   trained with plain cross entropy. The reconstruction heads are dropped
-   from the graph and frozen.
+   trained with plain cross entropy. The reconstruction head is stage-only
+   state, never saved.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, Tape, Tensor, record
 from .errors import ContractError
-from .model import (ModelConfig, ModelParams, RECON_PREFIXES, forward_global,
-                    forward_windows, plan_windows)
+from .model import (ModelConfig, ModelParams, forward_global, forward_windows,
+                    plan_windows)
 from .smoothing import ablate_batch, stage_masks
 from .tokenizer import Codebook, fit_codebook, image_patches, tokenize_images
 
@@ -103,10 +103,6 @@ def build_default_plan(cfg: ModelConfig, band_width: int, epochs_per_stage: int 
     return TrainPlan(stages=stages, band_width=band_width, **overrides)
 
 
-def _trainable(params: ModelParams, exclude: tuple[str, ...]) -> dict[str, Tensor]:
-    return {n: t for n, t in params.tensors.items() if not n.startswith(exclude)}
-
-
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -120,12 +116,12 @@ def _warmup_scale(step: int, steps_per_epoch: int, warmup_epochs: int) -> float:
     return (step + 1) / total
 
 
-def _optimise(params: ModelParams, plan: TrainPlan, batch_loss,
+def _optimise(trained: tuple[dict[str, Tensor], ...], plan: TrainPlan, batch_loss,
               rng: np.random.Generator, *, n: int, epochs: int, lr: float,
-              exclude: tuple[str, ...], tags: dict) -> list[dict]:
+              tags: dict) -> list[dict]:
     """The one training loop: shuffled batches of ``n`` samples, a tape per
-    batch, backward, one AdamW step over the parameters outside ``exclude``.
-    Batch size, weight decay and warmup come from ``plan``.
+    batch, backward, one AdamW step that replaces every tensor of the dicts
+    in ``trained``. Batch size, weight decay and warmup come from ``plan``.
 
     ``batch_loss(batch)`` runs while the tape records and returns the scalar
     loss plus per-batch sums (already scaled by the batch size where they
@@ -133,7 +129,6 @@ def _optimise(params: ModelParams, plan: TrainPlan, batch_loss,
     sum divided by ``n``.
     """
     opt = AdamW(lr=lr, weight_decay=plan.weight_decay)
-    names = _trainable(params, exclude)
     steps_per_epoch = math.ceil(n / plan.batch_size)
     records = []
     step = 0
@@ -145,8 +140,10 @@ def _optimise(params: ModelParams, plan: TrainPlan, batch_loss,
                 loss, batch_sums = batch_loss(batch)
             grads = ad.backward(tape, loss)
             scale = _warmup_scale(step, steps_per_epoch, plan.warmup_epochs)
-            params.update(opt.step(names, grads, lr_scale=scale))
-            names = _trainable(params, exclude)
+            fresh = opt.step({name: t for part in trained for name, t in part.items()},
+                             grads, lr_scale=scale)
+            for part in trained:
+                part.update((name, fresh[name]) for name in part)
             for key, value in batch_sums.items():
                 sums[key] = sums.get(key, 0.0) + value
             step += 1
@@ -154,11 +151,12 @@ def _optimise(params: ModelParams, plan: TrainPlan, batch_loss,
     return records
 
 
-def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
-              images: np.ndarray, labels: np.ndarray,
+def run_stage(params: ModelParams, head: dict[str, Tensor], stage: StageConfig,
+              plan: TrainPlan, images: np.ndarray, labels: np.ndarray,
               recon_targets: np.ndarray, stage_index: int,
               seed: int) -> list[dict]:
-    """One curriculum stage. ``recon_targets`` is (B, N) int codebook ids."""
+    """One curriculum stage, training the classifier and the reconstruction
+    ``head``. ``recon_targets`` is (B, N) int codebook ids."""
     cfg = params.cfg
     rng = np.random.default_rng([int(seed), 0xA, stage_index])
     lam = Tensor(np.asarray(plan.lambda_rec, dtype=ad.TRAIN_DTYPE))
@@ -177,16 +175,15 @@ def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
                                 (-1, cfg.embed_dim))
         picked = np.flatnonzero(flags[positions])
         gathered = ad.embedding_lookup(patch_rows, picked)
-        logits = ad.add(ad.matmul(gathered, params["recon_vocab.weight"]),
-                        params["recon_vocab.bias"])
+        logits = ad.add(ad.matmul(gathered, head["recon_vocab.weight"]),
+                        head["recon_vocab.bias"])
         rec = ad.cross_entropy(logits, recon_targets[batch].reshape(-1)[picked])
         loss = ad.add(ce, ad.mul(rec, lam))
         return loss, {"loss": loss.item() * batch.size, "ce": ce.item() * batch.size,
                       "rec": rec.item() * batch.size}
 
-    # recon_proj.* has no use; it stays, frozen, only in the checkpoint layout
-    return _optimise(params, plan, batch_loss, rng, n=images.shape[0],
-                     epochs=stage.epochs, lr=stage.lr, exclude=("recon_proj.",),
+    return _optimise((params.tensors, head), plan, batch_loss, rng, n=images.shape[0],
+                     epochs=stage.epochs, lr=stage.lr,
                      tags={"phase": "stage", "stage": stage_index,
                            "keep_width": stage.keep_width})
 
@@ -194,7 +191,7 @@ def run_stage(params: ModelParams, stage: StageConfig, plan: TrainPlan,
 def finetune_band(params: ModelParams, plan: TrainPlan,
                   images: np.ndarray, labels: np.ndarray, seed: int) -> list[dict]:
     """Band-unit fine-tuning: every sample sees only one random window's
-    tokens; cross entropy only; reconstruction heads stay frozen."""
+    tokens; cross entropy only."""
     cfg = params.cfg
     rng = np.random.default_rng([int(seed), 0xB])
     windows = plan_windows(cfg, plan.band_width)
@@ -213,9 +210,8 @@ def finetune_band(params: ModelParams, plan: TrainPlan,
             hits += int((np.argmax(logits.data, axis=1) == ys[rows]).sum())
         return loss, {"loss": loss.item() * batch.size, "band_accuracy": float(hits)}
 
-    return _optimise(params, plan, batch_loss, rng, n=images.shape[0],
+    return _optimise((params.tensors,), plan, batch_loss, rng, n=images.shape[0],
                      epochs=plan.finetune_epochs, lr=plan.finetune_lr,
-                     exclude=RECON_PREFIXES,
                      tags={"phase": "finetune", "band_width": plan.band_width})
 
 
@@ -224,13 +220,13 @@ def train_full(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
                ) -> tuple[ModelParams, list[dict], Codebook]:
     """Runs the whole schedule and returns (params, metric records, the
     k-means codebook whose ids are the reconstruction targets)."""
-    params = ModelParams.init(cfg, seed=seed)
+    params, head = ModelParams.init_with_recon_head(cfg, seed=seed)
     codebook = fit_codebook(image_patches(images, cfg.patch_size),
                             cfg.codebook_size, seed=seed)
     recon_targets = tokenize_images(codebook, images, cfg.patch_size)
     records: list[dict] = []
     for si, stage in enumerate(plan.stages):
-        records.extend(run_stage(params, stage, plan, images, labels,
+        records.extend(run_stage(params, head, stage, plan, images, labels,
                                  recon_targets, stage_index=si, seed=seed))
     records.extend(finetune_band(params, plan, images, labels, seed=seed))
     return params, records, codebook
@@ -250,9 +246,9 @@ def train_baseline(cfg: ModelConfig, plan: TrainPlan, images: np.ndarray,
         loss = ad.cross_entropy(forward_global(abl, params).logits, labels[batch])
         return loss, {"loss": loss.item() * batch.size}
 
-    records = _optimise(params, plan, batch_loss, rng, n=images.shape[0],
+    records = _optimise((params.tensors,), plan, batch_loss, rng, n=images.shape[0],
                         epochs=sum(s.epochs for s in plan.stages),
                         lr=plan.stages[0].lr if plan.stages else plan.finetune_lr,
-                        exclude=RECON_PREFIXES, tags={"phase": "baseline"})
+                        tags={"phase": "baseline"})
     records.extend(finetune_band(params, plan, images, labels, seed=seed))
     return params, records

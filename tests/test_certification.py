@@ -203,3 +203,10 @@ def test_softmax_scores_rows_are_distributions():
     probs = softmax_scores(logits)
     assert (probs > 0).all()
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_config_rejects_a_repeated_patch_shape():
+    # evaluate keys its counters by shape, so a repeat would count twice
+    with pytest.raises(ContractError, match="patch shape 1x1 is listed twice"):
+        cfg_for(patch_shapes=((1, 1), (2, 2), (1, 1)))
+    assert cfg_for(patch_shapes=((1, 1), (2, 2))).patch_shapes == ((1, 1), (2, 2))

@@ -89,7 +89,8 @@ def test_bad_model_value_is_usage_error(override, capsys, monkeypatch):
 @pytest.mark.parametrize("override", [
     "train.lr=nan", "train.lr=-1", "train.finetune_lr=inf", "train.weight_decay=nan",
     "train.lambda_rec=-1", "train.lambda_rec=inf", "train.finetune_epochs=-1",
-    "train.warmup_epochs=-1", "train.seed=-1", "data.seed=-5"])
+    "train.warmup_epochs=-1", "train.seed=-1", "data.seed=-5",
+    "data.train_size=-1", "data.test_size=-4"])
 def test_bad_train_value_is_usage_error(override, tmp_path, capsys, monkeypatch):
     code, err = run_main(["train", "--set", override, "--out-dir", str(tmp_path / "o")],
                          capsys, monkeypatch)
@@ -181,15 +182,43 @@ def test_overflowing_weights_are_numeric_error(trained_dir, tmp_path):
 
 def test_export_config_roundtrip(tmp_path):
     first = run_cli("export-config", "--set", "train.band_width=3",
-                    "--set", "certify.band_width=3")
+                    "--set", "certify.band_width=3", "--set", "data.path=50%")
     assert first.returncode == EXIT_OK
     assert "band_width = 3" in first.stdout
+    assert "path = 50%" in first.stdout
 
     path = tmp_path / "run.ini"
     path.write_text(first.stdout)
     second = run_cli("export-config", "--config", str(path))
     assert second.returncode == EXIT_OK
     assert second.stdout == first.stdout
+
+
+@pytest.mark.parametrize("text, words", [
+    (b"[data]\nseed = 1\nseed = 2\n", "option 'seed' in section 'data' already exists"),
+    (b"seed = 1\n[data]\n", "contains no section headers"),
+    (b"[data]\npath = caf\xe9\n", "can't decode byte 0xe9"),
+    (b"[DEFAULT]\nthreshold = 0.9\n", "unknown config section '[DEFAULT]'"),
+    (b"[DEFAULT]\nseed = 7\n[data]\nnum_classes = 3\n", "unknown config section '[DEFAULT]'"),
+], ids=["repeated-key", "key-before-header", "not-utf8", "default-alone",
+        "default-beside-data"])
+def test_malformed_config_file_is_one_usage_error(text, words, tmp_path, capsys,
+                                                  monkeypatch):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    code, err = run_main(["export-config", "--config", str(path)], capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and words in err[0], err
+    assert "DEFAULT" in words or str(path) in err[0], err
+
+
+def test_repeated_patch_shape_is_usage_error(tmp_path, capsys, monkeypatch):
+    code, err = run_main(["certify", "--checkpoint", "absent.ecvt",
+                          "--set", "certify.patch_shapes=1x1,1x1",
+                          "--out-dir", str(tmp_path / "o")], capsys, monkeypatch)
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and "1x1 is listed twice" in err[0], err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,3 +44,10 @@ def test_edge_values_return_or_raise_contract_error(values, same_band):
         ModelParams.init(model_cfg, seed=0)
     except ContractError:
         pass
+
+
+@pytest.mark.parametrize("raw", ["50%", "a%%b", "%(seed)s"])
+def test_config_values_are_read_literally(raw, tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[data]\npath = {raw}\n")
+    assert load_config(str(path)).data["path"] == raw

@@ -128,3 +128,12 @@ def test_spec_validation():
 def test_unknown_source_rejected():
     with pytest.raises(ContractError):
         synth_spec(source="imagenet")
+
+
+@pytest.mark.parametrize("key", ["train_size", "test_size"])
+@pytest.mark.parametrize("source", ["synthetic", "cifar10"])
+def test_negative_split_size_is_rejected(source, key, tmp_path):
+    # cifar10 used to slice records off the end, synthetic to report "no images"
+    with pytest.raises(ContractError, match=f"{key} -1 < 0"):
+        DatasetSpec(source=source, path=str(tmp_path / "batch.bin"),
+                    num_classes=3, image_side=32, **{key: -1})

@@ -1,4 +1,6 @@
+import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +50,14 @@ def test_param_inventory_and_shapes():
     assert named["patch_embed.weight"].shape == (cfg.patch_dim, cfg.embed_dim)
     assert named["pos_embed"].shape == (cfg.seq_len, cfg.embed_dim)
     assert named["head.weight"].shape == (cfg.embed_dim, cfg.num_classes)
-    assert named["recon_vocab.weight"].shape == (cfg.embed_dim, cfg.codebook_size)
+    # the classifier alone: the reconstruction head is training state
+    assert not any(name.startswith("recon_") for name in named)
+    with_head, head = ModelParams.init_with_recon_head(cfg, seed=0)
+    for name, t in named.items():  # the head is drawn after the classifier
+        np.testing.assert_array_equal(with_head[name].data, t.data)
+    assert [(n, t.shape) for n, t in head.items()] == [
+        ("recon_vocab.weight", (cfg.embed_dim, cfg.codebook_size)),
+        ("recon_vocab.bias", (cfg.codebook_size,))]
     for i in range(cfg.num_layers):
         assert f"blocks.{i}.attn.wq" in named
         assert f"blocks.{i}.mlp.w2" in named
@@ -523,11 +532,116 @@ def test_checkpoint_roundtrip_is_exact(tmp_path):
     params = ModelParams.init(cfg, seed=6).cast(np.float32)
     path = tmp_path / "model.ecvt"
     save_checkpoint(params, str(path))
-    assert path.read_bytes()[:4] == CHECKPOINT_MAGIC
-    back = load_checkpoint(str(path), cfg)
-    loaded = back.tensors
+    assert path.read_bytes()[:8] == CHECKPOINT_MAGIC + struct.pack("<I", 2)
+    back = load_checkpoint(str(path), cfg, dtype=np.float32)
+    assert list(back.tensors) == list(params.tensors)
     for name, t in params.tensors.items():
-        np.testing.assert_array_equal(t.data, loaded[name].data.astype(np.float32))
+        np.testing.assert_array_equal(t.data, back[name].data)
+    save_checkpoint(back, str(tmp_path / "again.ecvt"))
+    assert (tmp_path / "again.ecvt").read_bytes() == path.read_bytes()
+
+
+def write_ecvt(path, version: int, tensors: dict) -> None:
+    """The container layout written by hand, for any version and tensors."""
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", version))
+        for name, arr in tensors.items():
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+            fh.write(struct.pack("<I", len(name)) + name.encode())
+            fh.write(struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
+
+
+def read_ecvt(blob: bytes) -> tuple[int, dict]:
+    """(version, name -> float32 array) of a well-formed container."""
+    (version,) = struct.unpack_from("<I", blob, 4)
+    tensors, off = {}, 8
+    while off < len(blob):
+        (nlen,) = struct.unpack_from("<I", blob, off)
+        name = blob[off + 4:off + 4 + nlen].decode()
+        off += 4 + nlen
+        (rank,) = struct.unpack_from("<I", blob, off)
+        dims = struct.unpack_from(f"<{rank}Q", blob, off + 4)
+        off += 4 + 8 * rank
+        size = 4 * int(np.prod(dims))
+        tensors[name] = np.frombuffer(blob[off:off + size], dtype="<f4").reshape(dims)
+        off += size
+    return version, tensors
+
+
+V1_ONLY = ("recon_vocab.weight", "recon_vocab.bias", "recon_proj.weight", "recon_proj.bias")
+
+
+def v1_tensors(cfg: ModelConfig) -> dict:
+    """A version 1 layout: the classifier, the head, then recon_proj.*."""
+    params, head = ModelParams.init_with_recon_head(cfg, seed=6)
+    d = cfg.embed_dim
+    return {**{n: t.data for n, t in {**params.tensors, **head}.items()},
+            "recon_proj.weight": np.full((d, d), 0.5), "recon_proj.bias": np.zeros(d)}
+
+
+STORED = Path(__file__).resolve().parent.parent / "perfbench" / "checkpoints"
+STORED_CONFIGS = {
+    "toy16": dict(image_side=16, patch_size=4, embed_dim=32, num_layers=3, num_heads=4,
+                  mlp_ratio=2.0, num_classes=3, codebook_size=32),
+    "default32": dict(image_side=32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORED_CONFIGS))
+def test_stored_version_1_checkpoints_load_their_classifier_bytes(name, tmp_path):
+    cfg = ModelConfig(**STORED_CONFIGS[name])
+    blob = (STORED / f"{name}.ecvt").read_bytes()
+    version, stored = read_ecvt(blob)
+    assert version == 1 and list(stored)[-4:] == list(V1_ONLY)
+    loaded = load_checkpoint(str(STORED / f"{name}.ecvt"), cfg, dtype=np.float32)
+    assert list(loaded.tensors) == list(stored)[:-4]
+    for tensor_name, t in loaded.tensors.items():
+        assert t.data.tobytes() == stored[tensor_name].tobytes(), tensor_name
+    # re-saved, it is the version 1 file with a new version word and
+    # without its last four tensors
+    save_checkpoint(loaded, str(tmp_path / "v2.ecvt"))
+    cut = blob.index(b"recon_vocab.weight") - 4
+    assert (tmp_path / "v2.ecvt").read_bytes() == \
+        CHECKPOINT_MAGIC + struct.pack("<I", 2) + blob[8:cut]
+
+
+def test_version_1_reconstruction_tensors_are_checked_then_dropped(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "v1.ecvt"
+    good = v1_tensors(cfg)
+    write_ecvt(path, 1, good)
+    loaded = load_checkpoint(str(path), cfg, dtype=np.float32)
+    assert list(loaded.tensors) == list(ModelParams.init(cfg, seed=0).tensors)
+
+    nan = dict(good)
+    nan["recon_proj.weight"] = good["recon_proj.weight"].copy()
+    nan["recon_proj.weight"][1, 2] = np.nan
+    write_ecvt(path, 1, nan)
+    with pytest.raises(DataFormatError, match=r"'recon_proj\.weight' holds NaN"):
+        load_checkpoint(str(path), cfg)
+
+    write_ecvt(path, 1, {n: a for n, a in good.items() if n != "recon_vocab.bias"})
+    with pytest.raises(DataFormatError, match=r"missing \['recon_vocab\.bias'\]"):
+        load_checkpoint(str(path), cfg)
+
+    write_ecvt(path, 1, {**good, "recon_vocab.weight": np.zeros((cfg.embed_dim, 3))})
+    with pytest.raises(DataFormatError, match=r"'recon_vocab\.weight' stored as"):
+        load_checkpoint(str(path), cfg)
+
+
+def test_version_2_holds_the_classifier_alone(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "v2.ecvt"
+    classifier = {n: t.data for n, t in ModelParams.init(cfg, seed=6).tensors.items()}
+    for extra in ("recon_vocab.weight", "recon_proj.bias"):
+        write_ecvt(path, 2, {**classifier, extra: v1_tensors(cfg)[extra]})
+        with pytest.raises(DataFormatError, match=rf"extra \['{extra}'\]"):
+            load_checkpoint(str(path), cfg)
+    for version in (0, 3):
+        write_ecvt(path, version, classifier)
+        with pytest.raises(DataFormatError, match=f"checkpoint version {version}"):
+            load_checkpoint(str(path), cfg)
 
 
 def test_checkpoint_corruption_is_detected(tmp_path):

@@ -24,16 +24,24 @@ def test_intersection_sweep_small():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(3, 6), st.integers(2, 3), st.integers(1, 2),
-       st.integers(1, 2), st.integers(0, 10_000), st.booleans())
-def test_worst_case_flip_matches_exhaustive(w, c, m, b, seed, tied):
+       st.integers(1, 2), st.integers(0, 10_000), st.booleans(), st.booleans())
+def test_worst_case_flip_matches_exhaustive(w, c, m, b, seed, tied, wrap):
     rng = np.random.default_rng(seed)
     vs = rng.random((w, c)) < 0.5
     if tied:  # classes 0 and 1 share the top count, so the table abstains
         vs[:, 1] = vs[::-1, 0]
         vs[:, 2:] &= vs[:, :1]
-    fast = worst_case_flip(vs, m, b)
-    slow = exhaustive_flip_bitmask(vs, m, b)
+    fast = worst_case_flip(vs, m, b, wrap=wrap)
+    slow = exhaustive_flip_bitmask(vs, m, b, wrap=wrap)
     assert fast == slow
+
+
+def test_intersection_sweep_unwrapped():
+    # with bands clipped at the image edge, the worst patch still meets
+    # exactly m + b - 1 of them
+    cases, failures = intersection_sweep(max_width=24, wrap=False)
+    assert failures == []
+    assert cases == sum(w * (w + 1) // 2 for w in range(1, 25))
 
 
 def test_exhaustive_guard_refuses_large_tables():
@@ -48,6 +56,19 @@ def test_soundness_on_seeded_tables():
         for delta in range(1, 9):
             res = check_certificate_soundness(vs, patch_width=1, band_width=delta)
             assert res["sound"]
+
+
+def test_soundness_on_unwrapped_tables():
+    tables = random_vote_tables(300, image_width=16, num_classes=4, seed=2)
+    for vs in tables:
+        assert check_certificate_soundness(vs, patch_width=2, band_width=4,
+                                           wrap=False)["sound"]
+    # near the boundary, an understated bound is caught without wrap too
+    tables = random_vote_tables(300, image_width=16, num_classes=3, seed=1,
+                                near_boundary_margin=4)
+    assert not all(check_certificate_soundness(vs, patch_width=2, band_width=2, wrap=False,
+                                               delta_fn=lambda m, b: 1)["sound"]
+                   for vs in tables)
 
 
 def test_soundness_check_catches_a_too_generous_bound():
