@@ -6,9 +6,22 @@ and float32 for inference. A Tensor is immutable once created; recording
 happens on an explicitly activated Tape, and ``backward`` walks the tape in
 reverse to return a gradient map for the leaves.
 
+The primitive set mirrors the model's encoder vocabulary: ``embed``,
+``linear``, ``affine_layer_norm`` and ``attention`` are each one fused tape
+entry with a hand-written backward, beside ``gelu``, ``add`` and
+``slice_axis``. Each fused op makes the numpy calls of the chain of small
+primitives it replaces (matmul, add, mul, layer_norm, softmax_lastdim,
+split_heads, merge_heads, concat, reshape, embedding_lookup), forward and
+backward, so its gradients are that chain's bit for bit. Those small
+primitives stay: the loss uses some of them, and the tests and the
+finite-difference oracle use them as the reference chains.
+
 Every primitive validates operand shapes up front and checks its output for
 NaN/Inf, so a numerical blow-up surfaces at the op that produced it instead
-of three modules later. The model's encoder calls these primitives only
+of three modules later. A fused op scans only its output, because with
+finite parameters a non-finite intermediate stays non-finite up to there;
+``attention`` also scans its pre-softmax scores, since softmax maps a -inf
+score to a finite 0. The model's encoder calls these primitives only
 while a tape is recording (``recording()``), so the per-op checks apply
 only then; without a tape it runs the same arithmetic on plain arrays and
 checks once per encoder stage: the embedding, each block, the head (see
@@ -139,6 +152,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _row_ids(op: str, indices, n: int) -> np.ndarray:
+    """``indices`` as an integer array of row ids in [0, n)."""
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ShapeError(f"{op}: indices must be integers, got {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ContractError(f"{op}: index out of range [0, {n})")
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -254,12 +277,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     flat gather of flagged patch rows in training. Gradients scatter-add
     into the table.
     """
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError(f"embedding_lookup: indices must be integers, got {idx.dtype}")
-    n = table.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ContractError(f"embedding_lookup: index out of range [0, {n})")
+    idx = _row_ids("embedding_lookup", indices, table.shape[0])
     out = table.data[idx]
     tail = table.shape[1:]
 
@@ -353,6 +371,161 @@ def merge_heads(x: Tensor) -> Tensor:
         return (np.ascontiguousarray(g.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)),)
 
     return _emit("merge_heads", out, (x,), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# fused encoder ops: one tape entry for each op of the model's vocabulary.
+# Each makes the numpy calls of the unfused chain it names, forward and
+# backward, in the same order and on the same layouts (the bias rows'
+# repeated sum(axis=0) of _unbroadcast included), so its output and
+# gradients are the chain's bit for bit. The patches, the attention scale
+# and its bias are not inputs, so no gradient is computed for them.
+
+
+def embed(patches: np.ndarray, weight: Tensor, cls_token: Tensor, pos_embed: Tensor,
+          pos_ids=None) -> Tensor:
+    """[0 + cls; patches @ weight] + position rows: matmul, reshape, add,
+    concat, ``embedding_lookup`` (when ``pos_ids`` is given), add.
+
+    ``patches`` is a (B, K, P) array of the weight's dtype and ``weight``
+    (P, d). ``pos_ids`` picks the position rows, (K+1,) shared by the batch
+    or (B, K+1) per sample; None adds the whole (K+1, d) table.
+    """
+    _same_dtype("embed", weight, cls_token, pos_embed)
+    if (patches.ndim != 3 or weight.data.ndim != 2 or pos_embed.data.ndim != 2
+            or patches.dtype != weight.dtype or patches.shape[2] != weight.shape[0]
+            or cls_token.shape != weight.shape[1:] or pos_embed.shape[1:] != weight.shape[1:]):
+        raise ShapeError(f"embed: patches {patches.shape} ({patches.dtype}), weight "
+                         f"{weight.shape}, cls {cls_token.shape} and positions "
+                         f"{pos_embed.shape} ({weight.dtype}) do not fit")
+    b, k, _ = patches.shape
+    d = weight.shape[1]
+    if pos_ids is None:
+        idx, rows = None, pos_embed.data
+    else:
+        idx = _row_ids("embed", pos_ids, pos_embed.shape[0])
+        rows = pos_embed.data[idx]
+    if rows.shape not in ((k + 1, d), (b, k + 1, d)):
+        raise ShapeError(f"embed: position rows {rows.shape} do not fit {k + 1} tokens")
+    proj = np.matmul(patches, weight.data)
+    h = np.concatenate([np.zeros((b, 1, d), dtype=weight.dtype)
+                        + cls_token.data.reshape((1, 1, d)), proj], axis=1)
+    out = h + rows
+
+    def backward_fn(g: np.ndarray):
+        gpos = _unbroadcast(g, rows.shape)
+        if idx is not None:  # embedding_lookup's scatter-add into the table
+            grows, gpos = gpos, np.zeros_like(pos_embed.data)
+            np.add.at(gpos, idx.reshape(-1), grows.reshape((-1, d)))
+        gcls = _unbroadcast(g[:, :1], (1, 1, d)).reshape((d,))
+        gw = _unbroadcast(np.matmul(np.swapaxes(patches, -1, -2), g[:, 1:]), weight.shape)
+        return gw, gcls, gpos
+
+    return _emit("embed", out, (weight, cls_token, pos_embed), backward_fn)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias: matmul, then add. ``weight`` is (d, e) and
+    ``bias`` (e,)."""
+    _same_dtype("linear", x, weight, bias)
+    if (x.data.ndim < 2 or weight.data.ndim != 2 or x.shape[-1] != weight.shape[0]
+            or bias.shape != weight.shape[1:]):
+        raise ShapeError(f"linear: shapes {x.shape} @ {weight.shape} + {bias.shape} "
+                         f"do not fit")
+    out = np.matmul(x.data, weight.data) + bias.data
+
+    def backward_fn(g: np.ndarray):
+        gb = _unbroadcast(g, bias.shape)
+        gx = _unbroadcast(np.matmul(g, np.swapaxes(weight.data, -1, -2)), x.shape)
+        gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), weight.shape)
+        return gx, gw, gb
+
+    return _emit("linear", out, (x, weight, bias), backward_fn)
+
+
+def affine_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """layer_norm(x) * gamma + beta over the last axis: ``layer_norm``, mul,
+    add. ``gamma`` and ``beta`` are (d,)."""
+    _same_dtype("affine_layer_norm", x, gamma, beta)
+    if (x.data.ndim < 1 or x.shape[-1] < 1 or gamma.shape != x.shape[-1:]
+            or beta.shape != x.shape[-1:]):
+        raise ShapeError(f"affine_layer_norm: shapes {x.shape}, {gamma.shape} and "
+                         f"{beta.shape} do not fit")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
+    y = centered * inv
+    out = y * gamma.data + beta.data
+
+    def backward_fn(g: np.ndarray):
+        gbeta = _unbroadcast(g, beta.shape)
+        ggamma = _unbroadcast(g * y, gamma.shape)
+        gy = g * gamma.data
+        gy_mean = gy.mean(axis=-1, keepdims=True)
+        proj = (gy * y).mean(axis=-1, keepdims=True)
+        return inv * (gy - gy_mean - y * proj), ggamma, gbeta
+
+    return _emit("affine_layer_norm", out, (x, gamma, beta), backward_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+              bias: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention, (B, Lq, d) queries against
+    (B, Lk, d) keys and values: ``split_heads`` of each, matmul against the
+    keys' transpose, mul by 1/sqrt(d / num_heads), add ``bias`` (an
+    additive score bias of the inputs' dtype, when given), softmax,
+    matmul by the values, ``merge_heads``. The pre-softmax scores are
+    scanned too: softmax maps a -inf score to a finite 0."""
+    _same_dtype("attention", q, k, v)
+    if (q.data.ndim != 3 or k.shape != v.shape or k.data.ndim != 3
+            or (q.shape[0], q.shape[2]) != (k.shape[0], k.shape[2])
+            or num_heads < 1 or q.shape[2] % num_heads):
+        raise ShapeError(f"attention: cannot attend {q.shape} to {k.shape} / {v.shape} "
+                         f"with {num_heads} heads")
+    b, lq, d = q.shape
+    lk = k.shape[1]
+    dh = d // num_heads
+
+    def split(x: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(
+            x.reshape(x.shape[0], x.shape[1], num_heads, dh).transpose(0, 2, 1, 3))
+
+    def merge(x: np.ndarray, length: int) -> np.ndarray:
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, length, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
+    kt = np.swapaxes(kh, -1, -2)
+    scores = np.matmul(qh, kt) * scale
+    if bias is not None:
+        if bias.dtype != q.dtype:
+            raise ShapeError(f"attention: mixed dtypes {q.dtype} vs {bias.dtype}")
+        try:
+            fits = np.broadcast_shapes(scores.shape, bias.shape) == scores.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"attention: bias {bias.shape} does not broadcast to "
+                             f"scores {scores.shape}")
+        scores = scores + bias
+    if not np.isfinite(scores).all():
+        raise NumericError("attention: produced non-finite values")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
+
+    def backward_fn(g: np.ndarray):
+        go = np.ascontiguousarray(g.reshape(b, lq, num_heads, dh).transpose(0, 2, 1, 3))
+        gp = np.matmul(go, np.swapaxes(vh, -1, -2))
+        gv = merge(np.matmul(np.swapaxes(p, -1, -2), go), lk)
+        inner = (gp * p).sum(axis=-1, keepdims=True)
+        gs = p * (gp - inner) * scale
+        gq = merge(np.matmul(gs, np.swapaxes(kt, -1, -2)), lq)
+        gk = merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), lk)
+        return gq, gk, gv
+
+    return _emit("attention", out, (q, k, v), backward_fn)
 
 
 def mean(x: Tensor) -> Tensor:

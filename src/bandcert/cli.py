@@ -19,6 +19,7 @@ import os
 import resource
 import sys
 import time
+from collections import Counter
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -245,7 +246,11 @@ def cmd_certify(args, argv) -> int:
                 images_per_s=n / sum(result.seconds.values()),
                 windows_executed=n * plan.image_width,
                 forwards_planned=plan.num_forwards,
-                minor_page_faults=minor_page_faults)
+                minor_page_faults=minor_page_faults,
+                # value -> images; int keys, which write_json sorts numerically
+                margin_histogram=Counter(r["margin"] for r in result.records),
+                max_certified_m_histogram=Counter(r["max_certified_m"]
+                                                  for r in result.records))
     print(json.dumps(result.summary, sort_keys=True, default=_json_default))
     return EXIT_OK
 

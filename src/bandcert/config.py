@@ -130,6 +130,8 @@ def load_config(path: str | None = None,
         if not read:
             raise ContractError(f"config file '{path}' not found or unreadable")
         for section in cp.sections():
+            if section not in SCHEMA:  # checked by name: it may hold no keys
+                raise ContractError(f"unknown config section '[{section}]'")
             for key, raw in cp.items(section):
                 cfg.section(section)[key] = _parse_value(section, key, raw)
     for item in overrides or []:

@@ -15,8 +15,10 @@ restriction oracle.
 ``_encoder`` writes that arithmetic once, over a small op vocabulary
 (embedding, linear, affine layer norm, attention, GELU, residual add,
 class-row slice) with two implementations. While a tape records
-(``autodiff.recording()``), ``_TapeOps`` runs the tape primitives, which
-check every op's output for NaN/Inf, so training can differentiate them.
+(``autodiff.recording()``), ``_TapeOps`` runs each op as one tape
+primitive (``autodiff.embed``, ``linear``, ``affine_layer_norm``,
+``attention``, ``gelu``, ``add``, ``slice_axis``), one tape entry per op,
+each checking its output for NaN/Inf, so training can differentiate them.
 Otherwise, in certification, the attack and ``bench``, ``_PlainOps`` makes
 the same numpy calls on plain arrays, bit-identical to the tape, and checks
 once per stage (the embedding, each block, the head). It writes every
@@ -261,42 +263,29 @@ class EncoderActivations:
 
 
 class _TapeOps:
-    """The encoder's op vocabulary as tape primitives. Every op builds a
-    Tensor, records itself while a tape is active and checks its own output
-    for NaN/Inf, so ``check`` has nothing left to do."""
+    """The encoder's op vocabulary as tape primitives, one fused primitive
+    (one tape entry) per op. Every op builds a Tensor, records itself while
+    a tape is active and checks its own output for NaN/Inf (attention its
+    pre-softmax scores too), so ``check`` has nothing left to do."""
 
     def __init__(self, params: ModelParams, attn_bias: np.ndarray | None):
         self.params = params
-        self.bias = None if attn_bias is None else Tensor(attn_bias)
-        self.scale = Tensor(np.asarray(1.0 / math.sqrt(params.cfg.head_dim),
-                                       dtype=params.dtype))
+        self.bias = attn_bias
 
     def embed(self, patches: np.ndarray, pos_ids: np.ndarray | None) -> Tensor:
-        cfg, dtype = self.params.cfg, self.params.dtype
-        proj = ad.matmul(Tensor(np.ascontiguousarray(patches, dtype=dtype)),
-                         self.params["patch_embed.weight"])
-        cls = ad.reshape(self.params["cls_token"], (1, 1, cfg.embed_dim))
-        zeros = Tensor(np.zeros((proj.shape[0], 1, cfg.embed_dim), dtype=dtype))
-        h = ad.concat([ad.add(zeros, cls), proj], axis=1)
-        pos_rows = self.params["pos_embed"]
-        if pos_ids is not None:
-            pos_rows = ad.embedding_lookup(pos_rows, pos_ids)
-        return ad.add(h, pos_rows)
+        return ad.embed(np.ascontiguousarray(patches, dtype=self.params.dtype),
+                        self.params["patch_embed.weight"], self.params["cls_token"],
+                        self.params["pos_embed"], pos_ids)
 
     def affine_ln(self, x: Tensor, prefix: str) -> Tensor:
-        y = ad.mul(ad.layer_norm(x), self.params[prefix + ".gamma"])
-        return ad.add(y, self.params[prefix + ".beta"])
+        return ad.affine_layer_norm(x, self.params[prefix + ".gamma"],
+                                    self.params[prefix + ".beta"])
 
     def linear(self, x: Tensor, weight: str, bias: str) -> Tensor:
-        return ad.add(ad.matmul(x, self.params[weight]), self.params[bias])
+        return ad.linear(x, self.params[weight], self.params[bias])
 
     def attention(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        heads = self.params.cfg.num_heads
-        q, k, v = (ad.split_heads(t, heads) for t in (q, k, v))
-        scores = ad.mul(ad.matmul(q, k, transpose_b=True), self.scale)
-        if self.bias is not None:
-            scores = ad.add(scores, self.bias)
-        return ad.merge_heads(ad.matmul(ad.softmax_lastdim(scores), v))
+        return ad.attention(q, k, v, self.params.cfg.num_heads, self.bias)
 
     def gelu(self, x: Tensor) -> Tensor:
         return ad.gelu(x)

@@ -334,11 +334,36 @@ def _primitive_cases(rng: np.random.Generator):
         "mean": (lambda t: ad.mean(t), x24),
         "cross_entropy": (lambda t: ad.cross_entropy(t, targets), rng.normal(size=(3, 5))),
     }
+    # the fused encoder ops: embed probes its weight, linear one square
+    # tensor as input and weight, attention one tensor as queries, keys and
+    # values, so every gradient path of each op is probed
+    patches = rng.normal(size=(2, 3, 5))
+    pos_table = rng.normal(size=(6, 4))
+    pos_ids = rng.integers(0, 6, size=(2, 4))
+    x234 = rng.normal(size=(2, 3, 4))
+    w234 = rng.normal(size=(2, 3, 4))
+    w244 = rng.normal(size=(2, 4, 4))
+    sq = rng.normal(size=(2, 4, 4))
+    mask = np.where([True, False, True], 0.0, ad.MASK_OFF)
+    cases |= {
+        "embed": (lambda t: ad.mean(ad.mul(ad.embed(patches, t, Tensor(y24[0]),
+                                                    Tensor(pos_table), pos_ids),
+                                           Tensor(w244))), b54),
+        "linear": (lambda t: ad.mean(ad.mul(ad.linear(t, t, Tensor(y24[1])), Tensor(sq[1]))),
+                   sq[0]),
+        "affine_layer_norm": (lambda t: ad.mean(ad.mul(
+            ad.affine_layer_norm(t, Tensor(y24[0]), Tensor(y24[1])), Tensor(w234))), x234),
+        "attention": (lambda t: ad.mean(ad.mul(ad.attention(t, t, t, 2), Tensor(w234))),
+                      x234),
+        "attention_masked": (lambda t: ad.mean(ad.mul(ad.attention(t, t, t, 2, mask),
+                                                      Tensor(w234))), x234),
+    }
     return cases
 
 
 def fd_gradient_report(seed: int = 0, probes: int = 4, h: float = 1e-5) -> dict[str, float]:
-    """Max relative tape-vs-finite-difference error for every primitive and
+    """Max relative tape-vs-finite-difference error for every primitive, the
+    fused encoder ops (attention masked and unmasked) included, and
     for a full encoder block driven end to end, once through the class
     logits (``encoder_block``) and once through every output token
     (``encoder_tokens``, the path the reconstruction loss trains). The

@@ -175,8 +175,7 @@ def run_stage(params: ModelParams, head: dict[str, Tensor], stage: StageConfig,
                                 (-1, cfg.embed_dim))
         picked = np.flatnonzero(flags[positions])
         gathered = ad.embedding_lookup(patch_rows, picked)
-        logits = ad.add(ad.matmul(gathered, head["recon_vocab.weight"]),
-                        head["recon_vocab.bias"])
+        logits = ad.linear(gathered, head["recon_vocab.weight"], head["recon_vocab.bias"])
         rec = ad.cross_entropy(logits, recon_targets[batch].reshape(-1)[picked])
         loss = ad.add(ce, ad.mul(rec, lam))
         return loss, {"loss": loss.item() * batch.size, "ce": ce.item() * batch.size,

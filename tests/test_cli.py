@@ -200,8 +200,10 @@ def test_export_config_roundtrip(tmp_path):
     (b"[data]\npath = caf\xe9\n", "can't decode byte 0xe9"),
     (b"[DEFAULT]\nthreshold = 0.9\n", "unknown config section '[DEFAULT]'"),
     (b"[DEFAULT]\nseed = 7\n[data]\nnum_classes = 3\n", "unknown config section '[DEFAULT]'"),
+    (b"[train]\nlr = 0.01\n[trian]\n", "unknown config section '[trian]'"),
+    (b"[DEFAULT]\n[data]\nnum_classes = 3\n", "unknown config section '[DEFAULT]'"),
 ], ids=["repeated-key", "key-before-header", "not-utf8", "default-alone",
-        "default-beside-data"])
+        "default-beside-data", "empty-misspelled-section", "empty-default"])
 def test_malformed_config_file_is_one_usage_error(text, words, tmp_path, capsys,
                                                   monkeypatch):
     path = tmp_path / "bad.ini"
@@ -209,7 +211,7 @@ def test_malformed_config_file_is_one_usage_error(text, words, tmp_path, capsys,
     code, err = run_main(["export-config", "--config", str(path)], capsys, monkeypatch)
     assert code == EXIT_USAGE
     assert len(err) == 1 and words in err[0], err
-    assert "DEFAULT" in words or str(path) in err[0], err
+    assert "unknown config section" in words or str(path) in err[0], err
 
 
 def test_repeated_patch_shape_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -274,8 +276,17 @@ def test_certify_meta_reports_phases_and_results_are_byte_stable(trained_dir, tm
     assert meta["forwards_planned"] == plan_windows(tiny, 2).num_forwards
     summary = json.loads((outs[0] / "summary.json").read_text())
     records = (outs[0] / "records.jsonl").read_text()
+    per_image = [json.loads(ln) for ln in records.splitlines()]
+    for key in ("margin", "max_certified_m"):
+        counts = {}
+        for r in per_image:
+            counts[str(r[key])] = counts.get(str(r[key]), 0) + 1
+        hist = meta[key + "_histogram"]
+        assert hist == counts, key
+        assert [int(v) for v in hist] == sorted(int(v) for v in hist), key
     for key in ("phase_seconds", "images_per_s", "windows_executed",
-                "forwards_planned", "minor_page_faults"):
+                "forwards_planned", "minor_page_faults", "margin_histogram",
+                "max_certified_m_histogram"):
         assert key not in summary and key not in records, key
 
 

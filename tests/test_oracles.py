@@ -155,7 +155,8 @@ def test_fd_gradient_report_probes_everything():
     assert set(report) == {
         "matmul", "matmul_tb", "add", "mul", "softmax_lastdim", "layer_norm", "gelu",
         "embedding_lookup", "reshape", "concat", "slice", "split_heads",
-        "merge_heads", "mean", "cross_entropy", "encoder_block", "encoder_tokens"}
+        "merge_heads", "mean", "cross_entropy", "embed", "linear", "affine_layer_norm",
+        "attention", "attention_masked", "encoder_block", "encoder_tokens"}
     for name, err in report.items():
         assert err < 1e-4, f"{name}: relative error {err}"
 
