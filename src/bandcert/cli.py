@@ -5,10 +5,11 @@ Subcommands: train, finetune, certify, bench, oracle, export-config.
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (missing or malformed files), 3 numeric failure, 4 an oracle check failed.
 
-Thread count comes from --threads, else the ECVIT_THREADS environment
-variable, else 1. It is applied to the BLAS thread environment variables
-before the numerics stack is imported, which is why all heavy imports in
-this module live inside functions.
+The BLAS thread count comes from --threads, else the ECVIT_THREADS
+environment variable, else 1. It is applied to the BLAS thread environment
+variables before the numerics stack is imported, which is why all heavy
+imports in this module live inside functions. It sets nothing else: the
+window sweep's workers are one per usable CPU (``model.WORKERS``).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def build_parser() -> _Parser:
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override one config value (repeatable)")
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default: ${THREADS_ENV} or 1)")
+                       help=f"BLAS threads (default: ${THREADS_ENV} or 1)")
         if out_dir:
             p.add_argument("--out-dir", required=True, help="output directory")
         if checkpoint:
@@ -221,7 +222,7 @@ def cmd_certify(args, argv) -> int:
     from .certification import evaluate
     from .config import (build_certify_config, build_model_config, dump_config,
                          load_config)
-    from .model import load_checkpoint, plan_windows
+    from .model import WORKERS, load_checkpoint, plan_windows
 
     load_start = time.perf_counter()
     cfg = load_config(args.config, args.set)
@@ -246,6 +247,7 @@ def cmd_certify(args, argv) -> int:
                 images_per_s=n / sum(result.seconds.values()),
                 windows_executed=n * plan.image_width,
                 forwards_planned=plan.num_forwards,
+                window_workers=WORKERS,
                 minor_page_faults=minor_page_faults,
                 # value -> images; int keys, which write_json sorts numerically
                 margin_histogram=Counter(r["margin"] for r in result.records),
@@ -260,7 +262,7 @@ def cmd_bench(args, argv) -> int:
 
     from . import autodiff as ad
     from .config import build_certify_config, build_model_config, load_config
-    from .model import (ModelParams, batched_certify_forward, count_flops,
+    from .model import (WORKERS, ModelParams, batched_certify_forward, count_flops,
                         forward_global, plan_windows, widest_window_columns)
     from .smoothing import ablate_batch
 
@@ -312,6 +314,9 @@ def cmd_bench(args, argv) -> int:
         "seconds_global_sweep": t_global,
         "seconds_band_sweep": t_band,
         "measured_speedup": t_global / t_band if t_band > 0 else float("inf"),
+        # the band sweep's row blocks run on this many workers; the global
+        # sweep runs in the calling thread
+        "window_workers": WORKERS,
     }
     print(json.dumps(report, sort_keys=True, indent=2, default=_json_default))
     return EXIT_OK

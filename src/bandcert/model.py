@@ -37,9 +37,12 @@ NumericError naming that stage.
 * ``forward_windows``: the windowed path fine-tuning and certification
   share, logits only. It takes k band positions per image, patchifies each
   image once, gathers each window's tokens by the ``WindowPlan``, ablates
-  only those, and encodes each window width. Off the tape it runs a width
-  in row blocks whose widest intermediate stays within
-  ``WINDOW_BLOCK_BYTES``, through the workspace the ``WindowPlan`` owns.
+  only those, and encodes each window width. Off the tape it runs every
+  width in row blocks on ``WORKERS`` workers, the calling thread and
+  ``WORKERS - 1`` threads of one module pool, each worker in its own
+  workspace the ``WindowPlan`` owns. The widest intermediates of all
+  workers' blocks together stay within ``WINDOW_BLOCK_BYTES``, and every
+  row's logits are the same bytes at any worker count.
   ``finetune_band`` takes a loss term per width, and
   ``batched_certify_forward`` places the logits per (image, position) and
   counts forwards from the plan's groups of token-disjoint windows.
@@ -52,9 +55,12 @@ does; ``load_checkpoint`` checks and drops version 1's four ``recon_*`` tensors.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +75,44 @@ CHECKPOINT_MAGIC = b"ECVT"
 CHECKPOINT_VERSION = 2
 INPUT_CHANNELS = 4  # RGB + ablation mask plane, as ablate_batch emits them
 # Off the tape, forward_windows encodes as many rows at a time as keep the
-# block's widest intermediate within this many bytes.
+# widest intermediate of all workers' blocks together within this many bytes.
 WINDOW_BLOCK_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Off the tape, forward_windows runs its row blocks on this many workers: the
+# calling thread and WORKERS - 1 threads of the module pool. BLAS threads
+# (--threads) are separate; each BLAS call keeps to them.
+WORKERS = _usable_cpus()
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The module's pool of WORKERS - 1 threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, WORKERS - 1),
+                                       thread_name_prefix="bandcert-windows")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child holds none of its parent's threads, so work queued on
+    # the inherited pool would never run; the child makes its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -241,11 +283,14 @@ class _Workspace:
     C-contiguous view at the front of a slot's buffer and reallocates only
     when a larger request comes, so a repeated call of the same shapes
     touches only memory it has already faulted in. A view stays valid until
-    the next ``take`` of its slot. Not thread-safe."""
+    the next ``take`` of its slot. Not thread-safe: in a windowed sweep each
+    worker has its own, and one more holds the patchified images and the
+    plan's lease."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
-        self.lease = threading.Lock()  # held while a forward_windows sweep runs
+        # held while a forward_windows sweep runs, until all its workers return
+        self.lease = threading.Lock()
 
     def take(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
@@ -483,15 +528,17 @@ def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None
     out-projection, MLP and the final norm on the class row alone (keys and
     values still come from every row), and ``tokens_out`` is None.
 
-    While a tape records, the ops are tape primitives, so training can
-    differentiate them; otherwise they run on plain arrays, with the same
-    bits and one NaN/Inf check per stage instead of one per op, in the
-    given ``workspace`` (a fresh one when None). Nothing returned points
-    into the workspace. ``forward_windows`` calls this once per row block,
-    so when rows fail at different stages its error names the first failing
-    stage of the first failing block.
+    Given a ``workspace``, the ops run on plain arrays in it: the caller has
+    checked that no tape records, so a worker thread never asks. Without
+    one they are tape primitives while a tape records, so training can
+    differentiate them, and otherwise plain arrays in a fresh workspace.
+    Plain ops give the same bits with one NaN/Inf check per stage instead
+    of one per op. Nothing returned points into the workspace.
+    ``forward_windows`` calls this once per row block, so when rows fail at
+    different stages its error names the first failing stage of the first
+    failing block.
     """
-    if ad.recording():
+    if workspace is None and ad.recording():
         ops = _TapeOps(params, attn_bias)
     else:
         ops = _PlainOps(params, attn_bias, workspace or _Workspace())
@@ -571,18 +618,23 @@ class WindowPlan:
     """Each band position's window tokens, and the windows packed into
     forwards of token-disjoint windows.
 
-    A plan also owns the workspace its plain-array sweeps run in (see
+    A plan also owns the workspaces its plain-array sweeps run in (see
     ``forward_windows``), the way an FFT plan owns its work area, so a
-    repeated sweep reuses memory it has already faulted in. Hence a plan
-    must not run from two threads at once: it runs one sweep at a time, and
-    a sweep started while another on the same plan is still being iterated,
-    in this thread or another, raises ContractError.
+    repeated sweep reuses memory it has already faulted in: ``workspace``
+    holds the patchified images and the lease, and ``worker_spaces`` one
+    workspace per worker for its row blocks. Hence a plan runs one sweep at
+    a time. Its lease is held from the start of a sweep until the sweep is
+    iterated to the end (or closed) and every worker has returned, also when
+    one raised; a sweep started meanwhile on the same plan, in this thread
+    or another, raises ContractError.
     """
     band_width: int
     image_width: int
     window_ids: list[np.ndarray]     # per band position: window_token_ids
     groups: list[list[int]]          # band positions packed per forward
     workspace: _Workspace = field(default_factory=_Workspace, repr=False, compare=False)
+    worker_spaces: list[_Workspace] = field(default_factory=list, repr=False,
+                                            compare=False)
 
     @property
     def num_forwards(self) -> int:
@@ -735,6 +787,79 @@ def _window_vectors(patches: np.ndarray, keep: np.ndarray, rows: np.ndarray,
     return windows.reshape(n, k, cfg.patch_dim)
 
 
+def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
+                   per_image: int, widths: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                   plan: WindowPlan) -> list[np.ndarray]:
+    """Off the tape: the logits of every width of ``widths``, (rows, ids,
+    position ids) each, encoded in row blocks on up to ``WORKERS`` workers.
+
+    All blocks of the call are listed first, width by width; worker j runs
+    blocks j, j + W, j + 2W, ... in the plan's ``worker_spaces[j]`` and
+    writes their logits into the width's output array. A block holds at
+    most ceil(n / W) of its width's n rows and as many as keep its widest
+    intermediate within ``WINDOW_BLOCK_BYTES / W``, so the workspaces of all
+    workers together stay within the one budget. Worker 0 is the calling
+    thread; the others run in the module pool, in a copy of the caller's
+    context (numpy's error state included), and call no public function.
+
+    Returns once every worker has returned. If blocks failed, raises the
+    error of the lowest-numbered failing block, which is the one a single
+    worker would have met first: a worker stops at its own first failure
+    and starts no block numbered above a failure already met.
+    """
+    cfg = params.cfg
+    workers = WORKERS
+    tasks: list[tuple[int, slice]] = []
+    outs = []
+    for w, (rows, ids, _) in enumerate(widths):
+        n, k = ids.shape
+        step = max(1, min(WINDOW_BLOCK_BYTES // workers // _row_bytes(cfg, k, params.dtype),
+                          math.ceil(n / workers)))
+        tasks += [(w, slice(start, start + step)) for start in range(0, n, step)]
+        outs.append(np.empty((n, cfg.num_classes), dtype=params.dtype))
+    if not tasks:  # no rows, so nothing to encode
+        return outs
+    workers = min(workers, len(tasks))
+    while len(plan.worker_spaces) < workers:
+        plan.worker_spaces.append(_Workspace())
+    errors: dict[int, Exception] = {}  # failed block -> its error
+    first_failure = len(tasks)
+    lock = threading.Lock()
+
+    def work(j: int) -> None:
+        nonlocal first_failure
+        ws = plan.worker_spaces[j]
+        for t in range(j, len(tasks), workers):
+            if t > first_failure:
+                return
+            w, b = tasks[t]
+            rows, ids, with_cls = widths[w]
+            try:
+                windows = _window_vectors(patches, keep, rows[b], per_image, ids[b], cfg, ws)
+                outs[w][b] = _encode(params, windows, with_cls[b], workspace=ws).logits.data
+            except Exception as e:
+                with lock:
+                    errors[t] = e
+                    first_failure = min(first_failure, t)
+                return
+
+    futures = [_worker_pool().submit(contextvars.copy_context().run, work, j)
+               for j in range(1, workers)]
+    try:
+        work(0)
+    except BaseException:
+        with lock:  # interrupted: the other workers start no new block
+            first_failure = -1
+        raise
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    if errors:
+        raise errors[min(errors)]
+    return outs
+
+
 def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelParams,
                     plan: WindowPlan):
     """Patchify -> gather -> ablate -> window encoder, logits only.
@@ -753,12 +878,14 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     bit. Every encoder op is row-local or a per-slice gufunc, so a row's
     logits do not depend on the rows stacked with it.
 
-    Off the tape, a width runs in row blocks, gather -> ablate -> encode,
-    each holding as many rows as keep its widest intermediate within
-    ``WINDOW_BLOCK_BYTES``, all of them in the plan's workspace; the logits
-    of a width are a fresh array. While a tape records, the tape keeps
-    every op's inputs until backward and splitting a width would reorder
-    its gradient sums, so each width runs as one block of fresh arrays.
+    Off the tape, every width runs in row blocks, gather -> ablate ->
+    encode, on ``WORKERS`` workers, each block in its worker's workspace of
+    the plan (see ``_encode_blocks``); the widths are yielded once every
+    block is done, each logits array fresh. Which worker runs a block and
+    how many rows it holds change no bit. While a tape records, the tape
+    keeps every op's inputs until backward and splitting a width would
+    reorder its gradient sums, so each width runs as one block of fresh
+    arrays in the calling thread, and is yielded as it is done.
     """
     cfg = params.cfg
     ps = cfg.patch_size
@@ -780,22 +907,22 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
         patches = patchify(imgs, ps, out=None if taped else plan.workspace.take(
             "patches", (imgs.shape[0], cfg.num_tokens, 3 * ps * ps), imgs.dtype))
         sizes = np.array([ids.size for ids in plan.window_ids])[pos]
+        widths = []
         for size in np.unique(sizes):
             rows = np.flatnonzero(sizes == size)
             ids = np.stack([plan.window_ids[p] for p in pos[rows]])
-            n, k = ids.shape
-            with_cls = np.concatenate([np.zeros((n, 1), dtype=np.int64), ids + 1], axis=1)
-            # the tape keeps every op's inputs until backward, so a taped
-            # width runs as one block of fresh arrays
-            ws = _Workspace() if taped else plan.workspace
-            step = n if taped else max(1, WINDOW_BLOCK_BYTES
-                                       // _row_bytes(cfg, k, params.dtype))
-            blocks = []
-            for start in range(0, n, step):
-                b = slice(start, start + step)
-                windows = _window_vectors(patches, keep, rows[b], per_image, ids[b], cfg, ws)
-                blocks.append(_encode(params, windows, with_cls[b], workspace=ws).logits)
-            yield rows, blocks[0] if taped else Tensor(np.concatenate([t.data for t in blocks]))
+            with_cls = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64), ids + 1],
+                                      axis=1)
+            widths.append((rows, ids, with_cls))
+        if taped:
+            for rows, ids, with_cls in widths:
+                windows = _window_vectors(patches, keep, rows, per_image, ids, cfg,
+                                          _Workspace())
+                yield rows, _encode(params, windows, with_cls).logits
+        else:
+            outs = _encode_blocks(params, patches, keep, per_image, widths, plan)
+            for (rows, _, _), logits in zip(widths, outs):
+                yield rows, Tensor(logits)
     finally:
         plan.workspace.lease.release()
 

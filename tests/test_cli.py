@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bandcert import model
 from bandcert.cli import (_BLAS_VARS, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE,
                           THREADS_ENV, UsageError, main, resolve_threads)
 from bandcert.model import ModelConfig, plan_windows
@@ -274,6 +275,7 @@ def test_certify_meta_reports_phases_and_results_are_byte_stable(trained_dir, tm
     tiny = ModelConfig(image_side=8, patch_size=4, embed_dim=16, num_layers=1,
                        num_heads=2, mlp_ratio=2.0, codebook_size=8)
     assert meta["forwards_planned"] == plan_windows(tiny, 2).num_forwards
+    assert meta["window_workers"] == model.WORKERS  # one per usable CPU
     summary = json.loads((outs[0] / "summary.json").read_text())
     records = (outs[0] / "records.jsonl").read_text()
     per_image = [json.loads(ln) for ln in records.splitlines()]
@@ -286,7 +288,7 @@ def test_certify_meta_reports_phases_and_results_are_byte_stable(trained_dir, tm
         assert [int(v) for v in hist] == sorted(int(v) for v in hist), key
     for key in ("phase_seconds", "images_per_s", "windows_executed",
                 "forwards_planned", "minor_page_faults", "margin_histogram",
-                "max_certified_m_histogram"):
+                "max_certified_m_histogram", "window_workers"):
         assert key not in summary and key not in records, key
 
 
@@ -328,6 +330,7 @@ def test_bench_reports_flops_and_timing():
                 "measured_speedup", "seconds_global_sweep", "seconds_band_sweep"):
         assert key in report, key
     assert report["num_forwards"] <= report["forwards_bound"]
+    assert report["window_workers"] == model.WORKERS
     assert report["flops_band_unit"]["total"] < report["flops_global"]["total"]
     # one worst-case window per band position of the 16-wide image
     assert report["per_image_certification_flops"]["band_unit_sweep"] == \

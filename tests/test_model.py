@@ -1,4 +1,8 @@
+import multiprocessing
 import struct
+import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -176,6 +180,10 @@ def test_batched_forward_position_subset():
     assert forwards <= plan.num_forwards
     np.testing.assert_array_equal(sub[:, 0], full[:, 1])
     np.testing.assert_array_equal(sub[:, 1], full[:, 6])
+    # no rows at all: nothing is encoded, on a plan that has not swept yet too
+    fresh = plan_windows(cfg, 4)
+    assert batched_certify_forward(imgs[:0], params, fresh)[0].shape == (0, 8, 3)
+    assert list(forward_windows(imgs, np.zeros((2, 0), dtype=int), params, fresh)) == []
 
 
 def test_batched_forward_rejects_bad_positions_and_repeats_slots():
@@ -220,18 +228,27 @@ def test_windowed_forward_equals_band_unit():
 @pytest.mark.parametrize("wrap", [True, False])
 def test_window_patches_equal_ablate_patchify_gather(wrap, monkeypatch):
     # forward_windows ablates after the gather; the patch vectors it encodes
-    # must equal ablate_batch -> patchify -> gather bit for bit
+    # must equal ablate_batch -> patchify -> gather bit for bit, in every
+    # block of every width, whichever worker runs it
     cfg = tiny_cfg(image_side=16, band_wrap=wrap)
     imgs = np.random.default_rng(11).random((3, 3, 16, 16))
     positions = np.array([[0, 5, 15, 9], [3, 3, 14, 1], [7, 12, 2, 10]])
-    encoded = []
-    real_encode = model._encode
+    encoded = {}  # flat row -> (patch vectors, position ids) it was encoded with
+    block = threading.local()  # the rows of the block this thread is building
+    real_gather, real_encode = model._window_vectors, model._encode
 
-    def spy(params, patches, pos_ids=None, *args, **kwargs):
-        encoded.append((patches, pos_ids))
+    def gather_spy(patches, keep, rows, *args):
+        block.rows = rows.copy()
+        return real_gather(patches, keep, rows, *args)
+
+    def encode_spy(params, patches, pos_ids=None, *args, **kwargs):
+        assert len(block.rows) == len(patches) == len(pos_ids)
+        for r, got, got_ids in zip(block.rows, patches, pos_ids):
+            encoded[int(r)] = (got.copy(), got_ids.copy())
         return real_encode(params, patches, pos_ids, *args, **kwargs)
 
-    monkeypatch.setattr(model, "_encode", spy)
+    monkeypatch.setattr(model, "_window_vectors", gather_spy)
+    monkeypatch.setattr(model, "_encode", encode_spy)
     for dtype in (np.float32, np.float64):
         params = ModelParams.init(cfg, seed=2).cast(dtype)
         for b in (1, 3, 4, 6, 16):
@@ -239,8 +256,8 @@ def test_window_patches_equal_ablate_patchify_gather(wrap, monkeypatch):
             encoded.clear()
             seen = []
             for rows, _ in forward_windows(imgs.astype(dtype), positions, params, plan):
-                patches, pos_ids = encoded[-1]
-                for r, got, got_ids in zip(rows, patches, pos_ids):
+                for r in rows:
+                    got, got_ids = encoded[int(r)]
                     i, p = r // positions.shape[1], int(positions.flat[r])
                     abl = ablate_batch(imgs[i:i + 1].astype(dtype), np.array([p]), b,
                                        wrap=wrap)
@@ -250,7 +267,7 @@ def test_window_patches_equal_ablate_patchify_gather(wrap, monkeypatch):
                     np.testing.assert_array_equal(got, want)
                     np.testing.assert_array_equal(got_ids, np.concatenate([[0], ids + 1]))
                 seen.extend(rows.tolist())
-            assert sorted(seen) == list(range(positions.size))
+            assert sorted(seen) == sorted(encoded) == list(range(positions.size))
 
 
 def test_forward_windows_rejects_bad_inputs():
@@ -297,8 +314,12 @@ def test_row_blocks_give_the_bits_of_one_block(dtype, monkeypatch):
         return real_encode(params, patches, *args, **kwargs)
 
     monkeypatch.setattr(model, "_encode", spy)
+    # two workers on any host, so each width still has rows for 3-row
+    # blocks; the budget is shared by the workers, so it scales with them
+    monkeypatch.setattr(model, "WORKERS", 2)
     widest = max(ids.size for ids in plan.window_ids)
-    for budget, rows in ((1, 1), (3 * model._row_bytes(cfg, widest, dtype), 3)):
+    for budget, rows in ((1, 1),
+                         (3 * model.WORKERS * model._row_bytes(cfg, widest, dtype), 3)):
         monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)
         block_rows.clear()
         blocked = _sweeps(imgs, positions, params, plan)
@@ -376,6 +397,128 @@ def test_a_plain_sweep_before_backward_leaves_the_gradients_alone():
     assert alone.keys() == swept.keys() and "patch_embed.weight" in alone
     for name, g in alone.items():
         assert g.tobytes() == swept[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_worker_count_gives_the_bits_of_one_worker(dtype, monkeypatch):
+    cfg = tiny_cfg(image_side=16)
+    params = _scaled_params(cfg, dtype)
+    plan = plan_windows(cfg, 3)
+    rng = np.random.default_rng(8)
+    imgs = rng.random((7, 3, 16, 16)).astype(dtype)
+    positions = rng.integers(0, 16, size=(7, 3))
+    blocks = []  # (thread, rows) of every encoded block
+    real_encode = model._encode
+
+    def spy(params, patches, *args, **kwargs):
+        blocks.append((threading.get_ident(), len(patches)))
+        return real_encode(params, patches, *args, **kwargs)
+
+    def split(sweep):
+        # each of the sweep's two widths is split into one block per worker;
+        # the calling thread ran blocks, and with more workers a pool thread
+        # did too (one pool thread may serve two workers one after the other)
+        blocks.clear()
+        out = sweep()
+        assert len(blocks) == 2 * model.WORKERS
+        threads = {thread for thread, _ in blocks}
+        assert threading.get_ident() in threads
+        assert (len(threads) > 1) == (model.WORKERS > 1)
+        return out
+
+    monkeypatch.setattr(model, "_encode", spy)
+    sweeps = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(model, "WORKERS", workers)
+            table = split(lambda: batched_certify_forward(imgs, params, plan)[0])
+            windowed = split(lambda: list(forward_windows(imgs, positions, params, plan)))
+            sweeps[workers] = [table] + [a for rows, logits in windowed
+                                         for a in (rows, logits.data)]
+    finally:
+        sys.setswitchinterval(interval)
+    for workers in (2, 3):
+        assert len(sweeps[workers]) == len(sweeps[1])
+        for got, want in zip(sweeps[workers], sweeps[1]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(plan.worker_spaces) == 3
+
+
+@pytest.mark.parametrize("budget", [1, model.WINDOW_BLOCK_BYTES])
+def test_a_failing_block_raises_what_one_worker_raises(budget, monkeypatch):
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)
+    cfg = tiny_cfg(image_side=16)
+    dtype = np.float32
+    params = _scaled_params(cfg, dtype)
+    # finite position rows whose layer-norm mean overflows: every window that
+    # holds token column 0 turns non-finite in block 0
+    pos_embed = params["pos_embed"].data.copy()
+    pos_embed[1::4] = 0.5 * np.finfo(dtype).max
+    failing = ModelParams(cfg, {**params.tensors, "pos_embed": Tensor(pos_embed)})
+    plan = plan_windows(cfg, 4)
+    imgs = np.random.default_rng(3).random((6, 3, 16, 16)).astype(dtype)
+    # one width, token columns {0, 1} on rows 0, 2, 4 and {1, 2} on 1, 3, 5
+    positions = np.array([[1], [5], [2], [6], [3], [7]])
+    if budget == 1:
+        # One-row blocks are the same at every worker count. Rows 1-5 fail at
+        # the embedding, in time before row 0, whose worker is held back; row
+        # 0, the first failing block, still names the stage.
+        imgs[1:, 0, 0, 5] = np.nan
+        caller = threading.get_ident()
+        real_encode = model._encode
+
+        def held_back(params, *args, **kwargs):
+            if params is failing and threading.get_ident() == caller:
+                time.sleep(0.05)
+            return real_encode(params, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_encode", held_back)
+    # Larger blocks depend on the worker count, so there the failing rows,
+    # 0, 2 and 4, are in blocks of different workers but fail at one stage.
+    clean = None
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(model, "WORKERS", workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="^encoder block 0: produced non-finite values$"):
+                list(forward_windows(imgs, positions, failing, plan))
+        # every worker has returned, and the plan is free for the next sweep
+        after = _sweeps(np.nan_to_num(imgs), positions, params, plan)
+        clean = clean or after
+        assert [a.tobytes() for a in after] == [a.tobytes() for a in clean]
+
+
+def test_a_forked_child_sweeps_with_its_own_pool(monkeypatch):
+    monkeypatch.setattr(model, "WORKERS", 2)
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    plan = plan_windows(cfg, 3)
+    imgs = np.random.default_rng(5).random((4, 3, 8, 8))
+    table, _ = batched_certify_forward(imgs, params, plan)
+    assert model._pool is not None  # the parent's pool threads exist
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send((model._pool is None,
+                   batched_certify_forward(imgs, params, plan)[0].tobytes()))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        # without the fork hook the child waits forever on the parent's pool
+        assert receive.poll(60), "the child's sweep did not finish"
+        fresh_pool, child_bytes = receive.recv()
+        proc.join(60)
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert proc.exitcode == 0
+    assert fresh_pool and child_bytes == table.tobytes()
 
 
 def _scaled_params(cfg, dtype, seed=9, trainable=False):
