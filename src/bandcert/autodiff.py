@@ -9,12 +9,13 @@ reverse to return a gradient map for the leaves.
 The primitive set mirrors the model's encoder vocabulary: ``embed``,
 ``linear``, ``affine_layer_norm`` and ``attention`` are each one fused tape
 entry with a hand-written backward, beside ``gelu``, ``add`` and
-``slice_axis``. Each fused op makes the numpy calls of the chain of small
-primitives it replaces (matmul, add, mul, layer_norm, softmax_lastdim,
-split_heads, merge_heads, concat, reshape, embedding_lookup), forward and
-backward, so its gradients are that chain's bit for bit. Those small
-primitives stay: the loss uses some of them, and the tests and the
-finite-difference oracle use them as the reference chains.
+``slice_axis``. The fused ops and ``gelu`` run one private forward kernel
+each, shared with the model's plain path. A fused op makes the numpy calls
+of the chain of small primitives it replaces (matmul, add, mul, layer_norm,
+softmax_lastdim, split_heads, merge_heads, concat, reshape,
+embedding_lookup), forward and backward, so its gradients are that chain's
+bit for bit. Those small primitives call no kernel and stay: the loss uses
+some, and the tests and the finite-difference oracle use them as references.
 
 Every primitive validates operand shapes up front and checks its output for
 NaN/Inf, so a numerical blow-up surfaces at the op that produced it instead
@@ -23,7 +24,7 @@ finite parameters a non-finite intermediate stays non-finite up to there;
 ``attention`` also scans its pre-softmax scores, since softmax maps a -inf
 score to a finite 0. The model's encoder calls these primitives only
 while a tape is recording (``recording()``), so the per-op checks apply
-only then; without a tape it runs the same arithmetic on plain arrays and
+only then; without a tape it runs the same kernels on plain arrays and
 checks once per encoder stage: the embedding, each block, the head (see
 ``model``).
 """
@@ -237,8 +238,8 @@ def softmax_lastdim(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine).
 
-    Scale and shift, when wanted, are separate mul/add ops so this primitive
-    keeps a clean contract: per-row mean ~ 0, variance ~ 1.
+    The encoder runs ``affine_layer_norm``; this primitive is its reference
+    chain's first op and gate 5's probe: per-row mean ~ 0, variance ~ 1.
     """
     if x.data.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"layer_norm: needs a non-empty last axis, got {x.shape}")
@@ -260,14 +261,13 @@ def layer_norm(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x), no tanh approximation."""
-    cdf = 0.5 * (1.0 + erf(x.data / np.sqrt(np.asarray(2.0, dtype=x.dtype))))
-    out = x.data * cdf
+    out, cdf = _gelu_fwd(_fresh(x.dtype), x.data)
 
     def backward_fn(g: np.ndarray):
         pdf = np.exp(-0.5 * x.data * x.data) / np.sqrt(np.asarray(2.0 * np.pi, dtype=x.dtype))
         return (g * (cdf + x.data * pdf),)
 
-    return _emit("gelu", out.astype(x.dtype, copy=False), (x,), backward_fn)
+    return _emit("gelu", out, (x,), backward_fn)
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
@@ -375,11 +375,96 @@ def merge_heads(x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # fused encoder ops: one tape entry for each op of the model's vocabulary.
-# Each makes the numpy calls of the unfused chain it names, forward and
-# backward, in the same order and on the same layouts (the bias rows'
-# repeated sum(axis=0) of _unbroadcast included), so its output and
-# gradients are the chain's bit for bit. The patches, the attention scale
-# and its bias are not inputs, so no gradient is computed for them.
+# Each forward is one private kernel, shared with the model's plain path,
+# that computes in place in arrays from ``take(slot, shape)``: fresh on the
+# tape, workspace slots off it, where two takes of a slot share memory. It
+# writes into no operand but ``out``, since backward reads them. Forward and
+# backward make the numpy calls of the unfused chain each op names, on the
+# same layouts (the bias rows' repeated sum(axis=0) of _unbroadcast
+# included), so outputs and gradients are the chain's bit for bit. No
+# gradient is computed for the patches, the attention scale or its bias.
+
+
+def _fresh(dtype) -> Callable[[str, tuple[int, ...]], np.ndarray]:
+    return lambda slot, shape: np.empty(shape, dtype)
+
+
+def _embed_fwd(take, patches, weight, cls_token, pos_embed, pos_ids) -> np.ndarray:
+    """[0 + cls; patches @ weight] + position rows, in slot ``h``; the
+    in-range ``pos_ids`` pick the rows, None adds the whole table."""
+    n, k, _ = patches.shape
+    d = weight.shape[1]
+    h = take("h", (n, k + 1, d))
+    h[:, :1] = 0
+    h[:, :1] += cls_token
+    np.matmul(patches, weight, out=h[:, 1:])
+    if pos_ids is not None:
+        # "clip" lets take write into out directly, where "raise" fills a
+        # temporary first
+        pos_embed = np.take(pos_embed, pos_ids, axis=0, mode="clip",
+                            out=take("scratch", np.shape(pos_ids) + (d,)))
+    h += pos_embed
+    return h
+
+
+def _linear_fwd(take, x, weight, bias, slot: str) -> np.ndarray:
+    """x @ weight + bias, in ``slot``."""
+    y = np.matmul(x, weight, out=take(slot, x.shape[:-1] + weight.shape[-1:]))
+    y += bias
+    return y
+
+
+def _affine_ln_fwd(take, x, gamma, beta) -> tuple[np.ndarray, ...]:
+    """(layer_norm(x) * gamma + beta, the normalised rows, 1 / their std),
+    both arrays from slot ``ln``, so off the tape the output overwrites the rows."""
+    y = np.subtract(x, x.mean(axis=-1, keepdims=True), out=take("ln", x.shape))
+    var = np.multiply(y, y, out=take("scratch", x.shape)).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
+    y *= inv
+    out = np.multiply(y, gamma, out=take("ln", x.shape))
+    out += beta
+    return out, y, inv
+
+
+def _attention_scores_fwd(take, q, k, v, num_heads: int, bias) -> tuple[np.ndarray, ...]:
+    """Attention up to the pre-softmax scores: (q k^T * scale + bias, then the
+    (B, num_heads, L, d / num_heads) value, query and key heads, scale)."""
+    def split(x, slot):
+        n, rows, d = x.shape
+        out = take(slot, (n, num_heads, rows, d // num_heads))
+        np.copyto(out, x.reshape(n, rows, num_heads, d // num_heads).transpose(0, 2, 1, 3))
+        return out
+
+    qh, kh, vh = split(q, "q_heads"), split(k, "k_heads"), split(v, "v_heads")
+    scale = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=q.dtype)
+    scores = np.matmul(qh, np.swapaxes(kh, -1, -2),
+                       out=take("scores", qh.shape[:-1] + kh.shape[-2:-1]))
+    scores *= scale
+    if bias is not None:
+        scores += bias
+    return scores, vh, qh, kh, scale
+
+
+def _attention_out_fwd(take, scores, vh) -> np.ndarray:
+    """The second half: softmax of ``scores`` over the last axis, in place,
+    times the value heads, the heads merged back to (B, L, d)."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    o = np.matmul(scores, vh, out=take("heads_out", scores.shape[:-1] + vh.shape[-1:]))
+    n, heads, rows, dh = o.shape
+    merged = take("merged", (n, rows, heads * dh))
+    np.copyto(merged.reshape(n, rows, heads, dh), o.transpose(0, 2, 1, 3))
+    return merged
+
+
+def _gelu_fwd(take, x, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(x * Phi(x) into ``out``, fresh when None; Phi, in slot ``scratch``)."""
+    cdf = np.divide(x, np.sqrt(np.asarray(2.0, dtype=x.dtype)), out=take("scratch", x.shape))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return np.multiply(x, cdf, out=out), cdf
 
 
 def embed(patches: np.ndarray, weight: Tensor, cls_token: Tensor, pos_embed: Tensor,
@@ -400,20 +485,15 @@ def embed(patches: np.ndarray, weight: Tensor, cls_token: Tensor, pos_embed: Ten
                          f"{pos_embed.shape} ({weight.dtype}) do not fit")
     b, k, _ = patches.shape
     d = weight.shape[1]
-    if pos_ids is None:
-        idx, rows = None, pos_embed.data
-    else:
-        idx = _row_ids("embed", pos_ids, pos_embed.shape[0])
-        rows = pos_embed.data[idx]
-    if rows.shape not in ((k + 1, d), (b, k + 1, d)):
-        raise ShapeError(f"embed: position rows {rows.shape} do not fit {k + 1} tokens")
-    proj = np.matmul(patches, weight.data)
-    h = np.concatenate([np.zeros((b, 1, d), dtype=weight.dtype)
-                        + cls_token.data.reshape((1, 1, d)), proj], axis=1)
-    out = h + rows
+    idx = None if pos_ids is None else _row_ids("embed", pos_ids, pos_embed.shape[0])
+    rows = pos_embed.shape if idx is None else idx.shape + (d,)
+    if rows not in ((k + 1, d), (b, k + 1, d)):
+        raise ShapeError(f"embed: position rows {rows} do not fit {k + 1} tokens")
+    out = _embed_fwd(_fresh(weight.dtype), patches, weight.data, cls_token.data,
+                     pos_embed.data, idx)
 
     def backward_fn(g: np.ndarray):
-        gpos = _unbroadcast(g, rows.shape)
+        gpos = _unbroadcast(g, rows)
         if idx is not None:  # embedding_lookup's scatter-add into the table
             grows, gpos = gpos, np.zeros_like(pos_embed.data)
             np.add.at(gpos, idx.reshape(-1), grows.reshape((-1, d)))
@@ -432,7 +512,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             or bias.shape != weight.shape[1:]):
         raise ShapeError(f"linear: shapes {x.shape} @ {weight.shape} + {bias.shape} "
                          f"do not fit")
-    out = np.matmul(x.data, weight.data) + bias.data
+    out = _linear_fwd(_fresh(x.dtype), x.data, weight.data, bias.data, "linear")
 
     def backward_fn(g: np.ndarray):
         gb = _unbroadcast(g, bias.shape)
@@ -451,12 +531,7 @@ def affine_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             or beta.shape != x.shape[-1:]):
         raise ShapeError(f"affine_layer_norm: shapes {x.shape}, {gamma.shape} and "
                          f"{beta.shape} do not fit")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
-    y = centered * inv
-    out = y * gamma.data + beta.data
+    out, y, inv = _affine_ln_fwd(_fresh(x.dtype), x.data, gamma.data, beta.data)
 
     def backward_fn(g: np.ndarray):
         gbeta = _unbroadcast(g, beta.shape)
@@ -484,45 +559,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         raise ShapeError(f"attention: cannot attend {q.shape} to {k.shape} / {v.shape} "
                          f"with {num_heads} heads")
     b, lq, d = q.shape
-    lk = k.shape[1]
-    dh = d // num_heads
-
-    def split(x: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(
-            x.reshape(x.shape[0], x.shape[1], num_heads, dh).transpose(0, 2, 1, 3))
-
-    def merge(x: np.ndarray, length: int) -> np.ndarray:
-        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, length, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.dtype)
-    kt = np.swapaxes(kh, -1, -2)
-    scores = np.matmul(qh, kt) * scale
     if bias is not None:
+        scores = (b, num_heads, lq, k.shape[1])
         if bias.dtype != q.dtype:
             raise ShapeError(f"attention: mixed dtypes {q.dtype} vs {bias.dtype}")
         try:
-            fits = np.broadcast_shapes(scores.shape, bias.shape) == scores.shape
+            np.broadcast_to(bias, scores)
         except ValueError:
-            fits = False
-        if not fits:
             raise ShapeError(f"attention: bias {bias.shape} does not broadcast to "
-                             f"scores {scores.shape}")
-        scores = scores + bias
-    if not np.isfinite(scores).all():
+                             f"scores {scores}") from None
+    take = _fresh(q.dtype)
+    # p holds the scores until _attention_out_fwd softmaxes them in place
+    p, vh, qh, kh, scale = _attention_scores_fwd(take, q.data, k.data, v.data, num_heads, bias)
+    if not np.isfinite(p).all():
         raise NumericError("attention: produced non-finite values")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(b, lq, d)
+    out = _attention_out_fwd(take, p, vh)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, -1, d)
 
     def backward_fn(g: np.ndarray):
-        go = np.ascontiguousarray(g.reshape(b, lq, num_heads, dh).transpose(0, 2, 1, 3))
+        go = np.ascontiguousarray(g.reshape(b, lq, num_heads, -1).transpose(0, 2, 1, 3))
         gp = np.matmul(go, np.swapaxes(vh, -1, -2))
-        gv = merge(np.matmul(np.swapaxes(p, -1, -2), go), lk)
+        gv = merge(np.matmul(np.swapaxes(p, -1, -2), go))
         inner = (gp * p).sum(axis=-1, keepdims=True)
         gs = p * (gp - inner) * scale
-        gq = merge(np.matmul(gs, np.swapaxes(kt, -1, -2)), lq)
-        gk = merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), lk)
+        gq = merge(np.matmul(gs, kh))
+        gk = merge(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2))
         return gq, gk, gv
 
     return _emit("attention", out, (q, k, v), backward_fn)

@@ -14,18 +14,15 @@ restriction oracle.
 
 ``_encoder`` writes that arithmetic once, over a small op vocabulary
 (embedding, linear, affine layer norm, attention, GELU, residual add,
-class-row slice) with two implementations. While a tape records
-(``autodiff.recording()``), ``_TapeOps`` runs each op as one tape
-primitive (``autodiff.embed``, ``linear``, ``affine_layer_norm``,
-``attention``, ``gelu``, ``add``, ``slice_axis``), one tape entry per op,
-each checking its output for NaN/Inf, so training can differentiate them.
-Otherwise, in certification, the attack and ``bench``, ``_PlainOps`` makes
-the same numpy calls on plain arrays, bit-identical to the tape, and checks
-once per stage (the embedding, each block, the head). It writes every
-intermediate the size of its input batch into a ``_Workspace`` through
-``out=``, so a repeated call reuses memory it has already faulted in
-instead of allocating it afresh. Either way a non-finite value raises
-NumericError naming that stage.
+class-row slice) with two implementations that share one private forward
+kernel per op (``autodiff._embed_fwd`` and the like). While a tape records
+(``autodiff.recording()``), ``_TapeOps`` runs each op as one tape entry
+that checks its output for NaN/Inf, so training can differentiate them.
+Otherwise, in certification, the attack and ``bench``, ``_PlainOps`` runs
+the kernels on plain arrays in the slots of a ``_Workspace``, reusing
+memory a repeated call has already faulted in, and checks once per stage
+(the embedding, each block, the head). Either way a non-finite value
+raises NumericError naming that stage.
 
 * ``forward_global``: the full token sequence, optionally with an additive
   attention mask restricting which tokens may be attended to.
@@ -64,7 +61,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -162,10 +158,6 @@ class ModelConfig:
     @property
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * INPUT_CHANNELS
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
 
 
 def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -283,9 +275,9 @@ class _Workspace:
     C-contiguous view at the front of a slot's buffer and reallocates only
     when a larger request comes, so a repeated call of the same shapes
     touches only memory it has already faulted in. A view stays valid until
-    the next ``take`` of its slot. Not thread-safe: in a windowed sweep each
-    worker has its own, and one more holds the patchified images and the
-    plan's lease."""
+    the next ``take`` of its slot, which returns the same memory when it
+    fits. Not thread-safe: in a windowed sweep each worker has its own, and
+    one more holds the patchified images and the plan's lease."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -318,8 +310,7 @@ class _TapeOps:
         self.bias = attn_bias
 
     def embed(self, patches: np.ndarray, pos_ids: np.ndarray | None) -> Tensor:
-        return ad.embed(np.ascontiguousarray(patches, dtype=self.params.dtype),
-                        self.params["patch_embed.weight"], self.params["cls_token"],
+        return ad.embed(patches, self.params["patch_embed.weight"], self.params["cls_token"],
                         self.params["pos_embed"], pos_ids)
 
     def affine_ln(self, x: Tensor, prefix: str) -> Tensor:
@@ -353,23 +344,16 @@ class _TapeOps:
 
 class _PlainOps:
     """The same vocabulary on plain ndarrays, for inference: no Tensor, no
-    tape and no per-op scan. Each op makes the numpy calls of its tape twin
-    in the same order on operands of the same dtype and layout, so the
-    results are the tape's bit for bit. Where the twin makes a fresh array
-    the size of the batch, this op writes into a slot of the workspace
-    through ``out=``, or runs in place; only per-row arrays (means, maxima,
-    the class row) are allocated. Slots whose lifetimes do not overlap
-    share a buffer: ``scratch`` holds one op's temporary (the embedding's
-    position rows, the layer norm's squares, the GELU's Phi), ``ln`` every
-    layer norm's output, and each linear's output is keyed by its weight's
-    name within the block. ``check`` is the one NaN/Inf scan, taken once per
-    encoder stage, and ``tensor`` copies its array out of the workspace."""
+    tape and no per-op scan. Each op is one call of its tape twin's kernel
+    on slots of the workspace, so the results are the tape's bit for bit;
+    each linear's output is keyed by its weight's name within the block.
+    ``check`` is the one NaN/Inf scan, taken once per encoder stage, and
+    ``tensor`` copies its array out of the workspace."""
 
     def __init__(self, params: ModelParams, attn_bias: np.ndarray | None,
                  workspace: _Workspace):
         self.params = params
         self.bias = attn_bias
-        self.scale = np.asarray(1.0 / math.sqrt(params.cfg.head_dim), dtype=params.dtype)
         self.ws = workspace
 
     def _p(self, name: str) -> np.ndarray:
@@ -379,73 +363,24 @@ class _PlainOps:
         return self.ws.take(slot, shape, self.params.dtype)
 
     def embed(self, patches: np.ndarray, pos_ids: np.ndarray | None) -> np.ndarray:
-        d = self.params.cfg.embed_dim
-        patches = np.ascontiguousarray(patches, dtype=self.params.dtype)
-        n, k, _ = patches.shape
-        # [0 + cls; patches @ E], the tape's concatenation, built in place
-        h = self._take("h", (n, k + 1, d))
-        h[:, :1] = 0
-        h[:, :1] += self._p("cls_token")
-        np.matmul(patches, self._p("patch_embed.weight"), out=h[:, 1:])
-        pos_rows = self._p("pos_embed")
-        if pos_ids is not None:
-            # ids are in range by construction; "clip" lets take write into
-            # out directly, where "raise" fills a temporary first
-            pos_rows = np.take(pos_rows, pos_ids, axis=0, mode="clip",
-                               out=self._take("scratch", np.shape(pos_ids) + (d,)))
-        h += pos_rows
-        return h
+        return ad._embed_fwd(self._take, patches, self._p("patch_embed.weight"),
+                             self._p("cls_token"), self._p("pos_embed"), pos_ids)
 
     def affine_ln(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        y = np.subtract(x, x.mean(axis=-1, keepdims=True), out=self._take("ln", x.shape))
-        var = np.multiply(y, y, out=self._take("scratch", x.shape)).mean(axis=-1,
-                                                                         keepdims=True)
-        y *= 1.0 / np.sqrt(var + np.asarray(ad.LN_EPS, dtype=x.dtype))
-        y *= self._p(prefix + ".gamma")
-        y += self._p(prefix + ".beta")
-        return y
+        return ad._affine_ln_fwd(self._take, x, self._p(prefix + ".gamma"),
+                                 self._p(prefix + ".beta"))[0]
 
     def linear(self, x: np.ndarray, weight: str, bias: str) -> np.ndarray:
-        w = self._p(weight)
-        y = np.matmul(x, w, out=self._take(weight.rsplit(".", 1)[-1],
-                                           x.shape[:-1] + w.shape[-1:]))
-        y += self._p(bias)
-        return y
+        return ad._linear_fwd(self._take, x, self._p(weight), self._p(bias),
+                              weight.rsplit(".", 1)[-1])
 
     def attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        heads = self.params.cfg.num_heads
-
-        def split_heads(t, slot):
-            n, rows, d = t.shape
-            out = self._take(slot, (n, heads, rows, d // heads))
-            np.copyto(out, t.reshape(n, rows, heads, d // heads).transpose(0, 2, 1, 3))
-            return out
-
-        q, k, v = (split_heads(t, slot) for t, slot in
-                   ((q, "q_heads"), (k, "k_heads"), (v, "v_heads")))
-        scores = np.matmul(q, np.swapaxes(k, -1, -2),
-                           out=self._take("scores", q.shape[:-1] + k.shape[-2:-1]))
-        scores *= self.scale
-        if self.bias is not None:
-            scores += self.bias
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        o = np.matmul(scores, v, out=self._take("heads_out", q.shape))
-        n, _, rows, dh = o.shape
-        merged = self._take("merged", (n, rows, heads * dh))
-        np.copyto(merged.reshape(n, rows, heads, dh), o.transpose(0, 2, 1, 3))
-        return merged
+        scores, vh = ad._attention_scores_fwd(self._take, q, k, v, self.params.cfg.num_heads,
+                                              self.bias)[:2]
+        return ad._attention_out_fwd(self._take, scores, vh)
 
     def gelu(self, x: np.ndarray) -> np.ndarray:
-        # x * Phi(x) into x, the MLP's own slot; Phi is built in scratch
-        cdf = np.divide(x, np.sqrt(np.asarray(2.0, dtype=x.dtype)),
-                        out=self._take("scratch", x.shape))
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
-        x *= cdf
-        return x
+        return ad._gelu_fwd(self._take, x, out=x)[0]  # x is the MLP's own slot
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a is the residual stream, which nothing else reads
@@ -532,12 +467,12 @@ def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None
     checked that no tape records, so a worker thread never asks. Without
     one they are tape primitives while a tape records, so training can
     differentiate them, and otherwise plain arrays in a fresh workspace.
-    Plain ops give the same bits with one NaN/Inf check per stage instead
-    of one per op. Nothing returned points into the workspace.
+    Nothing returned points into the workspace.
     ``forward_windows`` calls this once per row block, so when rows fail at
     different stages its error names the first failing stage of the first
     failing block.
     """
+    patches = np.ascontiguousarray(patches, dtype=params.dtype)
     if workspace is None and ad.recording():
         ops = _TapeOps(params, attn_bias)
     else:

@@ -296,3 +296,40 @@ def test_primitive_gradients_quick(case):
         fn = ad.mean
         x = rng.standard_normal((3, 3))
     assert ad.check_gradient(fn, x, probes=8, seed=9) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", ["embed", "linear", "affine_layer_norm", "attention", "gelu"])
+def test_fused_ops_leave_their_operands_and_output_alone(op, dtype):
+    # The forward kernels compute in place. One that wrote into an operand
+    # on the tape would corrupt what backward reads, and a backward that
+    # wrote into the output would corrupt what later ops read.
+    rng = np.random.default_rng(len(op))
+
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    patches = rng.standard_normal((2, 3, 5)).astype(dtype)
+    bias = np.where([1, 0, 1, 1], 0.0, ad.MASK_OFF).astype(dtype)
+    x = t(2, 4, 6)
+    inputs, run = {
+        "embed": ([t(5, 6), t(6), t(9, 6)],
+                  lambda w, c, p: ad.embed(patches, w, c, p, np.array([0, 3, 1, 8]))),
+        "linear": ([x, t(6, 4), t(4)], ad.linear),
+        "affine_layer_norm": ([x, t(6), t(6)], ad.affine_layer_norm),
+        "attention": ([x, t(2, 4, 6), t(2, 4, 6)],
+                      lambda q, k, v: ad.attention(q, k, v, 2, bias)),
+        "gelu": ([x], ad.gelu),
+    }[op]
+    arrays = [a.data for a in inputs] + [patches, bias]
+    before = [a.copy() for a in arrays]
+    tape = Tape()
+    with record(tape):
+        out = run(*inputs)
+        loss = ad.mean(ad.mul(out, Tensor(rng.standard_normal(out.shape).astype(dtype))))
+    forward = out.data.copy()
+    grads = ad.backward(tape, loss)
+    assert all(grads[a].shape == a.shape for a in inputs)
+    for i, (a, b) in enumerate(zip(arrays, before)):
+        assert a.tobytes() == b.tobytes(), f"operand {i} changed"
+    assert out.data.tobytes() == forward.tobytes()

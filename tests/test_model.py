@@ -1,4 +1,8 @@
+import functools
+import importlib
+import inspect
 import multiprocessing
+import pkgutil
 import struct
 import sys
 import threading
@@ -335,11 +339,15 @@ def test_a_repeated_sweep_reuses_the_plan_workspace():
     plan = plan_windows(cfg, 3)
     rng = np.random.default_rng(1)
     batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
-    buffers = dict(plan.workspace.buffers)
-    assert buffers
+    # the patches' workspace, then each worker's, where the encoder runs
+    spaces = [plan.workspace, *plan.worker_spaces]
+    buffers = [dict(ws.buffers) for ws in spaces]
+    assert len(spaces) > 1 and all(buffers)
     batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
-    assert plan.workspace.buffers.keys() == buffers.keys()
-    assert all(plan.workspace.buffers[slot] is buf for slot, buf in buffers.items())
+    assert [plan.workspace, *plan.worker_spaces] == spaces
+    for ws, before in zip(spaces, buffers):
+        assert ws.buffers.keys() == before.keys()
+        assert all(ws.buffers[slot] is buf for slot, buf in before.items())
 
 
 @pytest.mark.parametrize("budget", [model.WINDOW_BLOCK_BYTES, 1])
@@ -519,6 +527,64 @@ def test_a_forked_child_sweeps_with_its_own_pool(monkeypatch):
             proc.join()
     assert proc.exitcode == 0
     assert fresh_pool and child_bytes == table.tobytes()
+
+
+def test_worker_threads_call_no_public_function(monkeypatch):
+    # A profiler that wraps every public function and method of the package
+    # keeps one span stack, so only the calling thread may call them. Wrap
+    # them as such a profiler does: each module's public functions, rebound
+    # wherever a module holds them, and the public methods of its classes.
+    calls = []  # (thread, name) of every public call
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            calls.append((threading.get_ident(), name))
+            return fn(*args, **kwargs)
+        return traced
+
+    root = importlib.import_module("bandcert")
+    for info in pkgutil.walk_packages(root.__path__, "bandcert."):
+        importlib.import_module(info.name)
+    modules = [m for n, m in sorted(sys.modules.items())
+               if n == "bandcert" or n.startswith("bandcert.")]
+    wrapped = {}
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if attr.startswith("_") or getattr(value, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(value):
+                wrapped[id(value)] = wrap(f"{mod.__name__}.{attr}", value)
+            elif inspect.isclass(value):
+                for meth, fn in list(vars(value).items()):
+                    if not meth.startswith("_") and inspect.isfunction(fn):
+                        monkeypatch.setattr(value, meth,
+                                            wrap(f"{mod.__name__}.{attr}.{meth}", fn))
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if id(value) in wrapped and inspect.isfunction(value):
+                monkeypatch.setattr(mod, attr, wrapped[id(value)])
+
+    blocks = []  # thread of every encoded block
+    real_encode = model._encode
+
+    def spy(*args, **kwargs):
+        blocks.append(threading.get_ident())
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode", spy)
+    monkeypatch.setattr(model, "WORKERS", 2)
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", 1)  # one row per block
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    imgs = np.random.default_rng(7).random((3, 3, 8, 8))
+    model.batched_certify_forward(imgs, params, plan_windows(cfg, 3))
+    caller = threading.get_ident()
+    assert len(blocks) == 3 * 8 and set(blocks) - {caller}, "no pool thread ran a block"
+    names = {name for _, name in calls}
+    assert {"bandcert.model.forward_windows", "bandcert.model.patchify"} <= names
+    assert all(thread == caller for thread, _ in calls), \
+        sorted({name for thread, name in calls if thread != caller})
 
 
 def _scaled_params(cfg, dtype, seed=9, trainable=False):
