@@ -381,8 +381,11 @@ def merge_heads(x: Tensor) -> Tensor:
 # writes into no operand but ``out``, since backward reads them. Forward and
 # backward make the numpy calls of the unfused chain each op names, on the
 # same layouts (the bias rows' repeated sum(axis=0) of _unbroadcast
-# included), so outputs and gradients are the chain's bit for bit. No
-# gradient is computed for the patches, the attention scale or its bias.
+# included), so outputs and gradients are the chain's bit for bit. Two
+# forward steps take another route to the same bits: the softmax's row max
+# is a running np.maximum over the key columns, not a reduce, and the layer
+# norm's means skip np.mean's wrapper (``_row_mean``). No gradient is
+# computed for the patches, the attention scale or its bias.
 
 
 def _fresh(dtype) -> Callable[[str, tuple[int, ...]], np.ndarray]:
@@ -414,11 +417,18 @@ def _linear_fwd(take, x, weight, bias, slot: str) -> np.ndarray:
     return y
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True) without np.mean's Python wrapper: the
+    same sum, divided in place by the same intp count."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(x.shape[-1]), out=total, casting="unsafe")
+
+
 def _affine_ln_fwd(take, x, gamma, beta) -> tuple[np.ndarray, ...]:
     """(layer_norm(x) * gamma + beta, the normalised rows, 1 / their std),
     both arrays from slot ``ln``, so off the tape the output overwrites the rows."""
-    y = np.subtract(x, x.mean(axis=-1, keepdims=True), out=take("ln", x.shape))
-    var = np.multiply(y, y, out=take("scratch", x.shape)).mean(axis=-1, keepdims=True)
+    y = np.subtract(x, _row_mean(x), out=take("ln", x.shape))
+    var = _row_mean(np.multiply(y, y, out=take("scratch", x.shape)))
     inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
     y *= inv
     out = np.multiply(y, gamma, out=take("ln", x.shape))
@@ -447,8 +457,17 @@ def _attention_scores_fwd(take, q, k, v, num_heads: int, bias) -> tuple[np.ndarr
 
 def _attention_out_fwd(take, scores, vh) -> np.ndarray:
     """The second half: softmax of ``scores`` over the last axis, in place,
-    times the value heads, the heads merged back to (B, L, d)."""
-    scores -= scores.max(axis=-1, keepdims=True)
+    times the value heads, the heads merged back to (B, L, d).
+
+    The row max is a running maximum over the key columns, in slot
+    ``row_max``: far cheaper than a reduce over a few columns, and the same
+    bits, since a maximum has one value in any order and NaN propagates
+    either way; a +0/-0 tie changes only the sign of a zero exp maps to 1."""
+    row_max = take("row_max", scores.shape[:-1] + (1,))
+    np.copyto(row_max, scores[..., :1])
+    for j in range(1, scores.shape[-1]):
+        np.maximum(row_max, scores[..., j:j + 1], out=row_max)
+    scores -= row_max
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     o = np.matmul(scores, vh, out=take("heads_out", scores.shape[:-1] + vh.shape[-1:]))

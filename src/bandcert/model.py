@@ -285,7 +285,8 @@ class _Workspace:
         self.lease = threading.Lock()
 
     def take(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
+        if not isinstance(dtype, np.dtype):
+            dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         buf = self.buffers.get(slot)
         if buf is None or buf.size < nbytes:
@@ -355,12 +356,13 @@ class _PlainOps:
         self.params = params
         self.bias = attn_bias
         self.ws = workspace
+        self.dtype = params.dtype
 
     def _p(self, name: str) -> np.ndarray:
         return self.params[name].data
 
     def _take(self, slot: str, shape: tuple[int, ...]) -> np.ndarray:
-        return self.ws.take(slot, shape, self.params.dtype)
+        return self.ws.take(slot, shape, self.dtype)
 
     def embed(self, patches: np.ndarray, pos_ids: np.ndarray | None) -> np.ndarray:
         return ad._embed_fwd(self._take, patches, self._p("patch_embed.weight"),
@@ -550,8 +552,16 @@ def forward_band_unit(inputs: np.ndarray, params: ModelParams,
 
 @dataclass
 class WindowPlan:
-    """Each band position's window tokens, and the windows packed into
-    forwards of token-disjoint windows.
+    """Each band position's window tokens, the tables ``forward_windows``
+    indexes to gather them, and the windows packed into forwards of
+    token-disjoint windows.
+
+    The tables are built once, by ``plan_windows``: ``sizes[p]`` is the
+    number of tokens in position p's window, and with s that size and
+    r = ``table_rows[p]``, row r of ``token_ids[s]`` is ``window_ids[p]``
+    and row r of ``position_ids[s]`` its position-table rows, 0 for the
+    class token and then each token id + 1. The positions of one window
+    size hold its tables' rows in ascending order.
 
     A plan also owns the workspaces its plain-array sweeps run in (see
     ``forward_windows``), the way an FFT plan owns its work area, so a
@@ -567,6 +577,10 @@ class WindowPlan:
     image_width: int
     window_ids: list[np.ndarray]     # per band position: window_token_ids
     groups: list[list[int]]          # band positions packed per forward
+    sizes: np.ndarray                # (w,) tokens in each position's window
+    table_rows: np.ndarray           # (w,) each position's row in its size's tables
+    token_ids: dict[int, np.ndarray]     # window size s -> (positions of size s, s)
+    position_ids: dict[int, np.ndarray]  # window size s -> (positions of size s, s + 1)
     workspace: _Workspace = field(default_factory=_Workspace, repr=False, compare=False)
     worker_spaces: list[_Workspace] = field(default_factory=list, repr=False,
                                             compare=False)
@@ -682,12 +696,19 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
                 raise ContractError("plan_windows: overlapping windows inside one forward")
             seen |= s
 
-    return WindowPlan(
-        band_width=band_width,
-        image_width=w,
-        window_ids=[_column_token_ids(cfg, cols) for cols in arcs],
-        groups=groups,
-    )
+    window_ids = [_column_token_ids(cfg, cols) for cols in arcs]
+    sizes = np.array([ids.size for ids in window_ids])
+    table_rows = np.empty(w, dtype=np.int64)
+    token_ids, position_ids = {}, {}
+    for size in sorted(set(sizes.tolist())):
+        at = np.flatnonzero(sizes == size)
+        table_rows[at] = np.arange(at.size)
+        table = token_ids[size] = np.array([window_ids[p] for p in at], dtype=np.int64)
+        position_ids[size] = np.concatenate(
+            [np.zeros((at.size, 1), dtype=np.int64), table + 1], axis=1)
+    return WindowPlan(band_width=band_width, image_width=w, window_ids=window_ids,
+                      groups=groups, sizes=sizes, table_rows=table_rows,
+                      token_ids=token_ids, position_ids=position_ids)
 
 
 def _row_bytes(cfg: ModelConfig, k: int, dtype) -> int:
@@ -704,7 +725,8 @@ def _window_vectors(patches: np.ndarray, keep: np.ndarray, rows: np.ndarray,
                     workspace: _Workspace) -> np.ndarray:
     """Gather, then ablate: the (n, k, patch_dim) patch vectors of the
     windows on flat ``rows``, whose tokens are ``ids`` (n, k), built in the
-    workspace's ``gather`` and ``windows`` slots."""
+    workspace's ``gather`` and ``windows`` slots in the dtype that
+    ``patches`` and ``keep`` share."""
     ps = cfg.patch_size
     n, k = ids.shape
     _, n_cols = cfg.grid
@@ -715,8 +737,7 @@ def _window_vectors(patches: np.ndarray, keep: np.ndarray, rows: np.ndarray,
                      (rows // per_image)[:, None] * cfg.num_tokens + ids, axis=0,
                      mode="clip", out=workspace.take("gather", (n, k, patches.shape[2]),
                                                      patches.dtype))
-    windows = workspace.take("windows", (n, k, INPUT_CHANNELS, ps, ps),
-                             np.result_type(patches, keep))
+    windows = workspace.take("windows", (n, k, INPUT_CHANNELS, ps, ps), patches.dtype)
     np.multiply(pixels.reshape(n, k, 3, ps, ps), flags, out=windows[:, :, :3])
     windows[:, :, 3:] = flags
     return windows.reshape(n, k, cfg.patch_dim)
@@ -805,13 +826,17 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     narrowest first: the ascending flat rows of that width and their
     (len(rows), num_classes) logits Tensor.
 
-    Each image is patchified once. A window gathers its tokens and only
-    then is ablated: its pixels are multiplied by the band's per-pixel-
-    column keep flags and the keep plane is appended as the fourth
-    channel. Those are the multiplications ``ablate_batch`` does, so the
-    window's patch vectors equal ablate_batch -> patchify -> gather bit for
-    bit. Every encoder op is row-local or a per-slice gufunc, so a row's
-    logits do not depend on the rows stacked with it.
+    Each image is patchified once, cast to the params' dtype, and the keep
+    flags are cast to it too, so every window is gathered, ablated and
+    encoded in that dtype. A width's rows take their token ids and position
+    ids from the plan's tables, one index of each by their band positions.
+    A window gathers its tokens and only then is ablated: its pixels are
+    multiplied by the band's per-pixel-column keep flags and the keep plane
+    is appended as the fourth channel. Those are the multiplications
+    ``ablate_batch`` does, and the flags are 0 or 1, so the window's patch
+    vectors equal ablate_batch -> cast -> patchify -> gather bit for bit.
+    Every encoder op is row-local or a per-slice gufunc, so a row's logits
+    do not depend on the rows stacked with it.
 
     Off the tape, every width runs in row blocks, gather -> ablate ->
     encode, on ``WORKERS`` workers, each block in its worker's workspace of
@@ -825,7 +850,8 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     cfg = params.cfg
     ps = cfg.patch_size
     imgs = np.asarray(images)
-    keep = band_keep(imgs, positions, plan.band_width, wrap=cfg.band_wrap)
+    keep = band_keep(imgs, positions, plan.band_width, wrap=cfg.band_wrap).astype(
+        params.dtype, copy=False)
     pos = np.asarray(positions, dtype=np.int64)
     if pos.ndim != 2 or pos.shape[0] != imgs.shape[0]:
         raise ContractError(f"forward_windows: positions {pos.shape} are not "
@@ -839,16 +865,15 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     if not plan.workspace.lease.acquire(blocking=False):
         raise ContractError("forward_windows: this plan is already running a sweep")
     try:
-        patches = patchify(imgs, ps, out=None if taped else plan.workspace.take(
-            "patches", (imgs.shape[0], cfg.num_tokens, 3 * ps * ps), imgs.dtype))
-        sizes = np.array([ids.size for ids in plan.window_ids])[pos]
+        shape = (imgs.shape[0], cfg.num_tokens, 3 * ps * ps)
+        patches = patchify(imgs, ps, out=np.empty(shape, params.dtype) if taped
+                           else plan.workspace.take("patches", shape, params.dtype))
+        sizes = plan.sizes[pos]
         widths = []
-        for size in np.unique(sizes):
+        for size in np.unique(sizes).tolist():
             rows = np.flatnonzero(sizes == size)
-            ids = np.stack([plan.window_ids[p] for p in pos[rows]])
-            with_cls = np.concatenate([np.zeros((len(rows), 1), dtype=np.int64), ids + 1],
-                                      axis=1)
-            widths.append((rows, ids, with_cls))
+            at = plan.table_rows[pos[rows]]
+            widths.append((rows, plan.token_ids[size][at], plan.position_ids[size][at]))
         if taped:
             for rows, ids, with_cls in widths:
                 windows = _window_vectors(patches, keep, rows, per_image, ids, cfg,

@@ -44,9 +44,9 @@ def test_resolve_threads_precedence(monkeypatch):
         resolve_threads(0)
 
 
-@pytest.mark.parametrize("script", ["toy_pipeline.py", "stage_ablation.py"])
+@pytest.mark.parametrize("script", ["toy_pipeline.py", "stage_ablation.py", "bit_digests.py"])
 def test_scripts_start(script):
-    # both import the training API at module level, so --help checks that
+    # each imports the program's API at module level, so --help checks that
     # the imports they name still exist
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
     proc = subprocess.run([sys.executable, path, "--help"], capture_output=True,

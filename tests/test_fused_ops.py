@@ -213,3 +213,71 @@ def test_a_non_finite_output_names_the_fused_op(op):
     }[op]
     with pytest.raises(NumericError, match=f"^{op}: produced non-finite values$"):
         run()
+
+
+# The kernels against the numpy formulas they replace, byte for byte.
+
+
+def reference_attention_out(scores, vh):
+    # the softmax with a reduce-based row max, then the values, heads merged
+    p = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    o = np.matmul(p, vh)
+    n, heads, rows, dh = o.shape
+    return p, np.ascontiguousarray(o.transpose(0, 2, 1, 3)).reshape(n, rows, heads * dh)
+
+
+def special_score_rows(lk, rng):
+    # random rows with one special value in each column, rows of ties, and
+    # rows made only of one special value
+    specials = [0.0, -0.0, ad.MASK_OFF, np.inf, -np.inf, np.nan, 3.0]
+    rows = [rng.standard_normal(lk) for _ in range(4)]
+    for v in specials:
+        rows.append(np.full(lk, v))
+        for j in range(lk):
+            row = rng.standard_normal(lk)
+            row[j] = v
+            rows.append(row)
+    for j in range(lk):  # a tie of the maximum, and a +0/-0 tie of it
+        tie = np.minimum(rng.standard_normal(lk), 0.5)
+        tie[j], tie[-1 - j] = 2.0, 2.0
+        rows.append(tie)
+        zeros = -np.abs(rng.standard_normal(lk)) - 1.0
+        zeros[j], zeros[-1 - j] = 0.0, -0.0
+        rows.append(zeros)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lq", [1, 3])
+@pytest.mark.parametrize("lk", [1, 2, 5, 17])
+def test_attention_out_kernel_has_the_bits_of_a_reduce_max(dtype, lq, lk):
+    # the running row max must give the softmax and output of
+    # scores.max(axis=-1) byte for byte, also on rows with ties, signed
+    # zeros, masked columns, infinities and NaN (to each column, the last too)
+    rng = np.random.default_rng(lk * 10 + lq)
+    rows = special_score_rows(lk, rng)
+    heads = 2
+    n = -(-len(rows) // (heads * lq))
+    flat = np.resize(rows, (n * heads * lq, lk))
+    scores = flat.reshape(n, heads, lq, lk).astype(dtype)
+    vh = rng.standard_normal((n, heads, lk, 3)).astype(dtype)
+    with np.errstate(all="ignore"):
+        want_p, want = reference_attention_out(scores, vh)
+        got_p = scores.copy()
+        got = ad._attention_out_fwd(ad._fresh(dtype), got_p, vh)
+    assert got_p.tobytes() == want_p.tobytes()  # the kernel softmaxes in place
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_row_mean_has_the_bits_of_np_mean(dtype):
+    rng = np.random.default_rng(5)
+    for width in range(1, 129):
+        x = (rng.standard_normal((7, 3, width)) * 10.0 ** rng.integers(-6, 7)).astype(dtype)
+        for view in (x, x[:, ::2], x.transpose(1, 0, 2)):
+            got, want = ad._row_mean(view), view.mean(axis=-1, keepdims=True)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (width, dtype)

@@ -143,9 +143,9 @@ def test_plan_toy_geometry_forward_count():
     assert plan_windows(cfg, 4).num_forwards <= 8
 
 
-def test_forwards_lower_bound_holds_for_every_plan():
-    # the largest column load bounds every packing from below, so it must
-    # never exceed what the packer plans; unwrapped, the packer meets it
+def _every_plan():
+    """(w, p, b, wrap, plan) over every side, patch, band width and wrap the
+    plan tests sweep."""
     for w in (8, 12, 16, 24, 32, 40, 48, 64):
         for p in (d for d in range(1, w + 1) if w % d == 0):
             for wrap in (True, False):
@@ -153,11 +153,37 @@ def test_forwards_lower_bound_holds_for_every_plan():
                                   num_heads=1, mlp_ratio=1.0, num_classes=2,
                                   codebook_size=2, band_wrap=wrap)
                 for b in range(1, w + 1):
-                    plan = plan_windows(cfg, b)
-                    if wrap:
-                        assert plan.forwards_lower_bound <= plan.num_forwards, (w, p, b)
-                    else:
-                        assert plan.forwards_lower_bound == plan.num_forwards, (w, p, b)
+                    yield w, p, b, wrap, plan_windows(cfg, b)
+
+
+def test_forwards_lower_bound_holds_for_every_plan():
+    # the largest column load bounds every packing from below, so it must
+    # never exceed what the packer plans; unwrapped, the packer meets it
+    for w, p, b, wrap, plan in _every_plan():
+        if wrap:
+            assert plan.forwards_lower_bound <= plan.num_forwards, (w, p, b)
+        else:
+            assert plan.forwards_lower_bound == plan.num_forwards, (w, p, b)
+
+
+def test_plan_tables_reproduce_the_window_ids():
+    # forward_windows gathers by the plan's tables alone, so at every
+    # geometry each position's rows must be its window ids, and 0 then
+    # those ids + 1 for the position-table rows
+    for w, p, b, wrap, plan in _every_plan():
+        geometry = (w, p, b, wrap)
+        sizes = [ids.size for ids in plan.window_ids]
+        assert plan.sizes.tolist() == sizes, geometry
+        assert sorted(plan.token_ids) == sorted(plan.position_ids) == sorted(set(sizes))
+        for size, table in plan.token_ids.items():
+            at = [pos for pos in range(w) if sizes[pos] == size]
+            ids = np.stack([plan.window_ids[pos] for pos in at])
+            with_cls = plan.position_ids[size][plan.table_rows[at]]
+            assert table.dtype == with_cls.dtype == np.int64, geometry
+            assert table.shape == (len(at), size), geometry
+            assert (table[plan.table_rows[at]] == ids).all(), geometry
+            assert with_cls.shape == (len(at), size + 1), geometry
+            assert (with_cls[:, 0] == 0).all() and (with_cls[:, 1:] == ids + 1).all(), geometry
 
 
 def test_batched_forward_is_bit_identical_to_lone_forwards():
@@ -343,11 +369,44 @@ def test_a_repeated_sweep_reuses_the_plan_workspace():
     spaces = [plan.workspace, *plan.worker_spaces]
     buffers = [dict(ws.buffers) for ws in spaces]
     assert len(spaces) > 1 and all(buffers)
+    assert all("row_max" in ws.buffers for ws in plan.worker_spaces)  # the softmax's
     batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
     assert [plan.workspace, *plan.worker_spaces] == spaces
     for ws, before in zip(spaces, buffers):
         assert ws.buffers.keys() == before.keys()
         assert all(ws.buffers[slot] is buf for slot, buf in before.items())
+
+
+def test_windows_are_gathered_and_encoded_in_the_params_dtype(monkeypatch):
+    # float64 images are cast once, so every block reaches _encode in the
+    # params' dtype and contiguous, the gather and windows slots stay within
+    # the block budget, and the logits are those of float32 copies
+    cfg = tiny_cfg(image_side=16)
+    plan = plan_windows(cfg, 4)
+    imgs = np.random.default_rng(7).random((3, 3, 16, 16))
+    blocks = []
+    real_encode = model._encode
+
+    def encode_spy(params, patches, *args, **kwargs):
+        blocks.append((patches.dtype, patches.flags.c_contiguous))
+        return real_encode(params, patches, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode", encode_spy)
+    budget = model.WORKERS * 4096  # a few rows a block
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)
+    for dtype in (np.float32, np.float64):
+        params = ModelParams.init(cfg, seed=3).cast(dtype)
+        blocks.clear()
+        batched_certify_forward(imgs, params, plan)
+        assert len(blocks) > len(plan.token_ids)
+        assert set(blocks) == {(np.dtype(dtype), True)}
+        for ws in plan.worker_spaces:
+            assert ws.buffers["gather"].nbytes <= budget // model.WORKERS
+            assert ws.buffers["windows"].nbytes <= budget // model.WORKERS
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    wide, _ = batched_certify_forward(imgs, params, plan)
+    narrow, _ = batched_certify_forward(imgs.astype(np.float32), params, plan)
+    assert wide.tobytes() == narrow.tobytes()
 
 
 @pytest.mark.parametrize("budget", [model.WINDOW_BLOCK_BYTES, 1])
