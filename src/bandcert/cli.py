@@ -192,13 +192,20 @@ def cmd_train(args, argv) -> int:
 def cmd_finetune(args, argv) -> int:
     started = time.time()
     from . import autodiff as ad
-    from .config import build_model_config, build_train_plan, dump_config, load_config
+    from .config import build_model_config, dump_config, load_config
+    from .errors import ContractError
     from .model import load_checkpoint, save_checkpoint
-    from .training import finetune_band
+    from .training import TrainPlan, finetune_band
 
     cfg = load_config(args.config, args.set)
     model_cfg = build_model_config(cfg)
-    plan = build_train_plan(cfg, model_cfg)
+    # no curriculum runs here, so the plan has no stages to narrow
+    plan = TrainPlan(stages=[], **{key: cfg.train[key] for key in (
+        "band_width", "batch_size", "finetune_epochs", "finetune_lr", "weight_decay",
+        "warmup_epochs")})
+    if not 1 <= plan.band_width <= model_cfg.image_side:
+        raise ContractError(f"finetune: band width {plan.band_width} outside "
+                            f"[1, {model_cfg.image_side}]")
     params = load_checkpoint(args.checkpoint, model_cfg).cast(ad.TRAIN_DTYPE,
                                                               trainable=True)
     images, labels = _load_split(cfg, "train")

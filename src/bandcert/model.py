@@ -36,10 +36,11 @@ raises NumericError naming that stage.
   image once, gathers each window's tokens by the ``WindowPlan``, ablates
   only those, and encodes each window width. Off the tape it runs every
   width in row blocks on ``WORKERS`` workers, the calling thread and
-  ``WORKERS - 1`` threads of one module pool, each worker in its own
-  workspace the ``WindowPlan`` owns. The widest intermediates of all
-  workers' blocks together stay within ``WINDOW_BLOCK_BYTES``, and every
-  row's logits are the same bytes at any worker count.
+  ``WORKERS - 1`` threads of one module pool, each thread in its own
+  workspace in the ``WindowPlan``, so any number of threads may sweep one
+  plan at once. The widest intermediates of one sweep's blocks together
+  stay within ``WINDOW_BLOCK_BYTES``, and every row's logits are the same
+  bytes at any worker count.
   ``finetune_band`` takes a loss term per width, and
   ``batched_certify_forward`` places the logits per (image, position) and
   counts forwards from the plan's groups of token-disjoint windows.
@@ -276,13 +277,10 @@ class _Workspace:
     when a larger request comes, so a repeated call of the same shapes
     touches only memory it has already faulted in. A view stays valid until
     the next ``take`` of its slot, which returns the same memory when it
-    fits. Not thread-safe: in a windowed sweep each worker has its own, and
-    one more holds the patchified images and the plan's lease."""
+    fits. Not thread-safe: a ``WindowPlan`` keeps one per thread."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
-        # held while a forward_windows sweep runs, until all its workers return
-        self.lease = threading.Lock()
 
     def take(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         if not isinstance(dtype, np.dtype):
@@ -563,15 +561,13 @@ class WindowPlan:
     class token and then each token id + 1. The positions of one window
     size hold its tables' rows in ascending order.
 
-    A plan also owns the workspaces its plain-array sweeps run in (see
-    ``forward_windows``), the way an FFT plan owns its work area, so a
-    repeated sweep reuses memory it has already faulted in: ``workspace``
-    holds the patchified images and the lease, and ``worker_spaces`` one
-    workspace per worker for its row blocks. Hence a plan runs one sweep at
-    a time. Its lease is held from the start of a sweep until the sweep is
-    iterated to the end (or closed) and every worker has returned, also when
-    one raised; a sweep started meanwhile on the same plan, in this thread
-    or another, raises ContractError.
+    A plan also owns the workspaces its plain-array sweeps run in, the way
+    an FFT plan owns its work area, so a repeated sweep reuses memory it has
+    already faulted in: ``spaces`` maps each thread that ran a sweep or a
+    row block to its own workspace (a thread that reuses a finished thread's
+    id takes its workspace over). A caller runs one sweep at a time and a
+    pool thread one worker's blocks at a time, so no workspace serves two
+    sweeps at once, and any number of threads may sweep one plan together.
     """
     band_width: int
     image_width: int
@@ -581,9 +577,7 @@ class WindowPlan:
     table_rows: np.ndarray           # (w,) each position's row in its size's tables
     token_ids: dict[int, np.ndarray]     # window size s -> (positions of size s, s)
     position_ids: dict[int, np.ndarray]  # window size s -> (positions of size s, s + 1)
-    workspace: _Workspace = field(default_factory=_Workspace, repr=False, compare=False)
-    worker_spaces: list[_Workspace] = field(default_factory=list, repr=False,
-                                            compare=False)
+    spaces: dict[int, _Workspace] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_forwards(self) -> int:
@@ -595,6 +589,11 @@ class WindowPlan:
         token column. Windows in one forward are token-disjoint, so every
         packing of these windows needs at least this many forwards."""
         return int(np.bincount(np.concatenate(self.window_ids)).max())
+
+
+def _thread_space(plan: WindowPlan) -> _Workspace:
+    """The calling thread's workspace in ``plan``, made on its first use."""
+    return plan.spaces.setdefault(threading.get_ident(), _Workspace())
 
 
 def _template_groups(arcs: list[tuple[int, ...]], n_cols: int) -> list[list[int]]:
@@ -750,10 +749,10 @@ def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
     position ids) each, encoded in row blocks on up to ``WORKERS`` workers.
 
     All blocks of the call are listed first, width by width; worker j runs
-    blocks j, j + W, j + 2W, ... in the plan's ``worker_spaces[j]`` and
+    blocks j, j + W, j + 2W, ... in its thread's workspace in the plan and
     writes their logits into the width's output array. A block holds at
     most ceil(n / W) of its width's n rows and as many as keep its widest
-    intermediate within ``WINDOW_BLOCK_BYTES / W``, so the workspaces of all
+    intermediate within ``WINDOW_BLOCK_BYTES / W``, so the blocks of all
     workers together stay within the one budget. Worker 0 is the calling
     thread; the others run in the module pool, in a copy of the caller's
     context (numpy's error state included), and call no public function.
@@ -776,15 +775,13 @@ def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
     if not tasks:  # no rows, so nothing to encode
         return outs
     workers = min(workers, len(tasks))
-    while len(plan.worker_spaces) < workers:
-        plan.worker_spaces.append(_Workspace())
     errors: dict[int, Exception] = {}  # failed block -> its error
     first_failure = len(tasks)
     lock = threading.Lock()
 
     def work(j: int) -> None:
         nonlocal first_failure
-        ws = plan.worker_spaces[j]
+        ws = _thread_space(plan)
         for t in range(j, len(tasks), workers):
             if t > first_failure:
                 return
@@ -817,12 +814,12 @@ def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
 
 
 def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelParams,
-                    plan: WindowPlan):
+                    plan: WindowPlan) -> list[tuple[np.ndarray, Tensor]]:
     """Patchify -> gather -> ablate -> window encoder, logits only.
 
     ``images`` is (n, 3, h, w) and ``positions`` an (n, k) array of band
     positions in [0, w): flat row r = i * k + j runs image i at band
-    position positions[i, j]. Yields (rows, logits) per window width,
+    position positions[i, j]. Returns (rows, logits) per window width,
     narrowest first: the ascending flat rows of that width and their
     (len(rows), num_classes) logits Tensor.
 
@@ -839,13 +836,12 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     do not depend on the rows stacked with it.
 
     Off the tape, every width runs in row blocks, gather -> ablate ->
-    encode, on ``WORKERS`` workers, each block in its worker's workspace of
-    the plan (see ``_encode_blocks``); the widths are yielded once every
-    block is done, each logits array fresh. Which worker runs a block and
-    how many rows it holds change no bit. While a tape records, the tape
-    keeps every op's inputs until backward and splitting a width would
-    reorder its gradient sums, so each width runs as one block of fresh
-    arrays in the calling thread, and is yielded as it is done.
+    encode, on ``WORKERS`` workers, each in its thread's workspace in the
+    plan (see ``_encode_blocks``), and each logits array is fresh. Which
+    worker runs a block and how many rows it holds change no bit. While a
+    tape records, the tape keeps every op's inputs until backward and
+    splitting a width would reorder its gradient sums, so each width runs
+    as one block of fresh arrays in the calling thread.
     """
     cfg = params.cfg
     ps = cfg.patch_size
@@ -862,29 +858,23 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     per_image = pos.shape[1]
     pos = pos.reshape(-1)
     taped = ad.recording()
-    if not plan.workspace.lease.acquire(blocking=False):
-        raise ContractError("forward_windows: this plan is already running a sweep")
-    try:
-        shape = (imgs.shape[0], cfg.num_tokens, 3 * ps * ps)
-        patches = patchify(imgs, ps, out=np.empty(shape, params.dtype) if taped
-                           else plan.workspace.take("patches", shape, params.dtype))
-        sizes = plan.sizes[pos]
-        widths = []
-        for size in np.unique(sizes).tolist():
-            rows = np.flatnonzero(sizes == size)
-            at = plan.table_rows[pos[rows]]
-            widths.append((rows, plan.token_ids[size][at], plan.position_ids[size][at]))
-        if taped:
-            for rows, ids, with_cls in widths:
-                windows = _window_vectors(patches, keep, rows, per_image, ids, cfg,
-                                          _Workspace())
-                yield rows, _encode(params, windows, with_cls).logits
-        else:
-            outs = _encode_blocks(params, patches, keep, per_image, widths, plan)
-            for (rows, _, _), logits in zip(widths, outs):
-                yield rows, Tensor(logits)
-    finally:
-        plan.workspace.lease.release()
+    shape = (imgs.shape[0], cfg.num_tokens, 3 * ps * ps)
+    patches = patchify(imgs, ps, out=np.empty(shape, params.dtype) if taped
+                       else _thread_space(plan).take("patches", shape, params.dtype))
+    sizes = plan.sizes[pos]
+    widths = []
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        at = plan.table_rows[pos[rows]]
+        widths.append((rows, plan.token_ids[size][at], plan.position_ids[size][at]))
+    if taped:
+        out = []
+        for rows, ids, with_cls in widths:
+            windows = _window_vectors(patches, keep, rows, per_image, ids, cfg, _Workspace())
+            out.append((rows, _encode(params, windows, with_cls).logits))
+        return out
+    outs = _encode_blocks(params, patches, keep, per_image, widths, plan)
+    return [(rows, Tensor(logits)) for (rows, _, _), logits in zip(widths, outs)]
 
 
 def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: WindowPlan,

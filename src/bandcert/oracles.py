@@ -219,7 +219,7 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
 
     Every (row, col) anchor must place the whole patch inside the image, and
     ``trials`` is at least 1."""
-    img = np.asarray(image, dtype=ad.INFER_DTYPE)
+    img = np.asarray(image, dtype=params.dtype)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ContractError(f"empirical_patch_attack: expected (3, h, w), got {img.shape}")
     _, rows, cols = img.shape

@@ -44,10 +44,12 @@ def test_resolve_threads_precedence(monkeypatch):
         resolve_threads(0)
 
 
-@pytest.mark.parametrize("script", ["toy_pipeline.py", "stage_ablation.py", "bit_digests.py"])
+@pytest.mark.parametrize("script", ["toy_pipeline.py", "stage_ablation.py", "bit_digests.py",
+                                    "bench_pairs.py"])
 def test_scripts_start(script):
-    # each imports the program's API at module level, so --help checks that
-    # the imports they name still exist
+    # each but bench_pairs.py imports the program's API at module level, so
+    # --help checks that the imports they name still exist; bench_pairs.py
+    # reads BENCHMARK.json before it parses its arguments
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
     proc = subprocess.run([sys.executable, path, "--help"], capture_output=True,
                           text=True)
@@ -299,6 +301,28 @@ def test_finetune_resumes_a_checkpoint(trained_dir, tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     assert (out / "model.ecvt").exists()
     assert (out / "finetune_metrics.jsonl").exists()
+
+
+def test_finetune_takes_a_band_too_wide_for_the_curriculum(trained_dir, tmp_path):
+    # width 3 is not below 30% of the 8-pixel side: train's curriculum would
+    # not narrow, but finetune runs no curriculum
+    wide = ["--set", "train.band_width=3", "--set", "certify.band_width=3"]
+    out = tmp_path / "ft"
+    proc = run_cli("finetune", *TINY, *wide, "--out-dir", str(out),
+                   "--checkpoint", str(trained_dir / "model.ecvt"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    for name in ("model.ecvt", "finetune_metrics.jsonl", "config.ini", "meta.json"):
+        assert (out / name).exists(), name
+    proc = run_cli("train", *TINY, *wide, "--out-dir", str(tmp_path / "t"))
+    assert proc.returncode == EXIT_USAGE
+    assert "the curriculum would not narrow" in proc.stderr, proc.stderr
+    # a width outside the image is still refused before anything loads
+    proc = run_cli("finetune", *TINY, "--set", "train.band_width=9",
+                   "--set", "certify.band_width=9", "--out-dir", str(tmp_path / "f9"),
+                   "--checkpoint", str(tmp_path / "absent.ecvt"))
+    assert proc.returncode == EXIT_USAGE
+    assert "band width 9 outside [1, 8]" in proc.stderr, proc.stderr
+    assert not (tmp_path / "f9").exists()
 
 
 def test_empty_split_is_usage_error(trained_dir, tmp_path):

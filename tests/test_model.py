@@ -1,4 +1,5 @@
 import functools
+import gc
 import importlib
 import inspect
 import multiprocessing
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -365,14 +367,16 @@ def test_a_repeated_sweep_reuses_the_plan_workspace():
     plan = plan_windows(cfg, 3)
     rng = np.random.default_rng(1)
     batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
-    # the patches' workspace, then each worker's, where the encoder runs
-    spaces = [plan.workspace, *plan.worker_spaces]
-    buffers = [dict(ws.buffers) for ws in spaces]
-    assert len(spaces) > 1 and all(buffers)
-    assert all("row_max" in ws.buffers for ws in plan.worker_spaces)  # the softmax's
+    # one workspace per thread that ran blocks; the caller's also holds the
+    # patchified images
+    spaces = dict(plan.spaces)
+    buffers = {thread: dict(ws.buffers) for thread, ws in spaces.items()}
+    assert threading.get_ident() in spaces and all(buffers.values())
+    assert "patches" in buffers[threading.get_ident()]
+    assert all("row_max" in ws.buffers for ws in spaces.values())  # the softmax's
     batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
-    assert [plan.workspace, *plan.worker_spaces] == spaces
-    for ws, before in zip(spaces, buffers):
+    assert plan.spaces == spaces
+    for ws, before in zip(spaces.values(), buffers.values()):
         assert ws.buffers.keys() == before.keys()
         assert all(ws.buffers[slot] is buf for slot, buf in before.items())
 
@@ -400,7 +404,7 @@ def test_windows_are_gathered_and_encoded_in_the_params_dtype(monkeypatch):
         batched_certify_forward(imgs, params, plan)
         assert len(blocks) > len(plan.token_ids)
         assert set(blocks) == {(np.dtype(dtype), True)}
-        for ws in plan.worker_spaces:
+        for ws in plan.spaces.values():
             assert ws.buffers["gather"].nbytes <= budget // model.WORKERS
             assert ws.buffers["windows"].nbytes <= budget // model.WORKERS
     params = ModelParams.init(cfg, seed=3).cast(np.float32)
@@ -422,19 +426,6 @@ def test_results_do_not_alias_the_workspace(budget, monkeypatch):
     _sweeps(rng.random((4, 3, 8, 8)), positions, params, plan)
     for got, want in zip(first, held):
         np.testing.assert_array_equal(got, want)
-
-
-def test_a_plan_runs_one_sweep_at_a_time():
-    cfg = tiny_cfg()
-    params = ModelParams.init(cfg, seed=3).cast(np.float32)
-    plan = plan_windows(cfg, 3)
-    imgs = np.random.default_rng(3).random((2, 3, 8, 8))
-    running = forward_windows(imgs, np.array([[0, 1], [2, 3]]), params, plan)
-    next(running)
-    with pytest.raises(ContractError):
-        batched_certify_forward(imgs, params, plan)
-    list(running)
-    batched_certify_forward(imgs, params, plan)
 
 
 def test_a_plain_sweep_before_backward_leaves_the_gradients_alone():
@@ -475,10 +466,12 @@ def test_every_worker_count_gives_the_bits_of_one_worker(dtype, monkeypatch):
     imgs = rng.random((7, 3, 16, 16)).astype(dtype)
     positions = rng.integers(0, 16, size=(7, 3))
     blocks = []  # (thread, rows) of every encoded block
+    block_threads = set()  # every thread that encoded a block of this plan
     real_encode = model._encode
 
     def spy(params, patches, *args, **kwargs):
         blocks.append((threading.get_ident(), len(patches)))
+        block_threads.add(threading.get_ident())
         return real_encode(params, patches, *args, **kwargs)
 
     def split(sweep):
@@ -510,7 +503,65 @@ def test_every_worker_count_gives_the_bits_of_one_worker(dtype, monkeypatch):
         assert len(sweeps[workers]) == len(sweeps[1])
         for got, want in zip(sweeps[workers], sweeps[1]):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert len(plan.worker_spaces) == 3
+    # each thread that ran a block has its own workspace, and no other does
+    assert plan.spaces.keys() == block_threads
+
+
+def test_threads_share_one_plan(monkeypatch):
+    # any number of threads may sweep one plan at once: each keeps its own
+    # workspace in the plan, so every sweep gets the bits of a lone sweep
+    monkeypatch.setattr(model, "WORKERS", 2)
+    cfg = tiny_cfg(image_side=16)
+    params = _scaled_params(cfg, np.float32)
+    widest = max(ids.size for ids in plan_windows(cfg, 3).window_ids)
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES",  # two rows a block
+                        2 * model.WORKERS * model._row_bytes(cfg, widest, np.float32))
+    rng = np.random.default_rng(12)
+    callers, rounds = 4, 5
+    imgs = [rng.random((5, 3, 16, 16)) for _ in range(callers)]
+    positions = [rng.integers(0, 16, size=(5, 3)) for _ in range(callers)]
+    lone = [_sweeps(i, p, params, plan_windows(cfg, 3)) for i, p in zip(imgs, positions)]
+    plan = plan_windows(cfg, 3)
+    results = [[] for _ in range(callers)]  # a caller that raised stops short
+    idents = [None] * callers
+    start = threading.Barrier(callers)
+
+    def caller(c):
+        idents[c] = threading.get_ident()
+        start.wait()
+        for _ in range(rounds):
+            results[c].append(_sweeps(imgs[c], positions[c], params, plan))
+
+    threads = [threading.Thread(target=caller, args=(c,)) for c in range(callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a sweep did not finish"
+    for c in range(callers):
+        assert len(results[c]) == rounds, f"caller {c} raised"
+        want = [(a.dtype, a.tobytes()) for a in lone[c]]
+        for got in results[c]:
+            assert [(a.dtype, a.tobytes()) for a in got] == want
+    assert set(idents) <= plan.spaces.keys()
+
+
+def test_dropping_a_plan_frees_its_workspaces():
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    plan = plan_windows(cfg, 3)
+    batched_certify_forward(np.random.default_rng(4).random((4, 3, 8, 8)), params, plan)
+    buffers = [weakref.ref(buf) for ws in plan.spaces.values()
+               for buf in ws.buffers.values()]
+    assert buffers
+    del plan
+    gc.collect()
+    assert all(ref() is None for ref in buffers)
 
 
 @pytest.mark.parametrize("budget", [1, model.WINDOW_BLOCK_BYTES])
@@ -791,7 +842,7 @@ def test_a_non_finite_row_in_the_last_block_names_its_stage(dtype, monkeypatch):
         with pytest.raises(NumericError,
                            match="^encoder embedding: produced non-finite values$"):
             list(forward_windows(imgs, positions, params, plan))
-    # the failed sweep released the plan
+    # the plan sweeps again after a failed sweep
     assert len(list(forward_windows(imgs[:2], positions[:2], params, plan))) == 1
 
 

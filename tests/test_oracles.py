@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandcert import oracles
-from bandcert.certification import CertifyConfig
+from bandcert.autodiff import Tensor
+from bandcert.certification import CertifyConfig, evaluate
 from bandcert.errors import ContractError
-from bandcert.model import plan_windows
+from bandcert.model import ModelParams, batched_certify_forward, plan_windows
 from bandcert.oracles import (attention_equivalence,
                               check_certificate_soundness,
                               empirical_patch_attack, exhaustive_flip_bitmask,
@@ -230,6 +231,31 @@ def test_empirical_attack_rejects_bad_patches_and_trials(small_params, monkeypat
         empirical_patch_attack(img, params, plan, CertifyConfig(band_width=2),
                                patch_shape=patch_shape, locations=locations,
                                trials=trials, seed=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_empirical_attack_scores_the_image_evaluate_certifies(small_params, dtype):
+    # The attack's base vote table is evaluate's, in the params' dtype. With
+    # each window logit as the threshold, the votes at that window turn on
+    # any rounding of the image, and in float64 the logits of the image's
+    # float32 copy lie above some of them.
+    cfg = small_params.cfg
+    seeded = ModelParams.init(cfg, seed=9)
+    params = ModelParams(cfg, {n: Tensor(t.data * 10.0) for n, t in seeded.tensors.items()}
+                         ).cast(dtype)
+    plan = plan_windows(cfg, 2)
+    img = np.random.default_rng(9).random((3, 8, 8))
+    logits, _ = batched_certify_forward(img, params, plan)
+    rounded, _ = batched_certify_forward(img.astype(np.float32), params, plan)
+    assert (rounded > logits).any() == (dtype == np.float64)
+    for threshold in np.unique(logits).tolist():
+        ccfg = CertifyConfig(band_width=2, threshold=threshold, threshold_on="logits",
+                             patch_shapes=((1, 1),))
+        record = evaluate(img[None], np.zeros(1, dtype=int), params, plan, ccfg).records[0]
+        report = empirical_patch_attack(img, params, plan, ccfg, patch_shape=(1, 1),
+                                        locations=[], trials=1, seed=0)
+        assert (report.min_margin_seen, report.certified) == \
+            (record["margin"], record["certified"]["1x1"]), threshold
 
 
 def test_empirical_attack_certified_image_never_flips(small_params):
