@@ -377,11 +377,15 @@ def merge_heads(x: Tensor) -> Tensor:
 # fused encoder ops: one tape entry for each op of the model's vocabulary.
 # Each forward is one private kernel, shared with the model's plain path,
 # that computes in place in arrays from ``take(slot, shape)``: fresh on the
-# tape, workspace slots off it, where two takes of a slot share memory. It
-# writes into no operand but ``out``, since backward reads them. Forward and
-# backward make the numpy calls of the unfused chain each op names, on the
-# same layouts (the bias rows' repeated sum(axis=0) of _unbroadcast
-# included), so outputs and gradients are the chain's bit for bit. Two
+# tape, workspace slots off it, where the takes of one slot share memory and
+# so do those of the slots the model's workspace plan gives one buffer
+# (``model._SHARED_BUFFERS``). That plan rests on the order in which these
+# kernels take their slots and last read their arrays, so a change to that
+# order must keep its entries true. A kernel writes into no operand but
+# ``out``, since backward reads them. Forward and backward make the numpy
+# calls of the unfused chain each op names, on the same layouts (the bias
+# rows' repeated sum(axis=0) of _unbroadcast included), so outputs and
+# gradients are the chain's bit for bit. Two
 # forward steps take another route to the same bits: the softmax's row max
 # is a running np.maximum over the key columns, not a reduce, and the layer
 # norm's means skip np.mean's wrapper (``_row_mean``). No gradient is

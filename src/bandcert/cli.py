@@ -255,6 +255,7 @@ def cmd_certify(args, argv) -> int:
                 windows_executed=n * plan.image_width,
                 forwards_planned=plan.num_forwards,
                 window_workers=WORKERS,
+                window_workspace_bytes=plan.workspace_bytes,
                 minor_page_faults=minor_page_faults,
                 # value -> images; int keys, which write_json sorts numerically
                 margin_histogram=Counter(r["margin"] for r in result.records),
@@ -324,6 +325,8 @@ def cmd_bench(args, argv) -> int:
         # the band sweep's row blocks run on this many workers; the global
         # sweep runs in the calling thread
         "window_workers": WORKERS,
+        # bytes of the workspaces the band sweep's threads left in the plan
+        "window_workspace_bytes": plan.workspace_bytes,
     }
     print(json.dumps(report, sort_keys=True, indent=2, default=_json_default))
     return EXIT_OK

@@ -38,9 +38,11 @@ raises NumericError naming that stage.
   width in row blocks on ``WORKERS`` workers, the calling thread and
   ``WORKERS - 1`` threads of one module pool, each thread in its own
   workspace in the ``WindowPlan``, so any number of threads may sweep one
-  plan at once. The widest intermediates of one sweep's blocks together
-  stay within ``WINDOW_BLOCK_BYTES``, and every row's logits are the same
-  bytes at any worker count.
+  plan at once. Within a workspace, slots whose arrays are never live
+  together in one row block share one buffer (``_SHARED_BUFFERS``), and
+  the blocks the workers run at once hold at most ``WINDOW_BLOCK_BYTES``
+  of workspace between them. Every row's logits are the same bytes at any
+  worker count.
   ``finetune_band`` takes a loss term per width, and
   ``batched_certify_forward`` places the logits per (image, position) and
   counts forwards from the plan's groups of token-disjoint windows.
@@ -72,8 +74,9 @@ CHECKPOINT_MAGIC = b"ECVT"
 CHECKPOINT_VERSION = 2
 INPUT_CHANNELS = 4  # RGB + ablation mask plane, as ablate_batch emits them
 # Off the tape, forward_windows encodes as many rows at a time as keep the
-# widest intermediate of all workers' blocks together within this many bytes.
-WINDOW_BLOCK_BYTES = 1 << 20
+# workspace bytes (``_row_bytes`` a row) of the blocks all workers run at
+# once within this many bytes together.
+WINDOW_BLOCK_BYTES = 8 << 20
 
 
 def _usable_cpus() -> int:
@@ -270,14 +273,50 @@ def patchify(inputs: np.ndarray, patch_size: int,
     return out
 
 
+# The workspace plan: slot -> the slot whose buffer it takes. These slots'
+# arrays are never live together inside one row block, in the order in which
+# ``_window_vectors`` and the encoder's kernels take and read them; every
+# other slot has a buffer of its own. Each entry's comment says why.
+_SHARED_BUFFERS = {
+    # the gathered pixels are last read by the ablation that fills
+    # ``windows``; ``scratch`` is first taken by the embedding, after it
+    "gather": "scratch",
+    # the ablated windows are last read by the embedding's matmul; ``w1`` is
+    # first taken by block 0's MLP, and ``scores`` by its attention
+    "windows": "w1",
+    # a block's scores are last read by its attention's value matmul, before
+    # its MLP takes ``w1``; that MLP output is last read by the second
+    # linear, before the next block takes ``scores``
+    "scores": "w1",
+    # the query projection is last read when it is split into heads, before
+    # the attention merges its heads; the merged heads are last read by the
+    # out-projection, before the next block projects the query
+    "merged": "wq",
+    # the key projection is last read when it is split into heads, before the
+    # value matmul; that matmul's output is last read when the heads are
+    # merged, before the next block projects the keys
+    "heads_out": "wk",
+    # the value projection is last read when it is split into heads, before
+    # the out-projection; that output is last read by the residual add,
+    # before the next block projects the values
+    "wo": "wv",
+    # the second layer norm's output is last read by the MLP's first linear,
+    # before its second linear; that output is last read by the residual
+    # add, before the next layer norm
+    "w2": "ln",
+}
+
+
 class _Workspace:
     """Scratch memory that outlives one call, the way an FFT plan owns its
-    work area: one flat byte buffer per named slot. ``take`` returns a
-    C-contiguous view at the front of a slot's buffer and reallocates only
-    when a larger request comes, so a repeated call of the same shapes
-    touches only memory it has already faulted in. A view stays valid until
-    the next ``take`` of its slot, which returns the same memory when it
-    fits. Not thread-safe: a ``WindowPlan`` keeps one per thread."""
+    work area: one flat byte buffer per buffer name, a slot's own name
+    unless ``_SHARED_BUFFERS`` hands the slot another slot's buffer.
+    ``take`` returns a C-contiguous view at the front of the slot's buffer
+    and reallocates only when a larger request comes, so a repeated call of
+    the same shapes touches only memory it has already faulted in. A view
+    stays valid until the next ``take`` of a slot with the same buffer,
+    which returns the same memory when it fits. Not thread-safe: a
+    ``WindowPlan`` keeps one per thread."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -286,9 +325,10 @@ class _Workspace:
         if not isinstance(dtype, np.dtype):
             dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
-        buf = self.buffers.get(slot)
+        name = _SHARED_BUFFERS.get(slot, slot)
+        buf = self.buffers.get(name)
         if buf is None or buf.size < nbytes:
-            buf = self.buffers[slot] = np.empty(nbytes, dtype=np.uint8)
+            buf = self.buffers[name] = np.empty(nbytes, dtype=np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
 
 
@@ -590,6 +630,11 @@ class WindowPlan:
         packing of these windows needs at least this many forwards."""
         return int(np.bincount(np.concatenate(self.window_ids)).max())
 
+    @property
+    def workspace_bytes(self) -> int:
+        """Bytes of every buffer in every thread's workspace of the plan."""
+        return sum(buf.nbytes for ws in self.spaces.values() for buf in ws.buffers.values())
+
 
 def _thread_space(plan: WindowPlan) -> _Workspace:
     """The calling thread's workspace in ``plan``, made on its first use."""
@@ -711,12 +756,26 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
 
 
 def _row_bytes(cfg: ModelConfig, k: int, dtype) -> int:
-    """Bytes per row of the widest encoder intermediate for k-token windows:
-    k + 1 sequence rows by the widest of the embedding, MLP, patch-vector
-    and attention-score widths."""
-    mlp = int(round(cfg.mlp_ratio * cfg.embed_dim))
-    width = max(cfg.embed_dim, mlp, cfg.patch_dim, cfg.num_heads * (k + 1))
-    return (k + 1) * width * np.dtype(dtype).itemsize
+    """Workspace bytes per row of a block of k-token windows in ``dtype``:
+    each buffer of the workspace plan at the widest per-row request of its
+    slots, summed. The per-image ``patches`` slot is not counted."""
+    d, seq = cfg.embed_dim, k + 1
+    mlp = int(round(cfg.mlp_ratio * d))
+    per_row = {  # elements each slot holds per row, widest request
+        "gather": k * 3 * cfg.patch_size ** 2, "windows": k * cfg.patch_dim,
+        "h": seq * d, "scratch": seq * max(d, mlp), "ln": seq * d,
+        "wq": seq * d, "wk": seq * d, "wv": seq * d,
+        "q_heads": seq * d, "k_heads": seq * d, "v_heads": seq * d,
+        "scores": cfg.num_heads * seq * seq, "row_max": cfg.num_heads * seq,
+        "heads_out": seq * d, "merged": seq * d, "wo": seq * d,
+        "w1": seq * mlp, "w2": seq * d, "weight": cfg.num_classes,
+    }
+    widest: dict[str, int] = {}
+    for slot, n in per_row.items():
+        name = _SHARED_BUFFERS.get(slot, slot)
+        widest[name] = max(widest.get(name, 0), n)
+    # plus the bool ``finite`` slot of the NaN/Inf scan, at its widest: h's shape
+    return sum(widest.values()) * np.dtype(dtype).itemsize + seq * d
 
 
 def _window_vectors(patches: np.ndarray, keep: np.ndarray, rows: np.ndarray,
@@ -751,9 +810,10 @@ def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
     All blocks of the call are listed first, width by width; worker j runs
     blocks j, j + W, j + 2W, ... in its thread's workspace in the plan and
     writes their logits into the width's output array. A block holds at
-    most ceil(n / W) of its width's n rows and as many as keep its widest
-    intermediate within ``WINDOW_BLOCK_BYTES / W``, so the blocks of all
-    workers together stay within the one budget. Worker 0 is the calling
+    most ceil(n / W) of its width's n rows and as many as keep its
+    workspace bytes (``_row_bytes`` a row) within ``WINDOW_BLOCK_BYTES / W``,
+    so the blocks of all workers together stay within the one budget.
+    Worker 0 is the calling
     thread; the others run in the module pool, in a copy of the caller's
     context (numpy's error state included), and call no public function.
 

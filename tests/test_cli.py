@@ -278,7 +278,10 @@ def test_certify_meta_reports_phases_and_results_are_byte_stable(trained_dir, tm
                        num_heads=2, mlp_ratio=2.0, codebook_size=8)
     assert meta["forwards_planned"] == plan_windows(tiny, 2).num_forwards
     assert meta["window_workers"] == model.WORKERS  # one per usable CPU
+    assert isinstance(meta["window_workspace_bytes"], int)
+    assert meta["window_workspace_bytes"] > 0
     summary = json.loads((outs[0] / "summary.json").read_text())
+    assert "window_workspace_bytes" not in summary
     records = (outs[0] / "records.jsonl").read_text()
     per_image = [json.loads(ln) for ln in records.splitlines()]
     for key in ("margin", "max_certified_m"):
@@ -355,6 +358,7 @@ def test_bench_reports_flops_and_timing():
         assert key in report, key
     assert report["num_forwards"] <= report["forwards_bound"]
     assert report["window_workers"] == model.WORKERS
+    assert report["window_workspace_bytes"] > 0
     assert report["flops_band_unit"]["total"] < report["flops_global"]["total"]
     # one worst-case window per band position of the 16-wide image
     assert report["per_image_certification_flops"]["band_unit_sweep"] == \

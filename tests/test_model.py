@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from bandcert import autodiff as ad
 from bandcert import model
 from bandcert.autodiff import Tape, Tensor, record
+from bandcert.config import build_model_config, load_config
 from bandcert.errors import ContractError, DataFormatError, NumericError
 from bandcert.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams,
                             batched_certify_forward, count_flops,
@@ -383,8 +384,9 @@ def test_a_repeated_sweep_reuses_the_plan_workspace():
 
 def test_windows_are_gathered_and_encoded_in_the_params_dtype(monkeypatch):
     # float64 images are cast once, so every block reaches _encode in the
-    # params' dtype and contiguous, the gather and windows slots stay within
-    # the block budget, and the logits are those of float32 copies
+    # params' dtype and contiguous, the buffers the plan gives the gathered
+    # and ablated windows stay within the worker's share of the block
+    # budget, and the logits are those of float32 copies
     cfg = tiny_cfg(image_side=16)
     plan = plan_windows(cfg, 4)
     imgs = np.random.default_rng(7).random((3, 3, 16, 16))
@@ -396,8 +398,8 @@ def test_windows_are_gathered_and_encoded_in_the_params_dtype(monkeypatch):
         return real_encode(params, patches, *args, **kwargs)
 
     monkeypatch.setattr(model, "_encode", encode_spy)
-    budget = model.WORKERS * 4096  # a few rows a block
-    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)
+    share = 3 * model._row_bytes(cfg, 8, np.float64)  # a few rows a block
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", model.WORKERS * share)
     for dtype in (np.float32, np.float64):
         params = ModelParams.init(cfg, seed=3).cast(dtype)
         blocks.clear()
@@ -405,12 +407,64 @@ def test_windows_are_gathered_and_encoded_in_the_params_dtype(monkeypatch):
         assert len(blocks) > len(plan.token_ids)
         assert set(blocks) == {(np.dtype(dtype), True)}
         for ws in plan.spaces.values():
-            assert ws.buffers["gather"].nbytes <= budget // model.WORKERS
-            assert ws.buffers["windows"].nbytes <= budget // model.WORKERS
+            for slot in ("gather", "windows"):
+                assert ws.buffers[model._SHARED_BUFFERS.get(slot, slot)].nbytes <= share
     params = ModelParams.init(cfg, seed=3).cast(np.float32)
     wide, _ = batched_certify_forward(imgs, params, plan)
     narrow, _ = batched_certify_forward(imgs.astype(np.float32), params, plan)
     assert wide.tobytes() == narrow.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["toy16", "default32"])
+def test_row_bytes_bounds_what_a_block_holds(name, dtype, monkeypatch):
+    # one block of n rows on one worker: its workspace, the patchified
+    # images aside, holds at most n * _row_bytes and at least 90% of that
+    cfg = {"toy16": tiny_cfg(image_side=16, embed_dim=32, num_layers=3, num_heads=4,
+                             codebook_size=32),
+           "default32": build_model_config(load_config(overrides=["data.image_side=32"])),
+           }[name]
+    params = ModelParams.init(cfg, seed=0).cast(dtype)
+    monkeypatch.setattr(model, "WORKERS", 1)
+    n = 5
+    imgs = np.random.default_rng(3).random((n, 3, cfg.image_side, cfg.image_side))
+    for k in plan_windows(cfg, 4).token_ids:
+        plan = plan_windows(cfg, 4)
+        position = int(np.flatnonzero(plan.sizes == k)[0])
+        (rows, _), = forward_windows(imgs, np.full((n, 1), position), params, plan)
+        assert len(rows) == n
+        (ws,) = plan.spaces.values()
+        held = sum(buf.nbytes for slot, buf in ws.buffers.items() if slot != "patches")
+        bound = n * model._row_bytes(cfg, k, dtype)
+        assert 0.9 * bound <= held <= bound, (k, held, bound)
+
+
+class _PoisonedWorkspace(model._Workspace):
+    """Fills a buffer with NaN whenever it is taken under another slot than
+    the last one, so an array whose buffer the plan hands on while it is
+    still live turns to NaN; repeated takes of one slot keep their memory."""
+
+    def __init__(self):
+        super().__init__()
+        self.last: dict[str, str] = {}
+
+    def take(self, slot, shape, dtype):
+        out = super().take(slot, shape, dtype)
+        name = model._SHARED_BUFFERS.get(slot, slot)
+        if self.last.get(name) != slot:
+            self.buffers[name].fill(0xFF)  # all bits set: NaN in float32 and float64
+            self.last[name] = slot
+        return out
+
+
+def test_the_workspace_plan_never_hands_one_buffer_to_two_live_arrays(monkeypatch):
+    monkeypatch.setattr(model, "_Workspace", _PoisonedWorkspace)
+    test_plain_encoder_is_bit_identical_to_the_tape()
+    # the check has teeth: an entry that gives the MLP's second linear the
+    # buffer of its input poisons that input
+    monkeypatch.setitem(model._SHARED_BUFFERS, "w2", "w1")
+    with pytest.raises(NumericError, match="encoder block 0"):
+        forward_global(np.ones((1, 4, 8, 8)), ModelParams.init(tiny_cfg(), seed=0))
 
 
 @pytest.mark.parametrize("budget", [model.WINDOW_BLOCK_BYTES, 1])
