@@ -467,7 +467,8 @@ def test_the_workspace_plan_never_hands_one_buffer_to_two_live_arrays(monkeypatc
         forward_global(np.ones((1, 4, 8, 8)), ModelParams.init(tiny_cfg(), seed=0))
 
 
-@pytest.mark.parametrize("budget", [model.WINDOW_BLOCK_BYTES, 1])
+# 1 MiB holds every row of the tiny model's widths in one block per worker
+@pytest.mark.parametrize("budget", [1 << 20, 1])
 def test_results_do_not_alias_the_workspace(budget, monkeypatch):
     cfg = tiny_cfg()
     params = ModelParams.init(cfg, seed=3).cast(np.float32)
@@ -618,7 +619,7 @@ def test_dropping_a_plan_frees_its_workspaces():
     assert all(ref() is None for ref in buffers)
 
 
-@pytest.mark.parametrize("budget", [1, model.WINDOW_BLOCK_BYTES])
+@pytest.mark.parametrize("budget", [1, 1 << 20])  # one-row blocks, or one a worker
 def test_a_failing_block_raises_what_one_worker_raises(budget, monkeypatch):
     monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)
     cfg = tiny_cfg(image_side=16)
