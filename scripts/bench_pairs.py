@@ -8,14 +8,18 @@ ones, so drift in the machine's speed falls on both sides alike.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (inclusive method) over the runs, the number of pairs
-the change won, and ``WORSE THAN BOUND`` where the change's median is worse
-than the parent's by more than the metric's bound. ``--out`` receives every
+the change won, ``WORSE THAN BOUND`` where the change's median is worse
+than the parent's by more than the metric's bound, and ``UNRESOLVED`` where
+the parent's own runs spread too widely to tell: their interquartile range
+is wider than the bound times the parent's median, and not every change
+run beats every parent run. ``--out`` receives every
 run's final JSON line and ``env`` line, rewritten after each run, and the
 summary at the end.
 
 Reads ``BENCHMARK.json`` from the root of this checkout and imports nothing
 from the program or its benchmark. Exits 1 if a run printed no result or
-failed a check, or if a median is worse than its bound.
+failed a check, or if a median is worse than its bound; an unresolved
+metric alone leaves the exit status at 0.
 
 Usage:
     python scripts/bench_pairs.py --parent ../parent --change . \\
@@ -54,7 +58,8 @@ def _quartiles(values: list[float]) -> dict:
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's quartiles, the pairs
-    the change won, and whether the change's median is within its bound."""
+    the change won, whether the change's median is within its bound, and
+    whether the parent's spread leaves the comparison unresolved."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -74,11 +79,15 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             stats = {side: _quartiles(values[side]) for side in SIDES}
             parent, change = stats["parent"]["median"], stats["change"]["median"]
             worse = (change - parent) if lower else (parent - change)
+            spread = stats["parent"]["q3"] - stats["parent"]["q1"]
+            beats_all = (max(values["change"]) < min(values["parent"]) if lower
+                         else min(values["change"]) > max(values["parent"]))
             out[workload][name] = {
                 **stats, "runs": values, "pairs": len(pairs),
                 "change_better_pairs": better,
                 "bound": m["bound"],
                 "within_bound": worse <= m["bound"] * abs(parent),
+                "unresolved": spread > m["bound"] * abs(parent) and not beats_all,
             }
     return out
 
@@ -123,7 +132,8 @@ def main(argv=None) -> int:
               f"change better in n of pairs")
         for name, s in per_metric.items():
             p, c = s["parent"], s["change"]
-            flag = "" if s["within_bound"] else "  WORSE THAN BOUND"
+            flag = ("" if s["within_bound"] else "  WORSE THAN BOUND") \
+                + ("  UNRESOLVED" if s["unresolved"] else "")
             flagged += not s["within_bound"]
             print(f"  {name:14s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                   f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "

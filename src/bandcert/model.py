@@ -34,15 +34,17 @@ raises NumericError naming that stage.
 * ``forward_windows``: the windowed path fine-tuning and certification
   share, logits only. It takes k band positions per image, patchifies each
   image once, gathers each window's tokens by the ``WindowPlan``, ablates
-  only those, and encodes each window width. Off the tape it runs every
-  width in row blocks on ``WORKERS`` workers, the calling thread and
-  ``WORKERS - 1`` threads of one module pool, each thread in its own
-  workspace in the ``WindowPlan``, so any number of threads may sweep one
-  plan at once. Within a workspace, slots whose arrays are never live
-  together in one row block share one buffer (``_SHARED_BUFFERS``), and
-  the blocks the workers run at once hold at most ``WINDOW_BLOCK_BYTES``
-  of workspace between them. Every row's logits are the same bytes at any
-  worker count.
+  only those, and encodes each window width. Off the tape it cuts every
+  width into row blocks and puts all of them in one queue, which
+  ``WORKERS`` workers empty, the calling thread and ``WORKERS - 1``
+  threads of one module pool, each thread in its own workspace in the
+  ``WindowPlan``, so any number of threads may sweep one plan at once.
+  Within a workspace, slots whose arrays are never live together in one
+  row block share one buffer (``_SHARED_BUFFERS``). Each block's rows
+  need at most ``WINDOW_BLOCK_BYTES / WORKERS`` of workspace, but a
+  workspace keeps each buffer at its widest request over the sweep's
+  widths, so it can hold a little more than that share. Every row's
+  logits are the same bytes at any worker count.
   ``finetune_band`` takes a loss term per width, and
   ``batched_certify_forward`` places the logits per (image, position) and
   counts forwards from the plan's groups of token-disjoint windows.
@@ -60,6 +62,7 @@ import math
 import os
 import struct
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -807,20 +810,23 @@ def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
     """Off the tape: the logits of every width of ``widths``, (rows, ids,
     position ids) each, encoded in row blocks on up to ``WORKERS`` workers.
 
-    All blocks of the call are listed first, width by width; worker j runs
-    blocks j, j + W, j + 2W, ... in its thread's workspace in the plan and
-    writes their logits into the width's output array. A block holds at
-    most ceil(n / W) of its width's n rows and as many as keep its
-    workspace bytes (``_row_bytes`` a row) within ``WINDOW_BLOCK_BYTES / W``,
-    so the blocks of all workers together stay within the one budget.
-    Worker 0 is the calling
-    thread; the others run in the module pool, in a copy of the caller's
-    context (numpy's error state included), and call no public function.
+    All blocks of the call are listed first, width by width, in one shared
+    queue. Each worker takes the next block off the queue until it is
+    empty, runs it in its thread's workspace in the plan and writes its
+    logits into the width's output array. A block holds at most
+    ceil(n / W) of its width's n rows and as many as keep its workspace
+    bytes (``_row_bytes`` a row) within ``WINDOW_BLOCK_BYTES / W``, so the
+    blocks of all workers together stay within the one budget. Worker 0 is
+    the calling thread; the others run in the module pool, in a copy of the
+    caller's context (numpy's error state included), and call no public
+    function.
 
-    Returns once every worker has returned. If blocks failed, raises the
-    error of the lowest-numbered failing block, which is the one a single
-    worker would have met first: a worker stops at its own first failure
-    and starts no block numbered above a failure already met.
+    Returns once every worker has returned. A worker whose block fails
+    empties the queue, and then the error of the lowest-numbered failing
+    block is raised: every block below it was taken before the failure, so
+    it is the one a single worker would have met first. An interrupt in the
+    calling thread also empties the queue, waits for the other workers and
+    is raised, and so is a BaseException that ends a pool worker's loop.
     """
     cfg = params.cfg
     workers = WORKERS
@@ -832,41 +838,33 @@ def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
                           math.ceil(n / workers)))
         tasks += [(w, slice(start, start + step)) for start in range(0, n, step)]
         outs.append(np.empty((n, cfg.num_classes), dtype=params.dtype))
-    if not tasks:  # no rows, so nothing to encode
-        return outs
-    workers = min(workers, len(tasks))
+    queue = deque(enumerate(tasks))  # popleft is atomic, so the workers share it
     errors: dict[int, Exception] = {}  # failed block -> its error
-    first_failure = len(tasks)
-    lock = threading.Lock()
 
-    def work(j: int) -> None:
-        nonlocal first_failure
-        ws = _thread_space(plan)
-        for t in range(j, len(tasks), workers):
-            if t > first_failure:
+    def work() -> None:
+        while True:
+            try:
+                t, (w, b) = queue.popleft()
+            except IndexError:
                 return
-            w, b = tasks[t]
             rows, ids, with_cls = widths[w]
+            ws = _thread_space(plan)
             try:
                 windows = _window_vectors(patches, keep, rows[b], per_image, ids[b], cfg, ws)
                 outs[w][b] = _encode(params, windows, with_cls[b], workspace=ws).logits.data
             except Exception as e:
-                with lock:
-                    errors[t] = e
-                    first_failure = min(first_failure, t)
+                errors[t] = e
+                queue.clear()
                 return
 
-    futures = [_worker_pool().submit(contextvars.copy_context().run, work, j)
-               for j in range(1, workers)]
+    futures = [_worker_pool().submit(contextvars.copy_context().run, work)
+               for _ in range(1, min(workers, len(tasks)))]
     try:
-        work(0)
-    except BaseException:
-        with lock:  # interrupted: the other workers start no new block
-            first_failure = -1
-        raise
+        work()
     finally:
+        queue.clear()  # interrupted: the other workers take no new block
         wait(futures)
-    for f in futures:
+    for f in futures:  # an error that ended a pool worker's loop
         f.result()
     if errors:
         raise errors[min(errors)]

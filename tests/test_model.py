@@ -362,24 +362,24 @@ def test_row_blocks_give_the_bits_of_one_block(dtype, monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_a_repeated_sweep_reuses_the_plan_workspace():
+def test_a_repeated_sweep_reuses_the_plan_workspace(monkeypatch):
+    # on one worker the calling thread runs every block, so the blocks that
+    # grow its workspace do not depend on which thread takes which block
+    monkeypatch.setattr(model, "WORKERS", 1)
     cfg = tiny_cfg()
     params = ModelParams.init(cfg, seed=3).cast(np.float32)
     plan = plan_windows(cfg, 3)
     rng = np.random.default_rng(1)
     batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
-    # one workspace per thread that ran blocks; the caller's also holds the
-    # patchified images
-    spaces = dict(plan.spaces)
-    buffers = {thread: dict(ws.buffers) for thread, ws in spaces.items()}
-    assert threading.get_ident() in spaces and all(buffers.values())
-    assert "patches" in buffers[threading.get_ident()]
-    assert all("row_max" in ws.buffers for ws in spaces.values())  # the softmax's
+    # the caller's workspace also holds the patchified images
+    (ws,) = plan.spaces.values()
+    assert plan.spaces.keys() == {threading.get_ident()}
+    before = dict(ws.buffers)
+    assert {"patches", "row_max"} <= before.keys()  # row_max: the softmax's
     batched_certify_forward(rng.random((4, 3, 8, 8)), params, plan)
-    assert plan.spaces == spaces
-    for ws, before in zip(spaces.values(), buffers.values()):
-        assert ws.buffers.keys() == before.keys()
-        assert all(ws.buffers[slot] is buf for slot, buf in before.items())
+    assert plan.spaces == {threading.get_ident(): ws}
+    assert ws.buffers.keys() == before.keys()
+    assert all(ws.buffers[slot] is buf for slot, buf in before.items())
 
 
 def test_windows_are_gathered_and_encoded_in_the_params_dtype(monkeypatch):
@@ -520,25 +520,21 @@ def test_every_worker_count_gives_the_bits_of_one_worker(dtype, monkeypatch):
     rng = np.random.default_rng(8)
     imgs = rng.random((7, 3, 16, 16)).astype(dtype)
     positions = rng.integers(0, 16, size=(7, 3))
-    blocks = []  # (thread, rows) of every encoded block
+    blocks = []  # thread of every encoded block
     block_threads = set()  # every thread that encoded a block of this plan
     real_encode = model._encode
 
-    def spy(params, patches, *args, **kwargs):
-        blocks.append((threading.get_ident(), len(patches)))
+    def spy(*args, **kwargs):
+        blocks.append(threading.get_ident())
         block_threads.add(threading.get_ident())
-        return real_encode(params, patches, *args, **kwargs)
+        return real_encode(*args, **kwargs)
 
     def split(sweep):
-        # each of the sweep's two widths is split into one block per worker;
-        # the calling thread ran blocks, and with more workers a pool thread
-        # did too (one pool thread may serve two workers one after the other)
+        # each of the sweep's two widths is split into one block per worker,
+        # whichever threads take them
         blocks.clear()
         out = sweep()
         assert len(blocks) == 2 * model.WORKERS
-        threads = {thread for thread, _ in blocks}
-        assert threading.get_ident() in threads
-        assert (len(threads) > 1) == (model.WORKERS > 1)
         return out
 
     monkeypatch.setattr(model, "_encode", spy)
@@ -560,6 +556,98 @@ def test_every_worker_count_gives_the_bits_of_one_worker(dtype, monkeypatch):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # each thread that ran a block has its own workspace, and no other does
     assert plan.spaces.keys() == block_threads
+    assert all("row_max" in ws.buffers for ws in plan.spaces.values())
+
+
+def test_the_calling_thread_takes_the_blocks_a_held_worker_leaves(monkeypatch):
+    # every worker takes the next block off one shared queue, so while the
+    # pool thread is held in its first block, the calling thread runs the
+    # rest; the bits are those of one worker
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", 1)  # one row per block
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    imgs = np.random.default_rng(9).random((3, 3, 8, 8))
+    monkeypatch.setattr(model, "WORKERS", 1)
+    lone, _ = batched_certify_forward(imgs, params, plan_windows(cfg, 3))
+    caller = threading.get_ident()
+    blocks = []  # thread of every encoded block
+    rest_done = threading.Event()  # the caller has run every block but one
+    real_encode = model._encode
+
+    def held(*args, **kwargs):
+        blocks.append(threading.get_ident())
+        if threading.get_ident() != caller:
+            rest_done.wait(0.5)
+        elif blocks.count(caller) == 3 * 8 - 1:
+            rest_done.set()
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode", held)
+    monkeypatch.setattr(model, "WORKERS", 2)
+    table, _ = batched_certify_forward(imgs, params, plan_windows(cfg, 3))
+    assert len(blocks) == 3 * 8
+    assert blocks.count(caller) >= len(blocks) - 1
+    assert table.tobytes() == lone.tobytes()
+
+
+def test_an_interrupt_in_the_calling_thread_ends_the_sweep(monkeypatch):
+    monkeypatch.setattr(model, "WORKERS", 2)
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", 1)  # one row per block
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    plan = plan_windows(cfg, 3)
+    rng = np.random.default_rng(10)
+    imgs = rng.random((3, 3, 8, 8))
+    positions = rng.integers(0, 8, size=(3, 4))
+    clean = _sweeps(imgs, positions, params, plan_windows(cfg, 3))
+    caller = threading.get_ident()
+    started = []  # thread of every _encode call
+    third = threading.Event()  # the caller has reached its third block
+    real_encode = model._encode
+
+    def interrupted(*args, **kwargs):
+        started.append(threading.get_ident())
+        if threading.get_ident() != caller:
+            third.wait(0.5)  # hold the pool thread, so the caller gets three blocks
+        elif started.count(caller) == 3:
+            third.set()
+            raise KeyboardInterrupt
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        forward_windows(imgs, positions, params, plan)
+    calls = len(started)
+    time.sleep(0.1)
+    assert len(started) == calls  # every worker returned and took no new block
+    monkeypatch.setattr(model, "_encode", real_encode)
+    after = _sweeps(imgs, positions, params, plan)
+    assert [a.tobytes() for a in after] == [a.tobytes() for a in clean]
+
+
+def test_an_error_that_ends_a_pool_worker_is_raised(monkeypatch):
+    # a worker records only an Exception; anything else ends its loop with
+    # its block unencoded, and the sweep raises it rather than return the
+    # block's unset logits
+    monkeypatch.setattr(model, "WORKERS", 2)
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", 1)  # one row per block
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    imgs = np.random.default_rng(11).random((3, 3, 8, 8))
+    caller = threading.get_ident()
+    pool_took = threading.Event()
+    real_encode = model._encode
+
+    def spy(*args, **kwargs):
+        if threading.get_ident() != caller:
+            pool_took.set()
+            raise SystemExit(3)
+        pool_took.wait(5)  # so the pool thread takes a block
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode", spy)
+    with pytest.raises(SystemExit):
+        batched_certify_forward(imgs, params, plan_windows(cfg, 3))
 
 
 def test_threads_share_one_plan(monkeypatch):
@@ -730,11 +818,17 @@ def test_worker_threads_call_no_public_function(monkeypatch):
             if id(value) in wrapped and inspect.isfunction(value):
                 monkeypatch.setattr(mod, attr, wrapped[id(value)])
 
+    caller = threading.get_ident()
     blocks = []  # thread of every encoded block
+    pool_ran = threading.Event()
     real_encode = model._encode
 
     def spy(*args, **kwargs):
         blocks.append(threading.get_ident())
+        if threading.get_ident() == caller:
+            pool_ran.wait(5)  # so a pool thread takes a block too
+        else:
+            pool_ran.set()
         return real_encode(*args, **kwargs)
 
     monkeypatch.setattr(model, "_encode", spy)
@@ -744,7 +838,6 @@ def test_worker_threads_call_no_public_function(monkeypatch):
     params = ModelParams.init(cfg, seed=3).cast(np.float32)
     imgs = np.random.default_rng(7).random((3, 3, 8, 8))
     model.batched_certify_forward(imgs, params, plan_windows(cfg, 3))
-    caller = threading.get_ident()
     assert len(blocks) == 3 * 8 and set(blocks) - {caller}, "no pool thread ran a block"
     names = {name for _, name in calls}
     assert {"bandcert.model.forward_windows", "bandcert.model.patchify"} <= names
