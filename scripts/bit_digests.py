@@ -16,6 +16,8 @@ with one run each and a ``diff`` of the outputs:
 * ``attack16 image K``: the empirical patch attack report on seed-0 test
   image K of the toy checkpoint, 16 locations x 200 random 2x2 patches
   (the benchmark's attack16 op), for K = 0..7.
+* ``gradient <case>``: each case of ``fd_gradient_report(seed=0,
+  probes=100, h=1e-5)``, gate 5's call, as ``float.hex()``.
 
 BLAS runs on one thread unless the thread variables are already set.
 
@@ -47,7 +49,8 @@ from bandcert.config import (build_certify_config, build_model_config,  # noqa: 
 from bandcert.data import DatasetSpec, load_dataset, stack_images  # noqa: E402
 from bandcert.model import (ModelConfig, batched_certify_forward,  # noqa: E402
                             load_checkpoint, plan_windows)
-from bandcert.oracles import empirical_patch_attack, patch_locations  # noqa: E402
+from bandcert.oracles import (empirical_patch_attack, fd_gradient_report,  # noqa: E402
+                               patch_locations)
 from bandcert.training import train_full  # noqa: E402
 
 CHECKPOINTS = ROOT / "perfbench" / "checkpoints"
@@ -132,11 +135,17 @@ def attack_digests() -> None:
         print(f"attack16 image {k}  {sha256(fields.encode())}")
 
 
+def gradient_values() -> None:
+    for name, err in fd_gradient_report(seed=0, probes=100, h=1e-5).items():
+        print(f"gradient {name}  {err.hex()}")
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     train_digests()
     certify_digests()
     attack_digests()
+    gradient_values()
     return 0
 
 

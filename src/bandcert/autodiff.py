@@ -6,16 +6,19 @@ and float32 for inference. A Tensor is immutable once created; recording
 happens on an explicitly activated Tape, and ``backward`` walks the tape in
 reverse to return a gradient map for the leaves.
 
-The primitive set mirrors the model's encoder vocabulary: ``embed``,
-``linear``, ``affine_layer_norm`` and ``attention`` are each one fused tape
-entry with a hand-written backward, beside ``gelu``, ``add`` and
-``slice_axis``. The fused ops and ``gelu`` run one private forward kernel
-each, shared with the model's plain path. A fused op makes the numpy calls
-of the chain of small primitives it replaces (matmul, add, mul, layer_norm,
-softmax_lastdim, split_heads, merge_heads, concat, reshape,
-embedding_lookup), forward and backward, so its gradients are that chain's
-bit for bit. Those small primitives call no kernel and stay: the loss uses
-some, and the tests and the finite-difference oracle use them as references.
+The primitive set is what the program runs. The model's encoder
+vocabulary is ``embed``, ``linear``, ``affine_layer_norm`` and
+``attention``, each one fused tape entry with a hand-written backward,
+beside ``gelu``, ``add``, ``reshape`` and ``slice_axis``. Training's losses
+add ``mul``, ``embedding_lookup`` and ``cross_entropy``, and the gradient
+oracle's add ``mean``. The fused ops and ``gelu`` run one private forward
+kernel each, shared with the model's plain path. A fused op makes the
+numpy calls of the chain of small primitives it replaces (matmul, add,
+mul, layer_norm, softmax_lastdim, split_heads, merge_heads, concat,
+reshape, embedding_lookup), forward and backward, so its gradients are
+that chain's bit for bit. The chain's primitives that nothing here calls
+live in ``tests/chain_ops.py``, as the reference the tests compare the
+fused ops against.
 
 Every primitive validates operand shapes up front and checks its output for
 NaN/Inf, so a numerical blow-up surfaces at the op that produced it instead
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -167,31 +170,6 @@ def _row_ids(op: str, indices, n: int) -> np.ndarray:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor, *, transpose_b: bool = False) -> Tensor:
-    """Batched matrix product, optionally against the transpose of ``b``.
-
-    The flag exists because attention needs Q K^T and the op set has no
-    standalone transpose; it applies to the last two axes only.
-    """
-    _same_dtype("matmul", a, b)
-    bd = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
-    if a.data.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul: operands must have rank >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul: inner dims disagree, {a.shape} @ {b.shape} "
-                         f"(transpose_b={transpose_b})")
-    out = np.matmul(a.data, bd)
-
-    def backward_fn(g: np.ndarray):
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if transpose_b:
-            gb = np.swapaxes(gb, -1, -2)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-    return _emit("matmul", out, (a, b), backward_fn)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum with numpy broadcasting."""
     _same_dtype("add", a, b)
@@ -220,43 +198,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _emit("mul", out, (a, b), backward_fn)
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def backward_fn(g: np.ndarray):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - inner),)
-
-    return _emit("softmax_lastdim", s, (x,), backward_fn)
-
-
-def layer_norm(x: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine).
-
-    The encoder runs ``affine_layer_norm``; this primitive is its reference
-    chain's first op and gate 5's probe: per-row mean ~ 0, variance ~ 1.
-    """
-    if x.data.ndim < 1 or x.shape[-1] < 1:
-        raise ShapeError(f"layer_norm: needs a non-empty last axis, got {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
-    y = centered * inv
-
-    def backward_fn(g: np.ndarray):
-        n = x.shape[-1]
-        gy_mean = g.mean(axis=-1, keepdims=True)
-        proj = (g * y).mean(axis=-1, keepdims=True)
-        gx = inv * (g - gy_mean - y * proj)
-        return (gx,)
-
-    return _emit("layer_norm", y, (x,), backward_fn)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -301,30 +242,6 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     return _emit("reshape", out, (x,), backward_fn)
 
 
-def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = tuple(parts)
-    if not parts:
-        raise ShapeError("concat: needs at least one operand")
-    _same_dtype("concat", *parts)
-    nd = parts[0].data.ndim
-    ax = axis % nd
-    base = list(parts[0].shape)
-    for p in parts[1:]:
-        other = list(p.shape)
-        if len(other) != nd or [s for i, s in enumerate(other) if i != ax] != \
-           [s for i, s in enumerate(base) if i != ax]:
-            raise ShapeError(f"concat: shapes {parts[0].shape} and {p.shape} "
-                             f"disagree off axis {ax}")
-    out = np.concatenate([p.data for p in parts], axis=ax)
-    sizes = [p.shape[ax] for p in parts]
-
-    def backward_fn(g: np.ndarray):
-        splits = np.split(g, np.cumsum(sizes)[:-1], axis=ax)
-        return tuple(splits)
-
-    return _emit("concat", out, parts, backward_fn)
-
-
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous slice [start, stop) along one axis (the ``slice`` op)."""
     nd = x.data.ndim
@@ -343,36 +260,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _emit("slice", out, (x,), backward_fn)
 
 
-def split_heads(x: Tensor, num_heads: int) -> Tensor:
-    """(B, L, d) -> contiguous (B, num_heads, L, d / num_heads): head j holds
-    columns [j * d / num_heads, (j + 1) * d / num_heads) of the last axis."""
-    if x.data.ndim != 3 or num_heads < 1 or x.shape[-1] % num_heads:
-        raise ShapeError(f"split_heads: cannot split {x.shape} into {num_heads} heads")
-    b, length, d = x.shape
-    out = np.ascontiguousarray(
-        x.data.reshape(b, length, num_heads, d // num_heads).transpose(0, 2, 1, 3))
-
-    def backward_fn(g: np.ndarray):
-        # C-contiguous on purpose: the bias gradients sum this array, and a
-        # strided view would be summed in another order and round differently
-        return (np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(b, length, d),)
-
-    return _emit("split_heads", out, (x,), backward_fn)
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(B, H, L, dh) -> (B, L, H * dh), the inverse of ``split_heads``."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"merge_heads: expected (B, H, L, dh), got {x.shape}")
-    b, heads, length, dh = x.shape
-    out = x.data.transpose(0, 2, 1, 3).reshape(b, length, heads * dh)
-
-    def backward_fn(g: np.ndarray):
-        return (np.ascontiguousarray(g.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)),)
-
-    return _emit("merge_heads", out, (x,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # fused encoder ops: one tape entry for each op of the model's vocabulary.
 # Each forward is one private kernel, shared with the model's plain path,
@@ -385,7 +272,8 @@ def merge_heads(x: Tensor) -> Tensor:
 # ``out``, since backward reads them. Forward and backward make the numpy
 # calls of the unfused chain each op names, on the same layouts (the bias
 # rows' repeated sum(axis=0) of _unbroadcast included), so outputs and
-# gradients are the chain's bit for bit. Two
+# gradients are the chain's bit for bit; ``tests/chain_ops.py`` holds the
+# chain's primitives, and the tests compare each op against it. Two
 # forward steps take another route to the same bits: the softmax's row max
 # is a running np.maximum over the key columns, not a reduce, and the layer
 # norm's means skip np.mean's wrapper (``_row_mean``). No gradient is

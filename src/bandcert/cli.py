@@ -3,7 +3,8 @@
 Subcommands: train, finetune, certify, bench, oracle, export-config.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(missing or malformed files), 3 numeric failure, 4 an oracle check failed.
+(missing or malformed files, or any other OSError, such as an out-dir that
+cannot be made), 3 numeric failure, 4 an oracle check failed.
 
 The BLAS thread count comes from --threads, else the ECVIT_THREADS
 environment variable, else 1. It is applied to the BLAS thread environment
@@ -240,10 +241,10 @@ def cmd_certify(args, argv) -> int:
     plan = plan_windows(model_cfg, cert_cfg.band_width)
     load_seconds = time.perf_counter() - load_start
 
+    os.makedirs(args.out_dir, exist_ok=True)
     faults_before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     result = evaluate(images.astype(ad.INFER_DTYPE), labels, params, plan, cert_cfg)
     minor_page_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults_before
-    os.makedirs(args.out_dir, exist_ok=True)
     write_jsonl(os.path.join(args.out_dir, "records.jsonl"), result.records)
     write_json(os.path.join(args.out_dir, "summary.json"), result.summary)
     with open(os.path.join(args.out_dir, "config.ini"), "w") as fh:
@@ -315,10 +316,7 @@ def cmd_bench(args, argv) -> int:
             "band_unit_sweep": band.total * model_cfg.image_side,
         },
         "num_forwards": plan.num_forwards,
-        # a lower bound on any packing of the plan's windows; b + p is an
-        # upper bound only at the geometries the tests check, not in general
         "forwards_lower_bound": plan.forwards_lower_bound,
-        "forwards_bound": b + model_cfg.patch_size,
         "seconds_global_sweep": t_global,
         "seconds_band_sweep": t_band,
         "measured_speedup": t_global / t_band if t_band > 0 else float("inf"),
@@ -425,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
         except ContractError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE
-        except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
+        except (DataFormatError, OSError) as e:
             print(f"data error: {e}", file=sys.stderr)
             return EXIT_DATA
         except NumericError as e:

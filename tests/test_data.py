@@ -101,6 +101,14 @@ def test_cifar_truncated_blob_raises(tmp_path):
         load_cifar10(str(bad), split="train")
 
 
+def test_cifar_empty_blob_raises(tmp_path):
+    # a 0-byte file is a multiple of the record size, but no batch file
+    empty = tmp_path / "batch.bin"
+    empty.write_bytes(b"")
+    with pytest.raises(DataFormatError, match="batch.bin: holds no records"):
+        load_cifar10(str(empty), split="train")
+
+
 def test_cifar_directory_needs_every_train_batch(tmp_path):
     batch_dir = tmp_path / "cifar"
     batch_dir.mkdir()

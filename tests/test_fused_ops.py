@@ -1,8 +1,9 @@
 """The fused encoder primitives against the unfused chains they replace.
 
-Each chain below is composed on a tape from the primitives that survive as
-the reference (matmul, add, mul, layer_norm, softmax_lastdim, split_heads,
-merge_heads, concat, reshape, embedding_lookup). A fused primitive must give
+Each chain below is composed on a tape from small primitives: add, mul,
+reshape and embedding_lookup from ``autodiff``, and matmul, layer_norm,
+softmax_lastdim, split_heads, merge_heads and concat from ``chain_ops``,
+which holds the ones the program does not run. A fused primitive must give
 the same output and the same gradient for every input, byte for byte, and a
 tape that uses one weight several times must accumulate its gradient in the
 same order.
@@ -19,32 +20,34 @@ from bandcert.autodiff import Tape, Tensor, record
 from bandcert.errors import NumericError
 from bandcert.model import ModelConfig, ModelParams, forward_global, forward_windows, plan_windows
 
+import chain_ops as co
+
 
 def chain_embed(patches, weight, cls_token, pos_embed, pos_ids=None):
     d = weight.shape[1]
-    proj = ad.matmul(Tensor(patches), weight)
+    proj = co.matmul(Tensor(patches), weight)
     cls = ad.reshape(cls_token, (1, 1, d))
     zeros = Tensor(np.zeros((patches.shape[0], 1, d), dtype=patches.dtype))
-    h = ad.concat([ad.add(zeros, cls), proj], axis=1)
+    h = co.concat([ad.add(zeros, cls), proj], axis=1)
     rows = pos_embed if pos_ids is None else ad.embedding_lookup(pos_embed, pos_ids)
     return ad.add(h, rows)
 
 
 def chain_linear(x, weight, bias):
-    return ad.add(ad.matmul(x, weight), bias)
+    return ad.add(co.matmul(x, weight), bias)
 
 
 def chain_affine_layer_norm(x, gamma, beta):
-    return ad.add(ad.mul(ad.layer_norm(x), gamma), beta)
+    return ad.add(ad.mul(co.layer_norm(x), gamma), beta)
 
 
 def chain_attention(q, k, v, num_heads, bias=None):
     scale = Tensor(np.asarray(1.0 / math.sqrt(q.shape[-1] // num_heads), dtype=q.dtype))
-    q, k, v = (ad.split_heads(t, num_heads) for t in (q, k, v))
-    scores = ad.mul(ad.matmul(q, k, transpose_b=True), scale)
+    q, k, v = (co.split_heads(t, num_heads) for t in (q, k, v))
+    scores = ad.mul(co.matmul(q, k, transpose_b=True), scale)
     if bias is not None:
         scores = ad.add(scores, Tensor(bias))
-    return ad.merge_heads(ad.matmul(ad.softmax_lastdim(scores), v))
+    return co.merge_heads(co.matmul(co.softmax_lastdim(scores), v))
 
 
 def leaf(rng, shape, dtype):
@@ -187,7 +190,7 @@ def test_one_tape_reusing_every_weight_accumulates_like_the_chain(dtype, monkeyp
 def test_a_minus_inf_score_raises_though_softmax_would_hide_it():
     # softmax turns a -inf score into a finite 0, so the chain's softmax
     # output alone would pass; the fused op scans the scores themselves
-    assert np.isfinite(ad.softmax_lastdim(Tensor(np.array([[-np.inf, 0.0]]))).data).all()
+    assert np.isfinite(co.softmax_lastdim(Tensor(np.array([[-np.inf, 0.0]]))).data).all()
     q = Tensor(np.full((1, 1, 2), 1e200), requires_grad=True)
     k = Tensor(np.array([[[-1e200, -1e200], [0.0, 0.0]]]), requires_grad=True)
     with np.errstate(over="ignore"):
