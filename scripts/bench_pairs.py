@@ -9,10 +9,13 @@ ones, so drift in the machine's speed falls on both sides alike.
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (inclusive method) over the runs, the number of pairs
 the change won, ``WORSE THAN BOUND`` where the change's median is worse
-than the parent's by more than the metric's bound, and ``UNRESOLVED`` where
+than the parent's by more than the metric's bound, ``UNRESOLVED`` where
 the parent's own runs spread too widely to tell: their interquartile range
 is wider than the bound times the parent's median, and not every change
-run beats every parent run. ``--out`` receives every
+run beats every parent run, and ``GAIN`` where a gain may be claimed: the
+change won at least nine tenths of the pairs, ties counting for neither,
+and its median beats the parent's by more than the parent's interquartile
+range. ``--out`` receives every
 run's final JSON line and ``env`` line, rewritten after each run, and the
 summary at the end.
 
@@ -58,8 +61,9 @@ def _quartiles(values: list[float]) -> dict:
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's quartiles, the pairs
-    the change won, whether the change's median is within its bound, and
-    whether the parent's spread leaves the comparison unresolved."""
+    the change won, whether the change's median is within its bound,
+    whether the parent's spread leaves the comparison unresolved, and
+    whether the change shows a gain."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -88,6 +92,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                 "bound": m["bound"],
                 "within_bound": worse <= m["bound"] * abs(parent),
                 "unresolved": spread > m["bound"] * abs(parent) and not beats_all,
+                "gain": 10 * better >= 9 * len(pairs) and -worse > spread,
             }
     return out
 
@@ -133,7 +138,7 @@ def main(argv=None) -> int:
         for name, s in per_metric.items():
             p, c = s["parent"], s["change"]
             flag = ("" if s["within_bound"] else "  WORSE THAN BOUND") \
-                + ("  UNRESOLVED" if s["unresolved"] else "")
+                + ("  UNRESOLVED" if s["unresolved"] else "") + ("  GAIN" if s["gain"] else "")
             flagged += not s["within_bound"]
             print(f"  {name:14s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                   f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "

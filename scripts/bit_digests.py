@@ -16,6 +16,12 @@ with one run each and a ``diff`` of the outputs:
 * ``attack16 image K``: the empirical patch attack report on seed-0 test
   image K of the toy checkpoint, 16 locations x 200 random 2x2 patches
   (the benchmark's attack16 op), for K = 0..7.
+* ``attack <variant> image K``: attack reports on what attack16 does not
+  cover, for K = 0..7: 3x3 patches at anchors that straddle token edges
+  (touching 1, 2 or 4 tokens), band wrap off (the toy checkpoint with
+  ``band_wrap=False``, where patches near an edge meet fewer bands), and
+  float64 weights. Each line digests the report of every anchor at once
+  and of each anchor alone, 200 trials per location.
 * ``gradient <case>``: each case of ``fd_gradient_report(seed=0,
   probes=100, h=1e-5)``, gate 5's call, as ``float.hex()``.
 
@@ -61,6 +67,10 @@ ATTACK_IMAGES = 8
 ATTACK_LOCATIONS = 16
 ATTACK_TRIALS = 200
 PATCH = (2, 2)
+VARIANT_IMAGES = 8
+# 3x3 anchors on 4x4-pixel tokens: (2, 2) and (6, 3) touch 4 tokens, (1, 6)
+# and (13, 10) 2, (5, 5) one
+STRADDLING = [(2, 2), (1, 6), (6, 3), (13, 10), (5, 5)]
 
 
 def toy_config() -> ModelConfig:
@@ -135,6 +145,31 @@ def attack_digests() -> None:
         print(f"attack16 image {k}  {sha256(fields.encode())}")
 
 
+def attack_variant_digests() -> None:
+    cfg = toy_config()
+    cert_cfg = build_certify_config(load_config())
+    x, _ = stack_images(load_dataset(dataset(cfg.image_side, 0, VARIANT_IMAGES), "test"))
+    attack16 = patch_locations(cfg.image_side, PATCH, ATTACK_LOCATIONS)
+    unwrapped = dataclasses.replace(cfg, band_wrap=False)
+    variants = {  # name: (model config, dtype, patch, anchors)
+        "3x3 straddling": (cfg, np.float32, (3, 3), STRADDLING),
+        "2x2 nowrap": (unwrapped, np.float32, PATCH, attack16),
+        "3x3 straddling nowrap": (unwrapped, np.float32, (3, 3), STRADDLING),
+        "2x2 float64": (cfg, np.float64, PATCH, attack16),
+        "3x3 straddling float64": (cfg, np.float64, (3, 3), STRADDLING),
+    }
+    for name, (model_cfg, dtype, patch, locations) in variants.items():
+        params = load_checkpoint(str(CHECKPOINTS / "toy16.ecvt"), model_cfg, dtype=dtype)
+        plan = plan_windows(model_cfg, cert_cfg.band_width)
+        for k in range(VARIANT_IMAGES):
+            reports = [dataclasses.asdict(empirical_patch_attack(
+                x[k], params, plan, cert_cfg, patch_shape=patch, locations=anchors,
+                trials=ATTACK_TRIALS, seed=0, image_id=k))
+                for anchors in [locations] + [[anchor] for anchor in locations]]
+            print(f"attack {name} image {k}  "
+                  f"{sha256(json.dumps(reports, sort_keys=True).encode())}")
+
+
 def gradient_values() -> None:
     for name, err in fd_gradient_report(seed=0, probes=100, h=1e-5).items():
         print(f"gradient {name}  {err.hex()}")
@@ -145,6 +180,7 @@ def main() -> int:
     train_digests()
     certify_digests()
     attack_digests()
+    attack_variant_digests()
     gradient_values()
     return 0
 

@@ -33,11 +33,16 @@ raises NumericError naming that stage.
   equals the masked global forward on the gathered rows.
 * ``forward_windows``: the windowed path fine-tuning and certification
   share, logits only. It takes k band positions per image, patchifies each
-  image once, gathers each window's tokens by the ``WindowPlan``, ablates
-  only those, and encodes each window width. Off the tape it cuts every
-  width into row blocks and puts all of them in one queue, which
-  ``WORKERS`` workers empty, the calling thread and ``WORKERS - 1``
-  threads of one module pool, each thread in its own workspace in the
+  image once into a token table, gathers each window's tokens by the
+  ``WindowPlan``, ablates only those, and encodes each window width. Its
+  sweep, ``_sweep_windows``, reads each row's tokens through the row's
+  virtual image, a row of table-row ids per grid token, so the patch
+  attack scores its clean image and every trial in one sweep over a table
+  that holds the clean tokens and only the tokens each trial's patch
+  touches. Off the tape the sweep cuts every width into row blocks and
+  puts all of them in one queue, largest first, which ``WORKERS`` workers
+  empty, the calling thread and ``WORKERS - 1`` threads of one module
+  pool, each thread in its own workspace in the
   ``WindowPlan``, so any number of threads may sweep one plan at once.
   Within a workspace, slots whose arrays are never live together in one
   row block share one buffer (``_SHARED_BUFFERS``). Each block's rows
@@ -511,9 +516,9 @@ def _encode(params: ModelParams, patches: np.ndarray, pos_ids: np.ndarray | None
     one they are tape primitives while a tape records, so training can
     differentiate them, and otherwise plain arrays in a fresh workspace.
     Nothing returned points into the workspace.
-    ``forward_windows`` calls this once per row block, so when rows fail at
-    different stages its error names the first failing stage of the first
-    failing block.
+    The window sweep calls this once per row block, so when rows fail at
+    different stages its error names the first failing stage of the
+    failing block first in the sweep's queue.
     """
     patches = np.ascontiguousarray(patches, dtype=params.dtype)
     if workspace is None and ad.recording():
@@ -761,7 +766,7 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
 def _row_bytes(cfg: ModelConfig, k: int, dtype) -> int:
     """Workspace bytes per row of a block of k-token windows in ``dtype``:
     each buffer of the workspace plan at the widest per-row request of its
-    slots, summed. The per-image ``patches`` slot is not counted."""
+    slots, summed. The token table's ``patches`` slot is not counted."""
     d, seq = cfg.embed_dim, k + 1
     mlp = int(round(cfg.mlp_ratio * d))
     per_row = {  # elements each slot holds per row, widest request
@@ -781,63 +786,81 @@ def _row_bytes(cfg: ModelConfig, k: int, dtype) -> int:
     return sum(widest.values()) * np.dtype(dtype).itemsize + seq * d
 
 
-def _window_vectors(patches: np.ndarray, keep: np.ndarray, rows: np.ndarray,
-                    per_image: int, ids: np.ndarray, cfg: ModelConfig,
-                    workspace: _Workspace) -> np.ndarray:
+@dataclass(frozen=True)
+class _TokenSweep:
+    """The rows of one window sweep over a shared token table. Row r is the
+    window at band position ``positions[r]`` of virtual image ``images[r]``,
+    whose grid token t is row ``image_tokens[images[r], t]`` of ``table``.
+    Row p of ``keep`` holds the per-pixel-column keep flags of the band at
+    position p, in the table's dtype."""
+    table: np.ndarray         # (M, 3 * patch_size**2) patch vectors
+    keep: np.ndarray          # (w, w) keep flags of every band position
+    image_tokens: np.ndarray  # (V, num_tokens) table row of each grid token
+    images: np.ndarray        # (R,) each row's virtual image
+    positions: np.ndarray     # (R,) each row's band position
+
+
+def _window_vectors(sweep: _TokenSweep, rows: np.ndarray, ids: np.ndarray,
+                    cfg: ModelConfig, workspace: _Workspace) -> np.ndarray:
     """Gather, then ablate: the (n, k, patch_dim) patch vectors of the
-    windows on flat ``rows``, whose tokens are ``ids`` (n, k), built in the
-    workspace's ``gather`` and ``windows`` slots in the dtype that
-    ``patches`` and ``keep`` share."""
+    sweep's windows on ``rows``, whose tokens are ``ids`` (n, k), built in
+    the workspace's ``gather`` and ``windows`` slots in the table's dtype."""
     ps = cfg.patch_size
     n, k = ids.shape
     _, n_cols = cfg.grid
+    table, keep = sweep.table, sweep.keep
     # keep flag of each pixel column of each gathered token: (n, k, ps)
-    col_keep = keep.reshape(keep.shape[0], n_cols, ps)[rows[:, None], ids % n_cols]
+    col_keep = keep.reshape(keep.shape[0], n_cols, ps)[sweep.positions[rows][:, None],
+                                                        ids % n_cols]
     flags = col_keep[:, :, None, None, :]
-    pixels = np.take(patches.reshape(-1, patches.shape[2]),
-                     (rows // per_image)[:, None] * cfg.num_tokens + ids, axis=0,
-                     mode="clip", out=workspace.take("gather", (n, k, patches.shape[2]),
-                                                     patches.dtype))
-    windows = workspace.take("windows", (n, k, INPUT_CHANNELS, ps, ps), patches.dtype)
+    pixels = np.take(table, sweep.image_tokens[sweep.images[rows][:, None], ids], axis=0,
+                     mode="clip", out=workspace.take("gather", (n, k, table.shape[1]),
+                                                     table.dtype))
+    windows = workspace.take("windows", (n, k, INPUT_CHANNELS, ps, ps), table.dtype)
     np.multiply(pixels.reshape(n, k, 3, ps, ps), flags, out=windows[:, :, :3])
     windows[:, :, 3:] = flags
     return windows.reshape(n, k, cfg.patch_dim)
 
 
-def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
-                   per_image: int, widths: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+def _encode_blocks(params: ModelParams, sweep: _TokenSweep,
+                   widths: list[tuple[int, np.ndarray, np.ndarray]],
                    plan: WindowPlan) -> list[np.ndarray]:
-    """Off the tape: the logits of every width of ``widths``, (rows, ids,
-    position ids) each, encoded in row blocks on up to ``WORKERS`` workers.
+    """Off the tape: the logits of every width of ``widths``, (window size,
+    rows, rows of the plan's tables for that size) each, encoded in row
+    blocks on up to ``WORKERS`` workers.
 
-    All blocks of the call are listed first, width by width, in one shared
-    queue. Each worker takes the next block off the queue until it is
-    empty, runs it in its thread's workspace in the plan and writes its
-    logits into the width's output array. A block holds at most
-    ceil(n / W) of its width's n rows and as many as keep its workspace
-    bytes (``_row_bytes`` a row) within ``WINDOW_BLOCK_BYTES / W``, so the
-    blocks of all workers together stay within the one budget. Worker 0 is
-    the calling thread; the others run in the module pool, in a copy of the
-    caller's context (numpy's error state included), and call no public
-    function.
+    All blocks of the call are listed first and put in one shared queue,
+    largest first (rows x tokens, ties in width then row order), so the
+    last block a worker takes is a small one. Each worker takes the next
+    block off the queue until it is empty, looks up the block's token ids,
+    position ids and table rows, runs it in its thread's workspace in the
+    plan and writes its logits into the width's output array. A block
+    holds at most ceil(n / W) of its width's n rows and as many as keep its
+    workspace bytes (``_row_bytes`` a row) within ``WINDOW_BLOCK_BYTES /
+    W``, so the blocks of all workers together stay within the one budget.
+    Worker 0 is the calling thread; the others run in the module pool, in a
+    copy of the caller's context (numpy's error state included), and call
+    no public function.
 
     Returns once every worker has returned. A worker whose block fails
-    empties the queue, and then the error of the lowest-numbered failing
-    block is raised: every block below it was taken before the failure, so
-    it is the one a single worker would have met first. An interrupt in the
-    calling thread also empties the queue, waits for the other workers and
-    is raised, and so is a BaseException that ends a pool worker's loop.
+    empties the queue, and then the error of the failing block first in
+    the queue is raised: every block before it was taken before the
+    failure, so it is the one a single worker, which takes the blocks in
+    queue order, would have met first. An interrupt in the calling thread
+    also empties the queue, waits for the other workers and is raised, and
+    so is a BaseException that ends a pool worker's loop.
     """
     cfg = params.cfg
     workers = WORKERS
     tasks: list[tuple[int, slice]] = []
     outs = []
-    for w, (rows, ids, _) in enumerate(widths):
-        n, k = ids.shape
-        step = max(1, min(WINDOW_BLOCK_BYTES // workers // _row_bytes(cfg, k, params.dtype),
+    for w, (size, rows, _) in enumerate(widths):
+        n = rows.size
+        step = max(1, min(WINDOW_BLOCK_BYTES // workers // _row_bytes(cfg, size, params.dtype),
                           math.ceil(n / workers)))
-        tasks += [(w, slice(start, start + step)) for start in range(0, n, step)]
+        tasks += [(w, slice(start, min(start + step, n))) for start in range(0, n, step)]
         outs.append(np.empty((n, cfg.num_classes), dtype=params.dtype))
+    tasks.sort(key=lambda task: -(task[1].stop - task[1].start) * widths[task[0]][0])
     queue = deque(enumerate(tasks))  # popleft is atomic, so the workers share it
     errors: dict[int, Exception] = {}  # failed block -> its error
 
@@ -847,11 +870,12 @@ def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
                 t, (w, b) = queue.popleft()
             except IndexError:
                 return
-            rows, ids, with_cls = widths[w]
+            size, rows, at = widths[w]
             ws = _thread_space(plan)
             try:
-                windows = _window_vectors(patches, keep, rows[b], per_image, ids[b], cfg, ws)
-                outs[w][b] = _encode(params, windows, with_cls[b], workspace=ws).logits.data
+                windows = _window_vectors(sweep, rows[b], plan.token_ids[size][at[b]], cfg, ws)
+                outs[w][b] = _encode(params, windows, plan.position_ids[size][at[b]],
+                                     workspace=ws).logits.data
             except Exception as e:
                 errors[t] = e
                 queue.clear()
@@ -871,6 +895,38 @@ def _encode_blocks(params: ModelParams, patches: np.ndarray, keep: np.ndarray,
     return outs
 
 
+def _sweep_windows(params: ModelParams, plan: WindowPlan,
+                   sweep: _TokenSweep) -> list[tuple[np.ndarray, Tensor]]:
+    """Gather -> ablate -> window encoder over the sweep's rows, logits
+    only: ``forward_windows`` and the patch attack both run this. Returns
+    (rows, logits) per window width, narrowest first: the ascending rows of
+    that width and their (len(rows), num_classes) logits Tensor.
+
+    A width's rows take their token ids and position ids from the plan's
+    tables, one index of each by their band positions. Off the tape every
+    width runs in row blocks on ``WORKERS`` workers (``_encode_blocks``) and
+    each logits array is fresh. Which worker runs a block and how many rows
+    it holds change no bit. While a tape records, the tape keeps every op's
+    inputs until backward and splitting a width would reorder its gradient
+    sums, so each width runs as one block of fresh arrays in the calling
+    thread.
+    """
+    sizes = plan.sizes[sweep.positions]
+    widths = []
+    for size in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == size)
+        widths.append((size, rows, plan.table_rows[sweep.positions[rows]]))
+    if ad.recording():
+        out = []
+        for size, rows, at in widths:
+            windows = _window_vectors(sweep, rows, plan.token_ids[size][at], params.cfg,
+                                      _Workspace())
+            out.append((rows, _encode(params, windows, plan.position_ids[size][at]).logits))
+        return out
+    outs = _encode_blocks(params, sweep, widths, plan)
+    return [(rows, Tensor(logits)) for (_, rows, _), logits in zip(widths, outs)]
+
+
 def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelParams,
                     plan: WindowPlan) -> list[tuple[np.ndarray, Tensor]]:
     """Patchify -> gather -> ablate -> window encoder, logits only.
@@ -881,10 +937,11 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     narrowest first: the ascending flat rows of that width and their
     (len(rows), num_classes) logits Tensor.
 
-    Each image is patchified once, cast to the params' dtype, and the keep
-    flags are cast to it too, so every window is gathered, ablated and
-    encoded in that dtype. A width's rows take their token ids and position
-    ids from the plan's tables, one index of each by their band positions.
+    The images are patchified once, cast to the params' dtype, into the
+    token table of one ``_sweep_windows`` call (off the tape, in the calling
+    thread's workspace in the plan): image i's grid token t is table row
+    i * num_tokens + t. The keep flags of every band position are cast to
+    that dtype too, so every window is gathered, ablated and encoded in it.
     A window gathers its tokens and only then is ablated: its pixels are
     multiplied by the band's per-pixel-column keep flags and the keep plane
     is appended as the fourth channel. Those are the multiplications
@@ -892,47 +949,30 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     vectors equal ablate_batch -> cast -> patchify -> gather bit for bit.
     Every encoder op is row-local or a per-slice gufunc, so a row's logits
     do not depend on the rows stacked with it.
-
-    Off the tape, every width runs in row blocks, gather -> ablate ->
-    encode, on ``WORKERS`` workers, each in its thread's workspace in the
-    plan (see ``_encode_blocks``), and each logits array is fresh. Which
-    worker runs a block and how many rows it holds change no bit. While a
-    tape records, the tape keeps every op's inputs until backward and
-    splitting a width would reorder its gradient sums, so each width runs
-    as one block of fresh arrays in the calling thread.
     """
     cfg = params.cfg
-    ps = cfg.patch_size
+    ps, side, tokens = cfg.patch_size, cfg.image_side, cfg.num_tokens
     imgs = np.asarray(images)
-    keep = band_keep(imgs, positions, plan.band_width, wrap=cfg.band_wrap).astype(
-        params.dtype, copy=False)
     pos = np.asarray(positions, dtype=np.int64)
+    if imgs.ndim != 4 or imgs.shape[1:] != (3, side, side):
+        raise ContractError(f"forward_windows: images {imgs.shape} are not "
+                            f"(n, 3, {side}, {side})")
     if pos.ndim != 2 or pos.shape[0] != imgs.shape[0]:
         raise ContractError(f"forward_windows: positions {pos.shape} are not "
                             f"(n_images={imgs.shape[0]}, k)")
-    if imgs.shape[2:] != (cfg.image_side, cfg.image_side):
-        raise ContractError(f"forward_windows: images {imgs.shape} do not match side "
-                            f"{cfg.image_side}")
-    per_image = pos.shape[1]
-    pos = pos.reshape(-1)
-    taped = ad.recording()
-    shape = (imgs.shape[0], cfg.num_tokens, 3 * ps * ps)
-    patches = patchify(imgs, ps, out=np.empty(shape, params.dtype) if taped
-                       else _thread_space(plan).take("patches", shape, params.dtype))
-    sizes = plan.sizes[pos]
-    widths = []
-    for size in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == size)
-        at = plan.table_rows[pos[rows]]
-        widths.append((rows, plan.token_ids[size][at], plan.position_ids[size][at]))
-    if taped:
-        out = []
-        for rows, ids, with_cls in widths:
-            windows = _window_vectors(patches, keep, rows, per_image, ids, cfg, _Workspace())
-            out.append((rows, _encode(params, windows, with_cls).logits))
-        return out
-    outs = _encode_blocks(params, patches, keep, per_image, widths, plan)
-    return [(rows, Tensor(logits)) for (rows, _, _), logits in zip(widths, outs)]
+    if pos.size and (pos.min() < 0 or pos.max() >= side):
+        raise ContractError(f"forward_windows: band positions must lie in [0, {side}), "
+                            f"got {pos.min()}..{pos.max()}")
+    keep = band_keep(imgs, np.arange(side), plan.band_width, wrap=cfg.band_wrap).astype(
+        params.dtype, copy=False)
+    n, k = pos.shape
+    shape = (n, tokens, 3 * ps * ps)
+    table = patchify(imgs, ps, out=np.empty(shape, params.dtype) if ad.recording()
+                     else _thread_space(plan).take("patches", shape, params.dtype))
+    sweep = _TokenSweep(table=table.reshape(n * tokens, shape[2]), keep=keep,
+                        image_tokens=np.arange(n * tokens).reshape(n, tokens),
+                        images=np.repeat(np.arange(n), k), positions=pos.reshape(-1))
+    return _sweep_windows(params, plan, sweep)
 
 
 def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: WindowPlan,

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import model
 from .autodiff import Tensor
 from .certification import (CertifyConfig, VoteTable, affected_positions,
-                            certified_against, per_band_scores, vote)
+                            certified_against, softmax_scores, vote)
 from .errors import ContractError
-from .model import (ModelConfig, ModelParams, WindowPlan,
-                    forward_band_unit, forward_global, window_token_ids)
-from .smoothing import BandSpec, ablate_batch
+from .model import (ModelConfig, ModelParams, WindowPlan, forward_band_unit,
+                    forward_global, patchify, window_token_ids)
+from .smoothing import BandSpec, ablate_batch, band_keep
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,65 @@ def patch_locations(image_side: int, shape: tuple[int, int], count: int) -> list
     return locs[:count]
 
 
+def _attack_scores(img: np.ndarray, params: ModelParams, plan: WindowPlan,
+                   cfg: CertifyConfig, patch_shape: tuple[int, int],
+                   locations: list[tuple[int, int]], hits: list[np.ndarray],
+                   trials: int, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The attack's voting scores, from one window sweep: the clean image's
+    (w, C) scores, and per location the (trials, hits, C) scores of its
+    trials at its hit band positions ``hits[i]``.
+
+    The sweep reads a shared token table, not trial images. The table is
+    the clean image's patch tokens, then, location by location and trial by
+    trial, only the tokens the trial's patch touches: ``patchify`` of the
+    token-aligned crop around the patch with the trial's pixels written in.
+    Virtual image 0 is the clean image; virtual image 1 + i * trials + t is
+    trial t at location i, the clean tokens but for the touched ones. Each
+    location draws its (trials, 3, ph, pw) float32 pixels from ``rng`` in
+    location order."""
+    mcfg = params.cfg
+    ps, tokens = mcfg.patch_size, mcfg.num_tokens
+    _, n_cols = mcfg.grid
+    dim = 3 * ps * ps
+    ph, pw = patch_shape
+    w = plan.image_width
+    # token rows [tr0, tr1) and columns [tc0, tc1) each patch touches
+    boxes = [(r0 // ps, (r0 + ph - 1) // ps + 1, c0 // ps, (c0 + pw - 1) // ps + 1)
+             for r0, c0 in locations]
+    touched = [(tr1 - tr0) * (tc1 - tc0) for tr0, tr1, tc0, tc1 in boxes]
+    table = np.empty((tokens + trials * sum(touched), dim), dtype=img.dtype)
+    patchify(img[None], ps, out=table[:tokens].reshape(1, tokens, dim))
+    image_tokens = np.tile(np.arange(tokens), (1 + len(locations) * trials, 1))
+    start = tokens
+    for i, ((r0, c0), (tr0, tr1, tc0, tc1), nt) in enumerate(zip(locations, boxes, touched)):
+        crop = np.repeat(img[None, :, tr0 * ps:tr1 * ps, tc0 * ps:tc1 * ps], trials, axis=0)
+        dr, dc = r0 - tr0 * ps, c0 - tc0 * ps
+        crop[:, :, dr:dr + ph, dc:dc + pw] = rng.random((trials, 3, ph, pw), dtype=np.float32)
+        stop = start + trials * nt
+        patchify(crop, ps, out=table[start:stop].reshape(trials, nt, dim))
+        grid = (np.arange(tr0, tr1)[:, None] * n_cols + np.arange(tc0, tc1)).ravel()
+        image_tokens[1 + i * trials:1 + (i + 1) * trials, grid] = \
+            np.arange(start, stop).reshape(trials, nt)
+        start = stop
+    # rows: the clean image at every band position, then each location's
+    # trials, trial-major, at its hit positions
+    images = np.concatenate([np.zeros(w, dtype=np.int64)] + [
+        np.repeat(1 + i * trials + np.arange(trials), hit.size) for i, hit in enumerate(hits)])
+    positions = np.concatenate([np.arange(w)] + [np.tile(hit, trials) for hit in hits])
+    keep = band_keep(img[None], np.arange(w), plan.band_width,
+                     wrap=mcfg.band_wrap).astype(img.dtype, copy=False)
+    sweep = model._TokenSweep(table=table, keep=keep, image_tokens=image_tokens,
+                              images=images, positions=positions)
+    logits = np.empty((images.size, mcfg.num_classes), dtype=params.dtype)
+    for rows, out in model._sweep_windows(params, plan, sweep):
+        logits[rows] = out.data
+    scores = logits if cfg.threshold_on == "logits" else softmax_scores(logits)
+    base, *per_location = np.split(scores, np.cumsum([w] + [trials * hit.size
+                                                            for hit in hits])[:-1])
+    return base, [s.reshape(trials, hit.size, -1) for s, hit in zip(per_location, hits)]
+
+
 def empirical_patch_attack(image: np.ndarray, params: ModelParams,
                            plan: WindowPlan, cfg: CertifyConfig,
                            patch_shape: tuple[int, int], locations: list[tuple[int, int]],
@@ -217,48 +277,41 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     """Randomized patch contents at fixed anchors. Only the band positions
     whose columns meet the patch are re-scored; the rest of the vote table
     cannot change, which is exactly the structure the certificate uses.
+    The clean image and every trial are scored in one window sweep over a
+    shared token table (``_attack_scores``), and each trial's votes are its
+    location's base votes with the hit rows replaced.
 
-    Every (row, col) anchor must place the whole patch inside the image, and
-    ``trials`` is at least 1."""
+    ``image`` is (3, h, w) at the model's side, every (row, col) anchor
+    must place the whole patch inside it, and ``trials`` is at least 1."""
     img = np.asarray(image, dtype=params.dtype)
-    if img.ndim != 3 or img.shape[0] != 3:
-        raise ContractError(f"empirical_patch_attack: expected (3, h, w), got {img.shape}")
-    _, rows, cols = img.shape
+    side = params.cfg.image_side
+    if img.shape != (3, side, side):
+        raise ContractError(f"empirical_patch_attack: expected (3, {side}, {side}), "
+                            f"got {img.shape}")
     ph, pw = patch_shape
-    if not (1 <= ph <= rows and 1 <= pw <= cols):
+    if not (1 <= ph <= side and 1 <= pw <= side):
         raise ContractError(f"empirical_patch_attack: patch {ph}x{pw} does not fit "
-                            f"a {rows}x{cols} image")
+                            f"a {side}x{side} image")
     outside = [(r, c) for r, c in locations
-               if not (0 <= r <= rows - ph and 0 <= c <= cols - pw)]
+               if not (0 <= r <= side - ph and 0 <= c <= side - pw)]
     if outside:
         raise ContractError(f"empirical_patch_attack: a {ph}x{pw} patch at anchors "
-                            f"{outside[:3]} leaves the {rows}x{cols} image")
+                            f"{outside[:3]} leaves the {side}x{side} image")
     if trials < 1:
         raise ContractError(f"empirical_patch_attack: trials {trials} < 1")
-    w = plan.image_width
-    base_scores = per_band_scores(img[None], params, plan, cfg)
-    base_table = vote(base_scores[0], cfg)
-    certified = certified_against(base_table, patch_shape[1], cfg.band_width)
+    hits = [affected_positions(c0, pw, cfg.band_width, plan.image_width,
+                               wrap=params.cfg.band_wrap) for _, c0 in locations]
     rng = np.random.default_rng([int(seed), 0xA77, image_id])
+    base_scores, trial_scores = _attack_scores(img, params, plan, cfg, patch_shape,
+                                               locations, hits, trials, rng)
+    base_table = vote(base_scores, cfg)
+    certified = certified_against(base_table, pw, cfg.band_width)
 
     base_predicted = _ABSTAIN if base_table.tied else base_table.predicted
     flips = 0
     min_margin = base_table.margin
-    rescored = 0
-    # one batch of trial images for every location: each location restores
-    # the previous patch region from the clean image before drawing its own
-    patched = np.repeat(img[None], trials, axis=0)
-    region = (slice(None), slice(None), slice(0, 0), slice(0, 0))
-    for (r0, c0) in locations:
-        hit = affected_positions(c0, patch_shape[1], cfg.band_width, w,
-                                 wrap=params.cfg.band_wrap)
-        rescored = max(rescored, hit.size)
-        patched[region] = img[region[1:]]
-        region = (slice(None), slice(None), slice(r0, r0 + ph), slice(c0, c0 + pw))
-        patched[region] = rng.random((trials, 3, ph, pw), dtype=np.float32)
-        new_scores = per_band_scores(patched, params, plan, cfg, positions=hit.tolist())
-        margins, preds = _recount_votes(base_table, base_scores[0], new_scores,
-                                        hit, cfg)
+    for hit, scores in zip(hits, trial_scores):
+        margins, preds = _recount_votes(base_table, base_scores, scores, hit, cfg)
         min_margin = min(min_margin, int(margins.min()))
         flips += int((preds != base_predicted).sum())
     return AttackReport(
@@ -269,7 +322,7 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
         certified=bool(certified),
         flips=flips,
         min_margin_seen=min_margin,
-        positions_rescored=rescored,
+        positions_rescored=max((hit.size for hit in hits), default=0),
     )
 
 

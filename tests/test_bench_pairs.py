@@ -63,3 +63,23 @@ def test_pairs_missing_a_side_or_a_result_are_left_out(bench_pairs):
     runs = runs[:-1]  # pair 2 lost its change run
     s = bench_pairs.summarise(runs, HIGHER)["w"]["images_per_s"]
     assert s["pairs"] == 1 and s["runs"] == {"parent": [100], "change": [90]}
+
+
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_past_the_spread(bench_pairs):
+    # parent quartiles 99.25 and 100.75: an interquartile range of 1.5
+    parent = [99, 100, 101, 100, 99, 101, 100, 98, 102, 100]
+    s = bench_pairs.summarise(_runs(parent, [103] * 9 + [97]), HIGHER)["w"]["images_per_s"]
+    assert s["change_better_pairs"] == 9 and s["gain"]
+    s = bench_pairs.summarise(_runs(parent, [103] * 8 + [97] * 2), HIGHER)["w"]["images_per_s"]
+    assert s["change_better_pairs"] == 8 and not s["gain"]
+    # every pair won, but the medians differ by 1, less than the spread
+    s = bench_pairs.summarise(_runs(parent, [v + 1 for v in parent]), HIGHER)["w"]["images_per_s"]
+    assert s["change_better_pairs"] == 10 and not s["gain"]
+    # ties count for neither side
+    s = bench_pairs.summarise(_runs(parent, [103] * 8 + parent[8:]), HIGHER)["w"]["images_per_s"]
+    assert s["change_better_pairs"] == 8 and not s["gain"]
+    # a lower-is-better metric gains downwards
+    s = bench_pairs.summarise(_runs(parent, [97] * 10), LOWER)["w"]["images_per_s"]
+    assert s["gain"]
+    s = bench_pairs.summarise(_runs(parent, [103] * 10), LOWER)["w"]["images_per_s"]
+    assert not s["gain"] and s["change_better_pairs"] == 0

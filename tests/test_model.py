@@ -270,9 +270,9 @@ def test_window_patches_equal_ablate_patchify_gather(wrap, monkeypatch):
     block = threading.local()  # the rows of the block this thread is building
     real_gather, real_encode = model._window_vectors, model._encode
 
-    def gather_spy(patches, keep, rows, *args):
+    def gather_spy(sweep, rows, *args):
         block.rows = rows.copy()
-        return real_gather(patches, keep, rows, *args)
+        return real_gather(sweep, rows, *args)
 
     def encode_spy(params, patches, pos_ids=None, *args, **kwargs):
         assert len(block.rows) == len(patches) == len(pos_ids)
@@ -705,6 +705,27 @@ def test_dropping_a_plan_frees_its_workspaces():
     del plan
     gc.collect()
     assert all(ref() is None for ref in buffers)
+
+
+def test_blocks_are_queued_largest_first(monkeypatch):
+    # one worker takes the blocks in queue order: rows x tokens never grows
+    # along the queue, so the last block taken is a small one
+    monkeypatch.setattr(model, "WORKERS", 1)
+    cfg = tiny_cfg(image_side=16)
+    params = ModelParams.init(cfg, seed=3).cast(np.float32)
+    plan = plan_windows(cfg, 3)
+    widest = max(ids.size for ids in plan.window_ids)
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", 5 * model._row_bytes(cfg, widest, np.float32))
+    sizes = []  # rows x tokens of every encoded block, in the order taken
+    real_encode = model._encode
+
+    def spy(params, patches, *args, **kwargs):
+        sizes.append(patches.shape[0] * patches.shape[1])
+        return real_encode(params, patches, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode", spy)
+    batched_certify_forward(np.random.default_rng(6).random((7, 3, 16, 16)), params, plan)
+    assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) > 2
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 20])  # one-row blocks, or one a worker

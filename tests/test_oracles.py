@@ -1,14 +1,18 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandcert import oracles
+from bandcert import model, oracles
 from bandcert.autodiff import Tensor
-from bandcert.certification import CertifyConfig, evaluate
+from bandcert.certification import (CertifyConfig, affected_positions, certified_against,
+                                    evaluate, per_band_scores, vote)
 from bandcert.errors import ContractError
-from bandcert.model import ModelParams, batched_certify_forward, plan_windows
-from bandcert.oracles import (attention_equivalence,
+from bandcert.model import ModelConfig, ModelParams, batched_certify_forward, plan_windows
+from bandcert.oracles import (AttackReport, attention_equivalence,
                               check_certificate_soundness,
                               empirical_patch_attack, exhaustive_flip_bitmask,
                               fd_gradient_report, intersection_sweep,
@@ -181,31 +185,175 @@ def test_empirical_attack_smoke(small_params):
     assert report.min_margin_seen <= 8
 
 
+def _unpatchify(tokens, cfg):
+    """(num_tokens, 3 * p * p) patch vectors -> the (3, h, w) pixels."""
+    rows, cols = cfg.grid
+    ps = cfg.patch_size
+    return tokens.reshape(rows, cols, 3, ps, ps).transpose(2, 0, 3, 1, 4).reshape(
+        3, rows * ps, cols * ps)
+
+
 def test_empirical_attack_patches_only_the_current_location(small_params, monkeypatch):
     # each location's trial images equal the clean image outside that
-    # location's patch, whatever the locations before it patched
+    # location's patch, whatever the locations before it patched: read the
+    # virtual images back from the sweep's token table
     params = small_params.cast(np.float32)
     plan = plan_windows(params.cfg, 2)
     img = np.random.default_rng(9).random((3, 8, 8)).astype(np.float32)
-    scored = []
+    swept = []
 
-    def spy(images, params, plan, cfg, positions=None):
-        if positions is not None:
-            scored.append(np.array(images))
-        return real_scores(images, params, plan, cfg, positions=positions)
+    def spy(params, plan, sweep):
+        swept.append(sweep)
+        return real_sweep(params, plan, sweep)
 
-    real_scores = oracles.per_band_scores
-    monkeypatch.setattr(oracles, "per_band_scores", spy)
+    real_sweep = model._sweep_windows
+    monkeypatch.setattr(model, "_sweep_windows", spy)
     locations = [(0, 0), (3, 3), (5, 1), (3, 3)]
+    trials = 4
     empirical_patch_attack(img, params, plan, CertifyConfig(band_width=2),
-                           patch_shape=(2, 3), locations=locations, trials=4, seed=0)
-    assert len(scored) == len(locations)
-    for (r0, c0), trials in zip(locations, scored):
+                           patch_shape=(2, 3), locations=locations, trials=trials, seed=0)
+    (sweep,) = swept
+    images = [_unpatchify(sweep.table[ids], params.cfg) for ids in sweep.image_tokens]
+    assert len(images) == 1 + len(locations) * trials
+    np.testing.assert_array_equal(images[0], img)
+    for i, (r0, c0) in enumerate(locations):
         inside = np.zeros((8, 8), dtype=bool)
         inside[r0:r0 + 2, c0:c0 + 3] = True
-        np.testing.assert_array_equal(trials[:, :, ~inside],
+        patched = np.stack(images[1 + i * trials:1 + (i + 1) * trials])
+        np.testing.assert_array_equal(patched[:, :, ~inside],
                                       np.broadcast_to(img[:, ~inside], (4, 3, 64 - 6)))
-        assert (trials[:, :, inside] != img[:, inside]).all()
+        assert (patched[:, :, inside] != img[:, inside]).all()
+
+
+def _reference_attack(image, params, plan, cfg, patch_shape, locations, trials, seed,
+                      image_id=0):
+    """The attack as a loop over locations: one batch of materialised trial
+    images, each location restoring the previous patch region from the clean
+    image before drawing its own, and one ``per_band_scores`` sweep per
+    location. Returns the base scores, each location's (trials, hits, C)
+    scores, margins and predictions, and the report."""
+    img = np.asarray(image, dtype=params.dtype)
+    ph, pw = patch_shape
+    w = plan.image_width
+    base_scores = per_band_scores(img[None], params, plan, cfg)[0]
+    base_table = vote(base_scores, cfg)
+    rng = np.random.default_rng([int(seed), 0xA77, image_id])
+    base_predicted = -1 if base_table.tied else base_table.predicted
+    flips, min_margin, rescored = 0, base_table.margin, 0
+    per_location = []
+    patched = np.repeat(img[None], trials, axis=0)
+    region = (slice(None), slice(None), slice(0, 0), slice(0, 0))
+    for r0, c0 in locations:
+        hit = affected_positions(c0, pw, cfg.band_width, w, wrap=params.cfg.band_wrap)
+        rescored = max(rescored, hit.size)
+        patched[region] = img[region[1:]]
+        region = (slice(None), slice(None), slice(r0, r0 + ph), slice(c0, c0 + pw))
+        patched[region] = rng.random((trials, 3, ph, pw), dtype=np.float32)
+        scores = per_band_scores(patched, params, plan, cfg, positions=hit.tolist())
+        margins, preds = oracles._recount_votes(base_table, base_scores, scores, hit, cfg)
+        per_location.append((scores, margins, preds))
+        min_margin = min(min_margin, int(margins.min()))
+        flips += int((preds != base_predicted).sum())
+    report = AttackReport(image_id=image_id, patch_shape=tuple(patch_shape),
+                          locations=len(locations), trials_per_location=trials,
+                          certified=certified_against(base_table, pw, cfg.band_width),
+                          flips=flips, min_margin_seen=min_margin,
+                          positions_rescored=rescored)
+    return base_scores, per_location, report
+
+
+# 3x3 patches on 4x4 tokens: (0, 0) and (5, 5) touch one token, (0, 2) two
+# side by side, (2, 1) two one above the other, (2, 2) four; (2, 2) repeats
+STRADDLING = [(0, 0), (0, 2), (2, 2), (5, 5), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("threshold_on, threshold", [("probs", 0.34), ("logits", 0.0)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("locations", [STRADDLING, []], ids=["straddling", "none"])
+def test_one_sweep_attack_gives_the_bits_of_the_location_loop(small_params, locations, wrap,
+                                                             dtype, threshold_on, threshold):
+    cfg = dataclasses.replace(small_params.cfg, band_wrap=wrap)
+    params = ModelParams(cfg, {n: Tensor(t.data * 10.0) for n, t in small_params.tensors.items()}
+                         ).cast(dtype)
+    plan = plan_windows(cfg, 3)
+    ccfg = CertifyConfig(band_width=3, threshold=threshold, threshold_on=threshold_on)
+    img = np.random.default_rng(13).random((3, 8, 8))
+    trials, seed, image_id = 6, 4, 2
+    base, per_location, report = _reference_attack(img, params, plan, ccfg, (3, 3),
+                                                   locations, trials, seed, image_id)
+    hits = [affected_positions(c0, 3, 3, 8, wrap=wrap) for _, c0 in locations]
+    # without wrap a patch near an edge meets fewer bands
+    assert {hit.size for hit in hits} <= ({5} if wrap else {3, 4, 5})
+    rng = np.random.default_rng([seed, 0xA77, image_id])
+    got_base, got = oracles._attack_scores(img.astype(dtype), params, plan, ccfg, (3, 3),
+                                           locations, hits, trials, rng)
+    assert got_base.dtype == base.dtype and got_base.tobytes() == base.tobytes()
+    assert len(got) == len(per_location)
+    table = vote(base, ccfg)
+    for hit, scores, (want, margins, preds) in zip(hits, got, per_location):
+        assert scores.dtype == want.dtype and scores.shape == want.shape
+        assert scores.tobytes() == want.tobytes()
+        got_margins, got_preds = oracles._recount_votes(table, got_base, scores, hit, ccfg)
+        assert got_margins.tobytes() == margins.tobytes()
+        assert got_preds.tobytes() == preds.tobytes()
+    assert empirical_patch_attack(img, params, plan, ccfg, (3, 3), locations, trials,
+                                  seed, image_id) == report
+
+
+def test_an_attack_runs_one_encoder_sweep(small_params, monkeypatch):
+    params = small_params.cast(np.float32)
+    plan = plan_windows(params.cfg, 2)
+    sweeps = []
+    real_blocks = model._encode_blocks
+
+    def spy(*args, **kwargs):
+        sweeps.append(args)
+        return real_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_encode_blocks", spy)
+    img = np.random.default_rng(3).random((3, 8, 8))
+    for locations in (STRADDLING, []):
+        sweeps.clear()
+        empirical_patch_attack(img, params, plan, CertifyConfig(band_width=2),
+                               patch_shape=(3, 3), locations=locations, trials=7, seed=0)
+        assert len(sweeps) == 1
+
+
+def test_an_attack_holds_no_trial_images(monkeypatch):
+    # A location's trials as images would take trials * 3 * h * w values,
+    # and its patchified copy as many again. The token table holds only the
+    # one token each 2x2 patch touches, of 16.
+    cfg = ModelConfig(image_side=16, patch_size=4, embed_dim=16, num_layers=1,
+                      num_heads=2, mlp_ratio=2.0, num_classes=3, codebook_size=8)
+    params = ModelParams.init(cfg, seed=1)
+    plan = plan_windows(cfg, 2)
+    img = np.random.default_rng(5).random((3, 16, 16))
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", 1 << 18)  # small blocks
+    trials, locations = 2000, [(5, 9)]
+    images_bytes = trials * len(locations) * img.size * params.dtype.itemsize
+    tracemalloc.start()
+    try:
+        empirical_patch_attack(img, params, plan, CertifyConfig(band_width=2),
+                               patch_shape=(2, 2), locations=locations, trials=trials, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < images_bytes, (peak, images_bytes)
+
+
+def test_empirical_attack_rejects_an_image_of_another_side(small_params, monkeypatch):
+    params = small_params.cast(np.float32)
+    plan = plan_windows(params.cfg, 2)
+    monkeypatch.setattr(model, "_sweep_windows", _no_sweep)
+    for shape in ((3, 8, 6), (3, 6, 8), (4, 8, 8), (8, 8)):
+        with pytest.raises(ContractError, match="^empirical_patch_attack: expected"):
+            empirical_patch_attack(np.zeros(shape), params, plan, CertifyConfig(band_width=2),
+                                   patch_shape=(1, 1), locations=[(0, 0)], trials=1, seed=0)
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("scored before the arguments were checked")
 
 
 @pytest.mark.parametrize("patch_shape, locations, trials", [
@@ -220,11 +368,7 @@ def test_empirical_attack_rejects_bad_patches_and_trials(small_params, monkeypat
                                                          patch_shape, locations, trials):
     params = small_params.cast(np.float32)
     plan = plan_windows(params.cfg, 2)
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("scored before the arguments were checked")
-
-    monkeypatch.setattr(oracles, "per_band_scores", no_sweep)
+    monkeypatch.setattr(model, "_sweep_windows", _no_sweep)
     img = np.random.default_rng(4).random((3, 8, 8))
     with pytest.raises(ContractError, match="^empirical_patch_attack: "):
         empirical_patch_attack(img, params, plan, CertifyConfig(band_width=2),
@@ -284,13 +428,11 @@ def test_empirical_attack_counts_a_tied_vote_as_a_flip(small_params, monkeypatch
     # vote for class 0 alone, the other six for both: 8 votes to 6.
     base = np.array([[0.8, 0.1, 0.1]] + [both] * 6 + [[0.8, 0.1, 0.1]])
 
-    def fake_scores(images, params, plan, cfg, positions=None):
-        if positions is None:
-            return np.repeat(base[None], len(images), axis=0)
-        assert sorted(positions) == [0, 7]
-        return np.tile(np.array(both), (len(images), len(positions), 1))
+    def fake_scores(img, params, plan, cfg, patch_shape, locations, hits, trials, rng):
+        assert [hit.tolist() for hit in hits] == [[0, 7]] * len(locations)
+        return base, [np.tile(np.array(both), (trials, hit.size, 1)) for hit in hits]
 
-    monkeypatch.setattr(oracles, "per_band_scores", fake_scores)
+    monkeypatch.setattr(oracles, "_attack_scores", fake_scores)
     img = np.random.default_rng(12).random((3, 8, 8))
     report = empirical_patch_attack(img, params, plan, ccfg, patch_shape=(1, 1),
                                     locations=[(0, 0), (4, 0)], trials=5, seed=0)
