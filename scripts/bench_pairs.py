@@ -7,9 +7,12 @@ of its checkout. The parent goes first on even pairs and the change on odd
 ones, so drift in the machine's speed falls on both sides alike.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
-median and quartiles (inclusive method) over the runs, the number of pairs
-the change won, ``WORSE THAN BOUND`` where the change's median is worse
-than the parent's by more than the metric's bound, ``UNRESOLVED`` where
+median and quartiles (inclusive method) over the runs, the median and
+quartiles of the per-pair ratio change / parent (drift that slows both
+runs of a pair alike cancels in it, while it widens each side's spread),
+the number of pairs the change won, ``WORSE THAN BOUND`` where the
+change's median is worse than the parent's by more than the metric's
+bound, ``UNRESOLVED`` where
 the parent's own runs spread too widely to tell: their interquartile range
 is wider than the bound times the parent's median, and not every change
 run beats every parent run, and ``GAIN`` where a gain may be claimed: the
@@ -60,10 +63,11 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and end-to-end metric: each side's quartiles, the pairs
-    the change won, whether the change's median is within its bound,
-    whether the parent's spread leaves the comparison unresolved, and
-    whether the change shows a gain."""
+    """Per workload and end-to-end metric: each side's quartiles, those of
+    the per-pair ratio change / parent, the pairs the change won, whether
+    the change's median is within its bound, whether the parent's spread
+    leaves the comparison unresolved, and whether the change shows a
+    gain."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -81,13 +85,14 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             better = sum((c < p) if lower else (c > p)
                          for p, c in zip(values["parent"], values["change"]))
             stats = {side: _quartiles(values[side]) for side in SIDES}
+            ratios = [c / p for p, c in zip(values["parent"], values["change"])]
             parent, change = stats["parent"]["median"], stats["change"]["median"]
             worse = (change - parent) if lower else (parent - change)
             spread = stats["parent"]["q3"] - stats["parent"]["q1"]
             beats_all = (max(values["change"]) < min(values["parent"]) if lower
                          else min(values["change"]) > max(values["parent"]))
             out[workload][name] = {
-                **stats, "runs": values, "pairs": len(pairs),
+                **stats, "ratio": _quartiles(ratios), "runs": values, "pairs": len(pairs),
                 "change_better_pairs": better,
                 "bound": m["bound"],
                 "within_bound": worse <= m["bound"] * abs(parent),
@@ -134,14 +139,15 @@ def main(argv=None) -> int:
     flagged = 0
     for workload, per_metric in summary.items():
         print(f"\n{workload}: parent median [q1, q3] -> change median [q1, q3], "
-              f"change better in n of pairs")
+              f"change / parent per pair median [q1, q3], change better in n of pairs")
         for name, s in per_metric.items():
-            p, c = s["parent"], s["change"]
+            p, c, r = s["parent"], s["change"], s["ratio"]
             flag = ("" if s["within_bound"] else "  WORSE THAN BOUND") \
                 + ("  UNRESOLVED" if s["unresolved"] else "") + ("  GAIN" if s["gain"] else "")
             flagged += not s["within_bound"]
             print(f"  {name:14s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                   f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "
+                  f"ratio {r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}], "
                   f"{s['change_better_pairs']} of {s['pairs']}{flag}")
     return 1 if failed or flagged else 0
 

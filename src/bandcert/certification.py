@@ -130,11 +130,10 @@ def max_certified_patch_width(table: VoteTable, band_width: int,
 
 
 def per_band_scores(images: np.ndarray, params: ModelParams, plan: WindowPlan,
-                    cfg: CertifyConfig,
-                    positions: list[int] | None = None) -> np.ndarray:
-    """(n_images, n_positions, C) voting scores. Softmax is applied unless
-    the config thresholds raw logits."""
-    logits, _ = batched_certify_forward(images, params, plan, positions=positions)
+                    cfg: CertifyConfig) -> np.ndarray:
+    """(n_images, w, C) voting scores, one row per band position. Softmax is
+    applied unless the config thresholds raw logits."""
+    logits, _ = batched_certify_forward(images, params, plan)
     if cfg.threshold_on == "logits":
         return logits
     return softmax_scores(logits)

@@ -834,10 +834,12 @@ def _encode_blocks(params: ModelParams, sweep: _TokenSweep,
     last block a worker takes is a small one. Each worker takes the next
     block off the queue until it is empty, looks up the block's token ids,
     position ids and table rows, runs it in its thread's workspace in the
-    plan and writes its logits into the width's output array. A block
-    holds at most ceil(n / W) of its width's n rows and as many as keep its
-    workspace bytes (``_row_bytes`` a row) within ``WINDOW_BLOCK_BYTES /
-    W``, so the blocks of all workers together stay within the one budget.
+    plan and writes its logits into the width's output array. Blocks are
+    cut by the budget share alone: a block holds as many of its width's rows
+    as keep its workspace bytes (``_row_bytes`` a row) within
+    ``WINDOW_BLOCK_BYTES / W``, so the blocks of all workers together stay
+    within the one budget, and a call whose widths each fit in one share
+    runs one block a width and only as many workers as it has blocks.
     Worker 0 is the calling thread; the others run in the module pool, in a
     copy of the caller's context (numpy's error state included), and call
     no public function.
@@ -856,8 +858,7 @@ def _encode_blocks(params: ModelParams, sweep: _TokenSweep,
     outs = []
     for w, (size, rows, _) in enumerate(widths):
         n = rows.size
-        step = max(1, min(WINDOW_BLOCK_BYTES // workers // _row_bytes(cfg, size, params.dtype),
-                          math.ceil(n / workers)))
+        step = max(1, WINDOW_BLOCK_BYTES // workers // _row_bytes(cfg, size, params.dtype))
         tasks += [(w, slice(start, min(start + step, n))) for start in range(0, n, step)]
         outs.append(np.empty((n, cfg.num_classes), dtype=params.dtype))
     tasks.sort(key=lambda task: -(task[1].stop - task[1].start) * widths[task[0]][0])
@@ -975,47 +976,34 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     return _sweep_windows(params, plan, sweep)
 
 
-def batched_certify_forward(images: np.ndarray, params: ModelParams, plan: WindowPlan,
-                            positions: list[int] | None = None) -> tuple[np.ndarray, int]:
+def batched_certify_forward(images: np.ndarray, params: ModelParams,
+                            plan: WindowPlan) -> tuple[np.ndarray, int]:
     """Class logits for every (image, band position) pair.
 
-    Returns ((n_images, n_positions, num_classes) array, forwards used).
-    ``positions`` defaults to every band position; each entry, repeats
-    included, gets its own logits, and one outside [0, w) is an error.
-    Every image is asked for every wanted position in one
-    ``forward_windows`` call, which patchifies each image once and ablates
-    only the gathered window tokens, so each row's logits are bit-identical
-    to a lone forward_band_unit call on that image and band.
+    Returns ((n_images, w, num_classes) array, ``plan.num_forwards``). Every
+    image is asked for every band position in one ``forward_windows`` call,
+    which patchifies each image once and ablates only the gathered window
+    tokens, so each row's logits are bit-identical to a lone
+    forward_band_unit call on that image and band.
 
     The forwards count follows the plan: one per group of token-disjoint
-    windows that holds a wanted position. No packing of the full plan's
-    windows takes fewer than ``plan.forwards_lower_bound`` forwards. No
-    upper bound is claimed: band_width + patch_size holds at the geometries
-    gate 6 checks, but not for wrapped bands in general (w=16, p=4, b=7
-    plans 12 forwards against 11).
+    windows. No packing of the plan's windows takes fewer than
+    ``plan.forwards_lower_bound`` forwards. No upper bound is claimed:
+    band_width + patch_size holds at the geometries gate 6 checks, but not
+    for wrapped bands in general (w=16, p=4, b=7 plans 12 forwards against
+    11).
     """
-    cfg = params.cfg
     imgs = np.asarray(images)
     if imgs.ndim == 3:
         imgs = imgs[None]
     if imgs.ndim != 4 or imgs.shape[1] != 3:
         raise ContractError(f"batched_certify_forward: expected (n, 3, h, w), got {imgs.shape}")
-    n_img = imgs.shape[0]
-    wanted = list(range(plan.image_width)) if positions is None else list(positions)
-    bad = [p for p in wanted if not 0 <= p < plan.image_width]
-    if bad:
-        raise ContractError(f"batched_certify_forward: band positions {bad[:3]} "
-                            f"outside [0, {plan.image_width})")
-    wanted_set = set(wanted)
-    forwards = sum(1 for group in plan.groups if wanted_set.intersection(group))
-    out = np.zeros((n_img, len(wanted), cfg.num_classes), dtype=params.dtype)
-    if not wanted:
-        return out, forwards
-    k = len(wanted)
-    grid = np.broadcast_to(np.asarray(wanted, dtype=np.int64), (n_img, k))
+    n_img, w = imgs.shape[0], plan.image_width
+    out = np.zeros((n_img, w, params.cfg.num_classes), dtype=params.dtype)
+    grid = np.broadcast_to(np.arange(w), (n_img, w))
     for rows, logits in forward_windows(imgs, grid, params, plan):
-        out[rows // k, rows % k] = logits.data
-    return out, forwards
+        out[rows // w, rows % w] = logits.data
+    return out, plan.num_forwards
 
 
 # ---------------------------------------------------------------------------

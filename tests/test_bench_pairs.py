@@ -83,3 +83,21 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_past_the_spread(benc
     assert s["gain"]
     s = bench_pairs.summarise(_runs(parent, [103] * 10), LOWER)["w"]["images_per_s"]
     assert not s["gain"] and s["change_better_pairs"] == 0
+
+
+def test_the_pair_ratios_see_a_change_that_drift_on_both_sides_hides(bench_pairs):
+    # both sides of pairs 0-3 run 40% slower, and the change wins every pair
+    # by 21-86%: the medians' gap stays inside the parent's spread, so no
+    # gain is read, but every ratio quartile lies on the better side
+    parent = [1.6, 1.7, 1.65, 1.6, 2.6, 2.65, 2.6, 2.7, 2.6, 2.65]
+    won_by = [1.86, 1.5, 1.7, 1.6, 1.21, 1.25, 1.3, 1.22, 1.28, 1.24]
+    change = [p * r for p, r in zip(parent, won_by)]
+    s = bench_pairs.summarise(_runs(parent, change), HIGHER)["w"]["images_per_s"]
+    assert s["change_better_pairs"] == 10 and not s["gain"]
+    assert s["ratio"]["q1"] > 1 and s["ratio"]["median"] > 1 and s["ratio"]["q3"] > 1
+    assert s["ratio"]["median"] == pytest.approx(1.29)
+    # as times, lower is better: the same pairs give ratios below 1
+    s = bench_pairs.summarise(_runs([1 / v for v in parent], [1 / v for v in change]),
+                              LOWER)["w"]["images_per_s"]
+    assert s["change_better_pairs"] == 10 and not s["gain"]
+    assert s["ratio"]["q1"] < 1 and s["ratio"]["median"] < 1 and s["ratio"]["q3"] < 1

@@ -203,35 +203,14 @@ def test_batched_forward_is_bit_identical_to_lone_forwards():
             np.testing.assert_array_equal(table[:, p, :], lone)
 
 
-def test_batched_forward_position_subset():
+def test_a_sweep_of_no_rows_returns_no_logits():
+    # on a plan that has not swept yet too
     cfg = tiny_cfg()
-    plan = plan_windows(cfg, 4)
     params = ModelParams.init(cfg, seed=3).cast(np.float32)
     imgs = np.random.default_rng(2).random((2, 3, 8, 8))
-    full, _ = batched_certify_forward(imgs, params, plan)
-    sub, forwards = batched_certify_forward(imgs, params, plan, positions=[1, 6])
-    assert forwards <= plan.num_forwards
-    np.testing.assert_array_equal(sub[:, 0], full[:, 1])
-    np.testing.assert_array_equal(sub[:, 1], full[:, 6])
-    # no rows at all: nothing is encoded, on a plan that has not swept yet too
     fresh = plan_windows(cfg, 4)
     assert batched_certify_forward(imgs[:0], params, fresh)[0].shape == (0, 8, 3)
     assert list(forward_windows(imgs, np.zeros((2, 0), dtype=int), params, fresh)) == []
-
-
-def test_batched_forward_rejects_bad_positions_and_repeats_slots():
-    cfg = tiny_cfg()
-    plan = plan_windows(cfg, 4)
-    params = ModelParams.init(cfg, seed=3).cast(np.float32)
-    imgs = np.random.default_rng(2).random((2, 3, 8, 8))
-    full, _ = batched_certify_forward(imgs, params, plan)
-    twice, forwards = batched_certify_forward(imgs, params, plan, positions=[1, 1])
-    assert forwards == 1
-    np.testing.assert_array_equal(twice[:, 0], full[:, 1])
-    np.testing.assert_array_equal(twice[:, 1], full[:, 1])
-    for bad in ([99, -1], [8], [0, -1]):
-        with pytest.raises(ContractError):
-            batched_certify_forward(imgs, params, plan, positions=bad)
 
 
 def test_windowed_forward_equals_band_unit():
@@ -519,10 +498,16 @@ def test_every_worker_count_gives_the_bits_of_one_worker(dtype, monkeypatch):
     plan = plan_windows(cfg, 3)
     rng = np.random.default_rng(8)
     imgs = rng.random((7, 3, 16, 16)).astype(dtype)
-    positions = rng.integers(0, 16, size=(7, 3))
+    # every band position of each image, in its own order: like the table,
+    # 56 rows of each of the two window widths
+    positions = rng.permuted(np.tile(np.arange(16), (7, 1)), axis=1)
     blocks = []  # thread of every encoded block
     block_threads = set()  # every thread that encoded a block of this plan
     real_encode = model._encode
+    # Blocks are cut by the budget share alone, and the two widths' rows
+    # differ 1.9x in bytes, so no one budget cuts both into three blocks.
+    # At one byte a row the budget counts rows, and cuts both alike.
+    monkeypatch.setattr(model, "_row_bytes", lambda cfg, k, dtype: 1)
 
     def spy(*args, **kwargs):
         blocks.append(threading.get_ident())
@@ -544,6 +529,7 @@ def test_every_worker_count_gives_the_bits_of_one_worker(dtype, monkeypatch):
     try:
         for workers in (1, 2, 3):
             monkeypatch.setattr(model, "WORKERS", workers)
+            monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", workers * -(-56 // workers))
             table = split(lambda: batched_certify_forward(imgs, params, plan)[0])
             windowed = split(lambda: list(forward_windows(imgs, positions, params, plan)))
             sweeps[workers] = [table] + [a for rows, logits in windowed
@@ -728,11 +714,45 @@ def test_blocks_are_queued_largest_first(monkeypatch):
     assert sizes == sorted(sizes, reverse=True) and len(set(sizes)) > 2
 
 
-@pytest.mark.parametrize("budget", [1, 1 << 20])  # one-row blocks, or one a worker
-def test_a_failing_block_raises_what_one_worker_raises(budget, monkeypatch):
-    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)
+def test_a_sweep_that_fits_the_budget_share_runs_one_block_a_width(monkeypatch):
+    # blocks are cut by the budget share alone: at the default budget gate
+    # 6's sweep (toy model, 8 images, b = 4) is one block a width, and a
+    # one-width sweep runs on the calling thread and never wakes the pool
+    monkeypatch.setattr(model, "WORKERS", 2)
+    cfg = tiny_cfg(image_side=16, embed_dim=32, num_layers=3, num_heads=4, codebook_size=32)
+    params = ModelParams.init(cfg, seed=0).cast(np.float32)
+    plan = plan_windows(cfg, 4)
+    images = np.random.default_rng(0).random((8, 3, 16, 16), dtype=np.float32)
+    blocks = []  # thread of every encoded block
+    woken = []  # every time a sweep asked for the pool
+    real_encode, real_pool = model._encode, model._worker_pool
+
+    def spy(*args, **kwargs):
+        blocks.append(threading.get_ident())
+        return real_encode(*args, **kwargs)
+
+    def pool():
+        woken.append(threading.get_ident())
+        return real_pool()
+
+    monkeypatch.setattr(model, "_encode", spy)
+    monkeypatch.setattr(model, "_worker_pool", pool)
+    batched_certify_forward(images, params, plan)
+    assert len(blocks) == 2 == len(np.unique(plan.sizes))
+    blocks.clear()
+    woken.clear()
+    widths = forward_windows(images, np.tile([1, 6, 11], (8, 1)), params, plan)
+    assert len(widths) == 1 and widths[0][0].size == 24
+    assert blocks == [threading.get_ident()] and woken == []
+
+
+# the budget in rows of the sweep's one width (8 tokens): one-row blocks at
+# every worker count, or one block a worker
+@pytest.mark.parametrize("rows", [1, 6])
+def test_a_failing_block_raises_what_one_worker_raises(rows, monkeypatch):
     cfg = tiny_cfg(image_side=16)
     dtype = np.float32
+    monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", rows * model._row_bytes(cfg, 8, dtype))
     params = _scaled_params(cfg, dtype)
     # finite position rows whose layer-norm mean overflows: every window that
     # holds token column 0 turns non-finite in block 0
@@ -743,7 +763,7 @@ def test_a_failing_block_raises_what_one_worker_raises(budget, monkeypatch):
     imgs = np.random.default_rng(3).random((6, 3, 16, 16)).astype(dtype)
     # one width, token columns {0, 1} on rows 0, 2, 4 and {1, 2} on 1, 3, 5
     positions = np.array([[1], [5], [2], [6], [3], [7]])
-    if budget == 1:
+    if rows == 1:
         # One-row blocks are the same at every worker count. Rows 1-5 fail at
         # the embedding, in time before row 0, whose worker is held back; row
         # 0, the first failing block, still names the stage.

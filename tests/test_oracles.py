@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from bandcert import model, oracles
 from bandcert.autodiff import Tensor
 from bandcert.certification import (CertifyConfig, affected_positions, certified_against,
-                                    evaluate, per_band_scores, vote)
+                                    evaluate, per_band_scores, softmax_scores, vote)
 from bandcert.errors import ContractError
-from bandcert.model import ModelConfig, ModelParams, batched_certify_forward, plan_windows
+from bandcert.model import (ModelConfig, ModelParams, batched_certify_forward, forward_windows,
+                            plan_windows)
 from bandcert.oracles import (AttackReport, attention_equivalence,
                               check_certificate_soundness,
                               empirical_patch_attack, exhaustive_flip_bitmask,
@@ -229,9 +230,10 @@ def _reference_attack(image, params, plan, cfg, patch_shape, locations, trials, 
                       image_id=0):
     """The attack as a loop over locations: one batch of materialised trial
     images, each location restoring the previous patch region from the clean
-    image before drawing its own, and one ``per_band_scores`` sweep per
-    location. Returns the base scores, each location's (trials, hits, C)
-    scores, margins and predictions, and the report."""
+    image before drawing its own, and one ``forward_windows`` sweep of the
+    trials at the location's hit positions. Returns the base scores, each
+    location's (trials, hits, C) scores, margins and predictions, and the
+    report."""
     img = np.asarray(image, dtype=params.dtype)
     ph, pw = patch_shape
     w = plan.image_width
@@ -249,7 +251,10 @@ def _reference_attack(image, params, plan, cfg, patch_shape, locations, trials, 
         patched[region] = img[region[1:]]
         region = (slice(None), slice(None), slice(r0, r0 + ph), slice(c0, c0 + pw))
         patched[region] = rng.random((trials, 3, ph, pw), dtype=np.float32)
-        scores = per_band_scores(patched, params, plan, cfg, positions=hit.tolist())
+        logits = np.zeros((trials, hit.size, params.cfg.num_classes), dtype=params.dtype)
+        for rows, out in forward_windows(patched, np.tile(hit, (trials, 1)), params, plan):
+            logits[rows // hit.size, rows % hit.size] = out.data
+        scores = logits if cfg.threshold_on == "logits" else softmax_scores(logits)
         margins, preds = oracles._recount_votes(base_table, base_scores, scores, hit, cfg)
         per_location.append((scores, margins, preds))
         min_margin = min(min_margin, int(margins.min()))
