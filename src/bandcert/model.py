@@ -34,7 +34,8 @@ raises NumericError naming that stage.
 * ``forward_windows``: the windowed path fine-tuning and certification
   share, logits only. It takes k band positions per image, patchifies each
   image once into a token table, gathers each window's tokens by the
-  ``WindowPlan``, ablates only those, and encodes each window width. Its
+  ``WindowPlan``'s tables, one row per band position, ablates only those by
+  the plan's keep flags, and encodes each window width. Its
   sweep, ``_sweep_windows``, reads each row's tokens through the row's
   virtual image, a row of table-row ids per grid token, so the patch
   attack scores its clean image and every trial in one sweep over a table
@@ -600,14 +601,16 @@ def forward_band_unit(inputs: np.ndarray, params: ModelParams,
 class WindowPlan:
     """Each band position's window tokens, the tables ``forward_windows``
     indexes to gather them, and the windows packed into forwards of
-    token-disjoint windows.
+    token-disjoint windows, for one model geometry: ``image_width``,
+    ``patch_size`` and ``band_wrap`` are those of the ``ModelConfig`` it was
+    planned for, and a sweep refuses params of any other.
 
-    The tables are built once, by ``plan_windows``: ``sizes[p]`` is the
-    number of tokens in position p's window, and with s that size and
-    r = ``table_rows[p]``, row r of ``token_ids[s]`` is ``window_ids[p]``
-    and row r of ``position_ids[s]`` its position-table rows, 0 for the
-    class token and then each token id + 1. The positions of one window
-    size hold its tables' rows in ascending order.
+    The tables are built once, by ``plan_windows``, with one row per band
+    position p: ``sizes[p]`` is the number of tokens in p's window, row p
+    of ``token_ids`` starts with ``window_ids[p]`` and row p of
+    ``position_ids`` with its position-table rows, 0 for the class token
+    and then each token id + 1. Entries past a row's size are padding. Row
+    p of ``keep`` holds the per-pixel-column keep flags of the band at p.
 
     A plan also owns the workspaces its plain-array sweeps run in, the way
     an FFT plan owns its work area, so a repeated sweep reuses memory it has
@@ -619,12 +622,14 @@ class WindowPlan:
     """
     band_width: int
     image_width: int
+    patch_size: int
+    band_wrap: bool
     window_ids: list[np.ndarray]     # per band position: window_token_ids
     groups: list[list[int]]          # band positions packed per forward
     sizes: np.ndarray                # (w,) tokens in each position's window
-    table_rows: np.ndarray           # (w,) each position's row in its size's tables
-    token_ids: dict[int, np.ndarray]     # window size s -> (positions of size s, s)
-    position_ids: dict[int, np.ndarray]  # window size s -> (positions of size s, s + 1)
+    token_ids: np.ndarray            # (w, widest) each position's window ids
+    position_ids: np.ndarray         # (w, widest + 1) their position-table rows
+    keep: np.ndarray                 # (w, w) keep flags of every band position
     spaces: dict[int, _Workspace] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -693,8 +698,6 @@ def _template_groups(arcs: list[tuple[int, ...]], n_cols: int) -> list[list[int]
         if not supply:
             break
         chain = build_chain(supply)
-        if not chain:
-            break
         # spread the unused columns between consecutive spans so rotated
         # copies interleave (e.g. two len-3 spans on 8 columns sit at 0, 4)
         slack, k = n_cols - sum(chain), len(chain)
@@ -750,17 +753,14 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
 
     window_ids = [_column_token_ids(cfg, cols) for cols in arcs]
     sizes = np.array([ids.size for ids in window_ids])
-    table_rows = np.empty(w, dtype=np.int64)
-    token_ids, position_ids = {}, {}
-    for size in sorted(set(sizes.tolist())):
-        at = np.flatnonzero(sizes == size)
-        table_rows[at] = np.arange(at.size)
-        table = token_ids[size] = np.array([window_ids[p] for p in at], dtype=np.int64)
-        position_ids[size] = np.concatenate(
-            [np.zeros((at.size, 1), dtype=np.int64), table + 1], axis=1)
-    return WindowPlan(band_width=band_width, image_width=w, window_ids=window_ids,
-                      groups=groups, sizes=sizes, table_rows=table_rows,
-                      token_ids=token_ids, position_ids=position_ids)
+    token_ids = np.zeros((w, sizes.max()), dtype=np.int64)
+    for p, ids in enumerate(window_ids):
+        token_ids[p, :ids.size] = ids
+    position_ids = np.concatenate([np.zeros((w, 1), dtype=np.int64), token_ids + 1], axis=1)
+    return WindowPlan(band_width=band_width, image_width=w, patch_size=cfg.patch_size,
+                      band_wrap=cfg.band_wrap, window_ids=window_ids, groups=groups,
+                      sizes=sizes, token_ids=token_ids, position_ids=position_ids,
+                      keep=band_keep(w, np.arange(w), band_width, wrap=cfg.band_wrap))
 
 
 def _row_bytes(cfg: ModelConfig, k: int, dtype) -> int:
@@ -790,28 +790,26 @@ def _row_bytes(cfg: ModelConfig, k: int, dtype) -> int:
 class _TokenSweep:
     """The rows of one window sweep over a shared token table. Row r is the
     window at band position ``positions[r]`` of virtual image ``images[r]``,
-    whose grid token t is row ``image_tokens[images[r], t]`` of ``table``.
-    Row p of ``keep`` holds the per-pixel-column keep flags of the band at
-    position p, in the table's dtype."""
+    whose grid token t is row ``image_tokens[images[r], t]`` of ``table``."""
     table: np.ndarray         # (M, 3 * patch_size**2) patch vectors
-    keep: np.ndarray          # (w, w) keep flags of every band position
     image_tokens: np.ndarray  # (V, num_tokens) table row of each grid token
     images: np.ndarray        # (R,) each row's virtual image
     positions: np.ndarray     # (R,) each row's band position
 
 
-def _window_vectors(sweep: _TokenSweep, rows: np.ndarray, ids: np.ndarray,
-                    cfg: ModelConfig, workspace: _Workspace) -> np.ndarray:
+def _window_vectors(sweep: _TokenSweep, rows: np.ndarray, k: int, keep: np.ndarray,
+                    plan: WindowPlan, workspace: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Gather, then ablate: the (n, k, patch_dim) patch vectors of the
-    sweep's windows on ``rows``, whose tokens are ``ids`` (n, k), built in
-    the workspace's ``gather`` and ``windows`` slots in the table's dtype."""
-    ps = cfg.patch_size
-    n, k = ids.shape
-    _, n_cols = cfg.grid
-    table, keep = sweep.table, sweep.keep
+    sweep's k-token windows on ``rows``, built in the workspace's ``gather``
+    and ``windows`` slots in the table's dtype, and their (n, k + 1)
+    position-table rows, both read from the plan's tables by the rows' band
+    positions. ``keep`` is the plan's keep flags in the table's dtype."""
+    ps, table, n = plan.patch_size, sweep.table, rows.size
+    positions = sweep.positions[rows]
+    ids = plan.token_ids[positions, :k]
     # keep flag of each pixel column of each gathered token: (n, k, ps)
-    col_keep = keep.reshape(keep.shape[0], n_cols, ps)[sweep.positions[rows][:, None],
-                                                        ids % n_cols]
+    col_keep = keep.reshape(plan.image_width, -1, ps)[positions[:, None],
+                                                      ids % (plan.image_width // ps)]
     flags = col_keep[:, :, None, None, :]
     pixels = np.take(table, sweep.image_tokens[sweep.images[rows][:, None], ids], axis=0,
                      mode="clip", out=workspace.take("gather", (n, k, table.shape[1]),
@@ -819,22 +817,21 @@ def _window_vectors(sweep: _TokenSweep, rows: np.ndarray, ids: np.ndarray,
     windows = workspace.take("windows", (n, k, INPUT_CHANNELS, ps, ps), table.dtype)
     np.multiply(pixels.reshape(n, k, 3, ps, ps), flags, out=windows[:, :, :3])
     windows[:, :, 3:] = flags
-    return windows.reshape(n, k, cfg.patch_dim)
+    return windows.reshape(n, k, INPUT_CHANNELS * ps * ps), plan.position_ids[positions, :k + 1]
 
 
-def _encode_blocks(params: ModelParams, sweep: _TokenSweep,
-                   widths: list[tuple[int, np.ndarray, np.ndarray]],
+def _encode_blocks(params: ModelParams, sweep: _TokenSweep, keep: np.ndarray,
+                   widths: list[tuple[int, np.ndarray]],
                    plan: WindowPlan) -> list[np.ndarray]:
     """Off the tape: the logits of every width of ``widths``, (window size,
-    rows, rows of the plan's tables for that size) each, encoded in row
-    blocks on up to ``WORKERS`` workers.
+    rows) each, encoded in row blocks on up to ``WORKERS`` workers.
 
     All blocks of the call are listed first and put in one shared queue,
     largest first (rows x tokens, ties in width then row order), so the
     last block a worker takes is a small one. Each worker takes the next
-    block off the queue until it is empty, looks up the block's token ids,
-    position ids and table rows, runs it in its thread's workspace in the
-    plan and writes its logits into the width's output array. Blocks are
+    block off the queue until it is empty, gathers its windows
+    (``_window_vectors``), runs it in its thread's workspace in the plan
+    and writes its logits into the width's output array. Blocks are
     cut by the budget share alone: a block holds as many of its width's rows
     as keep its workspace bytes (``_row_bytes`` a row) within
     ``WINDOW_BLOCK_BYTES / W``, so the blocks of all workers together stay
@@ -856,7 +853,7 @@ def _encode_blocks(params: ModelParams, sweep: _TokenSweep,
     workers = WORKERS
     tasks: list[tuple[int, slice]] = []
     outs = []
-    for w, (size, rows, _) in enumerate(widths):
+    for w, (size, rows) in enumerate(widths):
         n = rows.size
         step = max(1, WINDOW_BLOCK_BYTES // workers // _row_bytes(cfg, size, params.dtype))
         tasks += [(w, slice(start, min(start + step, n))) for start in range(0, n, step)]
@@ -871,12 +868,11 @@ def _encode_blocks(params: ModelParams, sweep: _TokenSweep,
                 t, (w, b) = queue.popleft()
             except IndexError:
                 return
-            size, rows, at = widths[w]
+            size, rows = widths[w]
             ws = _thread_space(plan)
             try:
-                windows = _window_vectors(sweep, rows[b], plan.token_ids[size][at[b]], cfg, ws)
-                outs[w][b] = _encode(params, windows, plan.position_ids[size][at[b]],
-                                     workspace=ws).logits.data
+                windows, pos_ids = _window_vectors(sweep, rows[b], size, keep, plan, ws)
+                outs[w][b] = _encode(params, windows, pos_ids, workspace=ws).logits.data
             except Exception as e:
                 errors[t] = e
                 queue.clear()
@@ -903,29 +899,29 @@ def _sweep_windows(params: ModelParams, plan: WindowPlan,
     (rows, logits) per window width, narrowest first: the ascending rows of
     that width and their (len(rows), num_classes) logits Tensor.
 
-    A width's rows take their token ids and position ids from the plan's
-    tables, one index of each by their band positions. Off the tape every
-    width runs in row blocks on ``WORKERS`` workers (``_encode_blocks``) and
-    each logits array is fresh. Which worker runs a block and how many rows
-    it holds change no bit. While a tape records, the tape keeps every op's
-    inputs until backward and splitting a width would reorder its gradient
-    sums, so each width runs as one block of fresh arrays in the calling
-    thread.
+    The plan's keep flags are cast once to the table's dtype. A plan made
+    for another side, patch size or band wrap than the params' raises
+    ContractError. Off the tape every width runs in row blocks on
+    ``WORKERS`` workers (``_encode_blocks``) and each logits array is fresh.
+    Which worker runs a block and how many rows it holds change no bit.
+    While a tape records, the tape keeps every op's inputs until backward
+    and splitting a width would reorder its gradient sums, so each width
+    runs as one block of fresh arrays in the calling thread.
     """
+    cfg = params.cfg
+    made_for = (plan.image_width, plan.patch_size, plan.band_wrap)
+    if made_for != (cfg.image_side, cfg.patch_size, cfg.band_wrap):
+        raise ContractError(f"window sweep: the plan is for (side, patch, wrap) {made_for}, "
+                            f"the params for {(cfg.image_side, cfg.patch_size, cfg.band_wrap)}")
+    keep = plan.keep.astype(sweep.table.dtype)
     sizes = plan.sizes[sweep.positions]
-    widths = []
-    for size in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == size)
-        widths.append((size, rows, plan.table_rows[sweep.positions[rows]]))
+    widths = [(size, np.flatnonzero(sizes == size)) for size in np.unique(sizes).tolist()]
     if ad.recording():
-        out = []
-        for size, rows, at in widths:
-            windows = _window_vectors(sweep, rows, plan.token_ids[size][at], params.cfg,
-                                      _Workspace())
-            out.append((rows, _encode(params, windows, plan.position_ids[size][at]).logits))
-        return out
-    outs = _encode_blocks(params, sweep, widths, plan)
-    return [(rows, Tensor(logits)) for (_, rows, _), logits in zip(widths, outs)]
+        return [(rows, _encode(params, *_window_vectors(sweep, rows, size, keep, plan,
+                                                        _Workspace())).logits)
+                for size, rows in widths]
+    outs = _encode_blocks(params, sweep, keep, widths, plan)
+    return [(rows, Tensor(logits)) for (_, rows), logits in zip(widths, outs)]
 
 
 def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelParams,
@@ -941,8 +937,8 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     The images are patchified once, cast to the params' dtype, into the
     token table of one ``_sweep_windows`` call (off the tape, in the calling
     thread's workspace in the plan): image i's grid token t is table row
-    i * num_tokens + t. The keep flags of every band position are cast to
-    that dtype too, so every window is gathered, ablated and encoded in it.
+    i * num_tokens + t. The sweep casts the plan's keep flags to that dtype
+    too, so every window is gathered, ablated and encoded in it.
     A window gathers its tokens and only then is ablated: its pixels are
     multiplied by the band's per-pixel-column keep flags and the keep plane
     is appended as the fourth channel. Those are the multiplications
@@ -964,13 +960,11 @@ def forward_windows(images: np.ndarray, positions: np.ndarray, params: ModelPara
     if pos.size and (pos.min() < 0 or pos.max() >= side):
         raise ContractError(f"forward_windows: band positions must lie in [0, {side}), "
                             f"got {pos.min()}..{pos.max()}")
-    keep = band_keep(imgs, np.arange(side), plan.band_width, wrap=cfg.band_wrap).astype(
-        params.dtype, copy=False)
     n, k = pos.shape
     shape = (n, tokens, 3 * ps * ps)
     table = patchify(imgs, ps, out=np.empty(shape, params.dtype) if ad.recording()
                      else _thread_space(plan).take("patches", shape, params.dtype))
-    sweep = _TokenSweep(table=table.reshape(n * tokens, shape[2]), keep=keep,
+    sweep = _TokenSweep(table=table.reshape(n * tokens, shape[2]),
                         image_tokens=np.arange(n * tokens).reshape(n, tokens),
                         images=np.repeat(np.arange(n), k), positions=pos.reshape(-1))
     return _sweep_windows(params, plan, sweep)

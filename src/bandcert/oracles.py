@@ -29,7 +29,7 @@ from .certification import (CertifyConfig, VoteTable, affected_positions,
 from .errors import ContractError
 from .model import (ModelConfig, ModelParams, WindowPlan, forward_band_unit,
                     forward_global, patchify, window_token_ids)
-from .smoothing import BandSpec, ablate_batch, band_keep
+from .smoothing import BandSpec, ablate_batch
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +256,8 @@ def _attack_scores(img: np.ndarray, params: ModelParams, plan: WindowPlan,
     images = np.concatenate([np.zeros(w, dtype=np.int64)] + [
         np.repeat(1 + i * trials + np.arange(trials), hit.size) for i, hit in enumerate(hits)])
     positions = np.concatenate([np.arange(w)] + [np.tile(hit, trials) for hit in hits])
-    keep = band_keep(img[None], np.arange(w), plan.band_width,
-                     wrap=mcfg.band_wrap).astype(img.dtype, copy=False)
-    sweep = model._TokenSweep(table=table, keep=keep, image_tokens=image_tokens,
-                              images=images, positions=positions)
+    sweep = model._TokenSweep(table=table, image_tokens=image_tokens, images=images,
+                              positions=positions)
     logits = np.empty((images.size, mcfg.num_classes), dtype=params.dtype)
     for rows, out in model._sweep_windows(params, plan, sweep):
         logits[rows] = out.data
@@ -282,7 +280,11 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     location's base votes with the hit rows replaced.
 
     ``image`` is (3, h, w) at the model's side, every (row, col) anchor
-    must place the whole patch inside it, and ``trials`` is at least 1."""
+    must place the whole patch inside it, ``trials`` is at least 1, and the
+    plan's band width is the config's."""
+    if plan.band_width != cfg.band_width:
+        raise ContractError(f"empirical_patch_attack: plan band width {plan.band_width} != "
+                            f"config band width {cfg.band_width}")
     img = np.asarray(image, dtype=params.dtype)
     side = params.cfg.image_side
     if img.shape != (3, side, side):

@@ -32,36 +32,35 @@ class BandSpec:
             raise ContractError(f"BandSpec: position must be >= 0, got {self.position}")
 
 
-def band_keep(images: np.ndarray, positions, width: int, wrap: bool = True) -> np.ndarray:
-    """Per-pixel-column keep flags of bands over an (n, 3, h, w) batch: a
-    (positions.size, w) 0/1 array in the images' dtype whose row i keeps
-    the width-``width`` band at the i-th entry of the flattened positions.
-    Any other image shape, or a position outside [0, w), is an error."""
-    imgs = np.asarray(images)
-    if imgs.ndim != 4 or imgs.shape[1] != 3:
-        raise ContractError(f"band ablation: expected (n, 3, h, w), got {imgs.shape}")
-    w = imgs.shape[3]
+def band_keep(image_width: int, positions, width: int, wrap: bool = True) -> np.ndarray:
+    """Per-pixel-column keep flags of bands over ``image_width`` columns: a
+    (positions.size, image_width) bool array whose row i keeps the
+    width-``width`` band at the i-th entry of the flattened positions. A
+    position outside [0, image_width) is an error."""
+    w = image_width
     pos = np.asarray(positions, dtype=np.int64).reshape(-1)
     if pos.size and (pos.min() < 0 or pos.max() >= w):
         raise ContractError(f"band ablation: band positions must lie in [0, {w}), "
                             f"got {pos.min()}..{pos.max()}")
     offsets = pos[:, None] + np.arange(width)[None, :]
-    keep = np.zeros((pos.size, w), dtype=imgs.dtype)
+    keep = np.zeros((pos.size, w), dtype=bool)
     if wrap:
-        keep[np.arange(pos.size)[:, None], offsets % w] = 1.0
+        keep[np.arange(pos.size)[:, None], offsets % w] = True
     else:
         valid = offsets < w
-        keep[np.repeat(np.arange(pos.size), valid.sum(axis=1)), offsets[valid]] = 1.0
+        keep[np.repeat(np.arange(pos.size), valid.sum(axis=1)), offsets[valid]] = True
     return keep
 
 
 def ablate_batch(images: np.ndarray, positions: np.ndarray, width: int,
                  wrap: bool = True) -> np.ndarray:
     """Vectorized per-sample ablation: (n,3,h,w) + (n,) positions ->
-    (n,4,h,w) model inputs."""
+    (n,4,h,w) model inputs in the images' dtype."""
     imgs = np.asarray(images)
-    keep = band_keep(imgs, positions, width, wrap=wrap)
+    if imgs.ndim != 4 or imgs.shape[1] != 3:
+        raise ContractError(f"band ablation: expected (n, 3, h, w), got {imgs.shape}")
     n, _, h, w = imgs.shape
+    keep = band_keep(w, positions, width, wrap=wrap).astype(imgs.dtype)
     if keep.shape[0] != n:
         raise ContractError(f"ablate_batch: {keep.shape[0]} band positions for {n} images")
     pixels = imgs * keep[:, None, None, :]

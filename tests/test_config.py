@@ -1,18 +1,56 @@
+import dataclasses
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandcert.certification import CertifyConfig
 from bandcert.config import (SCHEMA, build_certify_config, build_dataset_spec,
                              build_model_config, build_train_plan, load_config)
+from bandcert.data import DatasetSpec
 from bandcert.errors import ContractError
-from bandcert.model import ModelParams, plan_windows
+from bandcert.model import ModelConfig, ModelParams, plan_windows
+from bandcert.training import TrainPlan, build_default_plan
 
 NUMERIC_KEYS = sorted(f"{section}.{key}" for section, keys in SCHEMA.items()
                       for key, (parse, _) in keys.items() if parse in (int, float))
 # Large values are left out: they would only allocate.
 EDGE_VALUES = ("-1", "0", "nan", "inf", "-inf")
+
+
+def _library_defaults() -> dict:
+    """section.key -> the default of the dataclass field, or of the
+    ``build_default_plan`` parameter, that the key feeds, for every one that
+    has a default: [train] keys that are not the function's own parameters
+    reach ``TrainPlan`` through its ``overrides``."""
+    out = {}
+    for section, cls in (("data", DatasetSpec), ("model", ModelConfig),
+                         ("train", TrainPlan), ("certify", CertifyConfig)):
+        out |= {f"{section}.{f.name}": f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    out |= {f"train.{name}": p.default
+            for name, p in inspect.signature(build_default_plan).parameters.items()
+            if p.default is not p.empty}
+    return out
+
+
+NO_LIBRARY_DEFAULT = {"train.band_width", "certify.band_width", "train.seed"}
+
+
+@pytest.mark.parametrize("key", sorted(f"{section}.{key}" for section, keys in SCHEMA.items()
+                                       for key in keys))
+def test_schema_defaults_repeat_the_library_defaults(key):
+    # a default changed on one side alone would make a run from the CLI and
+    # a run from the library differ without notice
+    section, name = key.split(".")
+    library = _library_defaults()
+    if key in NO_LIBRARY_DEFAULT:
+        assert key not in library
+    else:
+        default = SCHEMA[section][name][1]
+        assert (type(default), default) == (type(library[key]), library[key])
 
 
 def test_numeric_keys_cover_every_section():

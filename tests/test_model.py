@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from bandcert import autodiff as ad
 from bandcert import model
 from bandcert.autodiff import Tape, Tensor, record
+from bandcert.certification import CertifyConfig
 from bandcert.config import build_model_config, load_config
 from bandcert.errors import ContractError, DataFormatError, NumericError
 from bandcert.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams,
@@ -27,6 +28,7 @@ from bandcert.model import (CHECKPOINT_MAGIC, ModelConfig, ModelParams,
                             forward_band_unit, forward_global, forward_windows,
                             load_checkpoint, patchify, plan_windows,
                             save_checkpoint, window_token_ids)
+from bandcert.oracles import empirical_patch_attack
 from bandcert.smoothing import BandSpec, ablate_batch
 
 
@@ -170,23 +172,27 @@ def test_forwards_lower_bound_holds_for_every_plan():
 
 
 def test_plan_tables_reproduce_the_window_ids():
-    # forward_windows gathers by the plan's tables alone, so at every
-    # geometry each position's rows must be its window ids, and 0 then
-    # those ids + 1 for the position-table rows
+    # forward_windows gathers and ablates by the plan's tables alone, so at
+    # every geometry row p must start with p's window ids, and 0 then those
+    # ids + 1 for the position-table rows, and keep the band at p
     for w, p, b, wrap, plan in _every_plan():
         geometry = (w, p, b, wrap)
-        sizes = [ids.size for ids in plan.window_ids]
-        assert plan.sizes.tolist() == sizes, geometry
-        assert sorted(plan.token_ids) == sorted(plan.position_ids) == sorted(set(sizes))
-        for size, table in plan.token_ids.items():
-            at = [pos for pos in range(w) if sizes[pos] == size]
-            ids = np.stack([plan.window_ids[pos] for pos in at])
-            with_cls = plan.position_ids[size][plan.table_rows[at]]
-            assert table.dtype == with_cls.dtype == np.int64, geometry
-            assert table.shape == (len(at), size), geometry
-            assert (table[plan.table_rows[at]] == ids).all(), geometry
-            assert with_cls.shape == (len(at), size + 1), geometry
-            assert (with_cls[:, 0] == 0).all() and (with_cls[:, 1:] == ids + 1).all(), geometry
+        sizes = np.array([ids.size for ids in plan.window_ids])
+        assert plan.sizes.tolist() == sizes.tolist(), geometry
+        assert (plan.image_width, plan.patch_size, plan.band_wrap) == (w, p, wrap), geometry
+        assert plan.token_ids.dtype == plan.position_ids.dtype == np.int64, geometry
+        assert plan.token_ids.shape == (w, sizes.max()), geometry
+        assert plan.position_ids.shape == (w, sizes.max() + 1), geometry
+        filled = np.arange(sizes.max()) < sizes[:, None]  # (w, widest), row-major
+        ids = np.concatenate(plan.window_ids)
+        assert (plan.token_ids[filled] == ids).all(), geometry
+        assert (plan.position_ids[:, 0] == 0).all(), geometry
+        assert (plan.position_ids[:, 1:][filled] == ids + 1).all(), geometry
+        offset = np.arange(w)[None, :] - np.arange(w)[:, None]  # column - position
+        if wrap:
+            offset %= w
+        assert plan.keep.dtype == bool, geometry
+        assert (plan.keep == ((offset >= 0) & (offset < b))).all(), geometry
 
 
 def test_batched_forward_is_bit_identical_to_lone_forwards():
@@ -301,6 +307,28 @@ def test_forward_windows_rejects_bad_inputs():
             list(forward_windows(bad_imgs, bad_pos, params, plan))
 
 
+@pytest.mark.parametrize("params_kw, plan_kw", [
+    ({"patch_size": 2}, {"patch_size": 4}),
+    ({"patch_size": 4}, {"patch_size": 2}),
+    ({"band_wrap": False}, {"band_wrap": True}),
+], ids=["patch2_params_patch4_plan", "patch4_params_patch2_plan", "unwrapped_params"])
+def test_a_sweep_refuses_a_plan_made_for_another_geometry(params_kw, plan_kw):
+    # the plan's tables index the token grid, and its keep flags the bands,
+    # of the geometry it was made for; every path to the sweep refuses one
+    # made for another, rather than gather the wrong tokens or fail inside
+    params = ModelParams.init(tiny_cfg(image_side=16, **params_kw), seed=0)
+    plan = plan_windows(tiny_cfg(image_side=16, **plan_kw), 3)
+    imgs = np.random.default_rng(4).random((2, 3, 16, 16))
+    for sweep in (
+            lambda: forward_windows(imgs, np.array([[0], [9]]), params, plan),
+            lambda: batched_certify_forward(imgs, params, plan),
+            lambda: empirical_patch_attack(imgs[0], params, plan, CertifyConfig(band_width=3),
+                                           patch_shape=(2, 2), locations=[(0, 0)], trials=1,
+                                           seed=0)):
+        with pytest.raises(ContractError, match="^window sweep: the plan is for"):
+            sweep()
+
+
 def _sweeps(imgs, positions, params, plan):
     """One batched sweep of every band position and one forward_windows
     sweep of ``positions``, as plain arrays."""
@@ -383,7 +411,7 @@ def test_windows_are_gathered_and_encoded_in_the_params_dtype(monkeypatch):
         params = ModelParams.init(cfg, seed=3).cast(dtype)
         blocks.clear()
         batched_certify_forward(imgs, params, plan)
-        assert len(blocks) > len(plan.token_ids)
+        assert len(blocks) > len(np.unique(plan.sizes))
         assert set(blocks) == {(np.dtype(dtype), True)}
         for ws in plan.spaces.values():
             for slot in ("gather", "windows"):
@@ -407,7 +435,7 @@ def test_row_bytes_bounds_what_a_block_holds(name, dtype, monkeypatch):
     monkeypatch.setattr(model, "WORKERS", 1)
     n = 5
     imgs = np.random.default_rng(3).random((n, 3, cfg.image_side, cfg.image_side))
-    for k in plan_windows(cfg, 4).token_ids:
+    for k in np.unique(plan_windows(cfg, 4).sizes).tolist():
         plan = plan_windows(cfg, 4)
         position = int(np.flatnonzero(plan.sizes == k)[0])
         (rows, _), = forward_windows(imgs, np.full((n, 1), position), params, plan)

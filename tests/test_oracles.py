@@ -381,6 +381,19 @@ def test_empirical_attack_rejects_bad_patches_and_trials(small_params, monkeypat
                                trials=trials, seed=0)
 
 
+def test_empirical_attack_refuses_a_plan_of_another_band_width(small_params, monkeypatch):
+    # a 2-wide patch meets 5 of the plan's 4-wide windows, where a band-2
+    # certificate counts 3; evaluate refuses such a plan too
+    params = small_params.cast(np.float32)
+    plan = plan_windows(params.cfg, 4)
+    monkeypatch.setattr(model, "_sweep_windows", _no_sweep)
+    img = np.random.default_rng(4).random((3, 8, 8))
+    with pytest.raises(ContractError, match="^empirical_patch_attack: plan band width 4 "
+                                            "!= config band width 2$"):
+        empirical_patch_attack(img, params, plan, CertifyConfig(band_width=2),
+                               patch_shape=(2, 2), locations=[(0, 0)], trials=1, seed=0)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_empirical_attack_scores_the_image_evaluate_certifies(small_params, dtype):
     # The attack's base vote table is evaluate's, in the params' dtype. With

@@ -21,8 +21,7 @@ def brute_band_columns(position, width, patch_size, side, wrap=True):
 
 
 def kept_columns(position, width, side, wrap=True):
-    return np.flatnonzero(band_keep(np.zeros((1, 3, 1, side)), [position], width,
-                                    wrap=wrap)[0])
+    return np.flatnonzero(band_keep(side, [position], width, wrap=wrap)[0])
 
 
 def test_band_spec_validation():
