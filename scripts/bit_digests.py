@@ -24,6 +24,11 @@ with one run each and a ``diff`` of the outputs:
   and of each anchor alone, 200 trials per location.
 * ``gradient <case>``: each case of ``fd_gradient_report(seed=0,
   probes=100, h=1e-5)``, gate 5's call, as ``float.hex()``.
+* ``soundness``: the margin, certified and flippable fields of every
+  ``check_certificate_soundness`` result on the tables ``bandcert oracle``
+  sweeps by default (1000 tables, w = 16, C = 4, seed 5, m = 2, b = 4), then
+  on gate 2's tables and deltas, its sharpness tables last. The number of
+  checks is printed beside it.
 
 BLAS runs on one thread unless the thread variables are already set.
 
@@ -55,8 +60,9 @@ from bandcert.config import (build_certify_config, build_model_config,  # noqa: 
 from bandcert.data import DatasetSpec, load_dataset, stack_images  # noqa: E402
 from bandcert.model import (ModelConfig, batched_certify_forward,  # noqa: E402
                             load_checkpoint, plan_windows)
-from bandcert.oracles import (empirical_patch_attack, fd_gradient_report,  # noqa: E402
-                               patch_locations)
+from bandcert.oracles import (check_certificate_soundness,  # noqa: E402
+                              empirical_patch_attack, fd_gradient_report,
+                              patch_locations, random_vote_tables)
 from bandcert.training import train_full  # noqa: E402
 
 CHECKPOINTS = ROOT / "perfbench" / "checkpoints"
@@ -71,6 +77,8 @@ VARIANT_IMAGES = 8
 # 3x3 anchors on 4x4-pixel tokens: (2, 2) and (6, 3) touch 4 tokens, (1, 6)
 # and (13, 10) 2, (5, 5) one
 STRADDLING = [(2, 2), (1, 6), (6, 3), (13, 10), (5, 5)]
+# gate 2's (w, C, seed) table sets
+SOUNDNESS_SETS = [(8, 3, 0), (16, 4, 1), (24, 6, 2), (32, 10, 3)]
 
 
 def toy_config() -> ModelConfig:
@@ -175,6 +183,24 @@ def gradient_values() -> None:
         print(f"gradient {name}  {err.hex()}")
 
 
+def soundness_digest() -> None:
+    results = [check_certificate_soundness(vs, patch_width=2, band_width=4)
+               for vs in random_vote_tables(1000, image_width=16, num_classes=4, seed=5)]
+    for w, c, seed in SOUNDNESS_SETS:
+        plain = random_vote_tables(200, w, c, seed=seed)
+        near = random_vote_tables(50, w, c, seed=seed + 100,
+                                  near_boundary_margin=2 * max(1, w // 8))
+        results += [check_certificate_soundness(vs, patch_width=1, band_width=delta)
+                    for vs in np.concatenate([plain, near])
+                    for delta in range(1, w // 2 + 1)]
+    for delta in range(1, 9):
+        vs = np.zeros((4 * delta, 3), dtype=bool)
+        vs[:2 * delta, 1] = True
+        results.append(check_certificate_soundness(vs, patch_width=1, band_width=delta))
+    fields = [[r["margin"], r["certified"], r["flippable"]] for r in results]
+    print(f"soundness  {sha256(json.dumps(fields).encode())}  checks={len(fields)}")
+
+
 def main() -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
     train_digests()
@@ -182,6 +208,7 @@ def main() -> int:
     attack_digests()
     attack_variant_digests()
     gradient_values()
+    soundness_digest()
     return 0
 
 

@@ -3,14 +3,17 @@
 Every band position p in [0, w) yields one prediction distribution for the
 window that sees only that band. A class collects a vote at p when its
 score clears a fixed threshold, so one position can vote for several
-classes or none. A width-m adversarial patch intersects at most
-delta = m + b - 1 bands, each of which can at worst both remove a vote
-from the top class and add one to a rival, hence the certificate:
+classes or none. ``tally`` is the one vote rule: the prediction is the
+lowest-id class with the most votes, and a table whose top two classes tie
+abstains. A width-m adversarial patch intersects at most delta = m + b - 1
+bands, each of which can at worst both remove a vote from the top class and
+add one to a rival, hence the one bound, ``certified_against``:
 
-    certified(m)  iff  n_top > max_other + 2 * (m + b - 1)
+    certified(m)  iff  n_top > n_runner_up + 2 * (m + b - 1)
 
-with argmax ties broken toward the lowest class id and tied tables never
-certified.
+which a tie (margin 0) never meets. Both work on arrays, so ``evaluate``
+votes and certifies a whole batch at once, and the oracles re-vote with the
+same rule and check the same bound.
 """
 
 from __future__ import annotations
@@ -59,12 +62,28 @@ class CertifyConfig:
 
 @dataclass
 class VoteTable:
-    scores: np.ndarray   # (w, C) per-position distributions (or raw scores)
-    votes: np.ndarray    # (C,) int counts
-    predicted: int
-    runner_up: int
-    margin: int
-    tied: bool
+    """Vote tables of leading shape S (0-d for one table): ``votes`` is the
+    (*S, C) vote counts, ``predicted`` the lowest-id top class and
+    ``margin`` its lead over the runner-up, both of shape S."""
+    votes: np.ndarray
+    predicted: np.ndarray
+    margin: np.ndarray
+
+    @property
+    def tied(self) -> np.ndarray:
+        return self.margin == 0
+
+    @property
+    def decision(self) -> np.ndarray:
+        """The prediction, or -1 where the table is tied: a tie abstains."""
+        return np.where(self.tied, -1, self.predicted)
+
+
+def tally(counts: np.ndarray) -> VoteTable:
+    """The vote rule on (..., C) integer vote counts."""
+    top2 = np.sort(counts, axis=-1)[..., -2:]
+    return VoteTable(votes=counts, predicted=np.argmax(counts, axis=-1),
+                     margin=top2[..., 1] - top2[..., 0])
 
 
 def softmax_scores(logits: np.ndarray) -> np.ndarray:
@@ -75,23 +94,19 @@ def softmax_scores(logits: np.ndarray) -> np.ndarray:
 
 
 def vote(scores: np.ndarray, cfg: CertifyConfig) -> VoteTable:
-    """Tally strict-threshold votes for one image's (w, C) score table."""
+    """Tally strict-threshold votes for a (..., w, C) stack of score tables,
+    one per image."""
     s = np.asarray(scores)
-    if s.ndim != 2 or s.shape[1] < 2:
+    if s.ndim < 2 or s.shape[-2] < 1 or s.shape[-1] < 2:
         raise ContractError(f"vote: expected (positions, classes), got {s.shape}")
     if not np.isfinite(s).all():
         raise ContractError("vote: non-finite score")
     if cfg.threshold_on == "probs":
         if (s < -SIMPLEX_ATOL).any() or \
-           np.abs(s.sum(axis=1) - 1.0).max() > SIMPLEX_ATOL:
+           (np.abs(s.sum(axis=-1) - 1.0) > SIMPLEX_ATOL).any():
             raise ContractError("vote: rows are not probability distributions; "
                                 "pass softmax outputs or use threshold_on 'logits'")
-    counts = (s > cfg.threshold).sum(axis=0).astype(np.int64)
-    order = np.argsort(-counts, kind="stable")  # ties keep lowest class first
-    top, second = int(order[0]), int(order[1])
-    margin = int(counts[top] - counts[second])
-    return VoteTable(scores=s, votes=counts, predicted=top, runner_up=second,
-                     margin=margin, tied=margin == 0)
+    return tally((s > cfg.threshold).sum(axis=-2))
 
 
 def affected_positions(patch_col: int, patch_width: int, band_width: int,
@@ -109,34 +124,18 @@ def affected_positions(patch_col: int, patch_width: int, band_width: int,
     return np.arange(max(0, first), min(patch_col + patch_width, image_width))
 
 
-def certified_against(table: VoteTable, patch_width: int, band_width: int) -> bool:
-    """The margin test: a width-m patch touches at most m + b - 1 bands and
-    each touched band can move the margin by 2."""
-    if table.tied:
-        return False
-    delta = patch_width + band_width - 1
-    return table.margin > 2 * delta
+def certified_against(margin, patch_width: int, band_width: int):
+    """The paper's bound, elementwise over margins: a width-m patch touches
+    at most m + b - 1 bands and each touched band can move the margin by 2.
+    m, b >= 1, so a tie is never certified."""
+    return margin > 2 * (patch_width + band_width - 1)
 
 
-def max_certified_patch_width(table: VoteTable, band_width: int,
-                              image_width: int) -> int:
-    """Largest m with margin > 2 (m + b - 1); 0 when nothing is certified.
-    Capped at w - b + 1, beyond which a patch shares columns with every
-    band placement anyway."""
-    if table.tied:
-        return 0
-    m = (table.margin - 2 * band_width + 1) // 2
-    return int(np.clip(m, 0, image_width - band_width + 1))
-
-
-def per_band_scores(images: np.ndarray, params: ModelParams, plan: WindowPlan,
-                    cfg: CertifyConfig) -> np.ndarray:
-    """(n_images, w, C) voting scores, one row per band position. Softmax is
-    applied unless the config thresholds raw logits."""
-    logits, _ = batched_certify_forward(images, params, plan)
-    if cfg.threshold_on == "logits":
-        return logits
-    return softmax_scores(logits)
+def max_certified_patch_width(margin, band_width: int, image_width: int):
+    """Largest m that ``certified_against`` certifies, elementwise over
+    margins; 0 when it certifies none. Capped at w - b + 1, beyond which a
+    patch shares columns with every band placement anyway."""
+    return np.clip((margin - 2 * band_width + 1) // 2, 0, image_width - band_width + 1)
 
 
 @dataclass
@@ -150,8 +149,10 @@ class EvaluationResult:
 
 def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
              plan: WindowPlan, cfg: CertifyConfig) -> EvaluationResult:
-    """Vote and certify every image on its ``per_band_scores``. ``labels``
-    is a 1-D integer array, one class id in [0, num_classes) per image."""
+    """Vote and certify every image on its band positions' scores: the
+    softmax of the window logits, or the raw logits when the config
+    thresholds them. ``labels`` is a 1-D integer array, one class id in
+    [0, num_classes) per image."""
     if plan.band_width != cfg.band_width:
         raise ContractError(f"evaluate: plan band width {plan.band_width} != "
                             f"config band width {cfg.band_width}")
@@ -169,44 +170,35 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
     if ys.min() < 0 or ys.max() >= classes:
         raise ContractError(f"evaluate: label outside [0, {classes})")
     start = perf_counter()
-    scores = per_band_scores(imgs, params, plan, cfg)
+    logits, _ = batched_certify_forward(imgs, params, plan)
+    scores = logits if cfg.threshold_on == "logits" else softmax_scores(logits)
     scored = perf_counter()
-    w = plan.image_width
 
-    records = []
-    correct = 0
-    abstained = 0
-    margins = []
-    certified_counts = {cfg.shape_key(s): 0 for s in cfg.patch_shapes}
-    for i in range(n):
-        table = vote(scores[i], cfg)
-        is_correct = (not table.tied) and table.predicted == int(ys[i])
-        correct += is_correct
-        abstained += table.tied
-        margins.append(table.margin)
-        cert = {}
-        for shape in cfg.patch_shapes:
-            ok = certified_against(table, shape[1], cfg.band_width)
-            cert[cfg.shape_key(shape)] = bool(ok)
-            certified_counts[cfg.shape_key(shape)] += bool(ok) and is_correct
-        records.append({
-            "image_id": int(i),
-            "label": int(ys[i]),
-            "predicted": int(table.predicted),
-            "abstained": bool(table.tied),
-            "votes": table.votes.tolist(),
-            "margin": int(table.margin),
-            "certified": cert,
-            "max_certified_m": max_certified_patch_width(table, cfg.band_width, w),
-        })
+    tables = vote(scores, cfg)
+    tied = tables.tied
+    correct = ~tied & (tables.predicted == ys)
+    certified = {cfg.shape_key(s): certified_against(tables.margin, s[1], cfg.band_width)
+                 for s in cfg.patch_shapes}
+    max_m = max_certified_patch_width(tables.margin, cfg.band_width, plan.image_width)
+    records = [{
+        "image_id": i,
+        "label": int(ys[i]),
+        "predicted": int(tables.predicted[i]),
+        "abstained": bool(tied[i]),
+        "votes": tables.votes[i].tolist(),
+        "margin": int(tables.margin[i]),
+        "certified": {k: bool(ok[i]) for k, ok in certified.items()},
+        "max_certified_m": int(max_m[i]),
+    } for i in range(n)]
     summary = {
         "num_images": int(n),
         "band_width": int(cfg.band_width),
         "threshold": float(cfg.threshold),
-        "clean_accuracy": correct / n,
-        "abstain_rate": abstained / n,
-        "mean_margin": float(np.mean(margins)),
-        "certified_accuracy": {k: v / n for k, v in certified_counts.items()},
+        "clean_accuracy": int(correct.sum()) / n,
+        "abstain_rate": int(tied.sum()) / n,
+        "mean_margin": float(np.mean(tables.margin)),
+        "certified_accuracy": {k: int((ok & correct).sum()) / n
+                               for k, ok in certified.items()},
         "forwards_per_image": int(plan.num_forwards),
     }
     return EvaluationResult(records=records, summary=summary,

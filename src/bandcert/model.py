@@ -607,8 +607,8 @@ class WindowPlan:
 
     The tables are built once, by ``plan_windows``, with one row per band
     position p: ``sizes[p]`` is the number of tokens in p's window, row p
-    of ``token_ids`` starts with ``window_ids[p]`` and row p of
-    ``position_ids`` with its position-table rows, 0 for the class token
+    of ``token_ids`` starts with its ``window_token_ids`` and row p of
+    ``position_ids`` with their position-table rows, 0 for the class token
     and then each token id + 1. Entries past a row's size are padding. Row
     p of ``keep`` holds the per-pixel-column keep flags of the band at p.
 
@@ -624,7 +624,6 @@ class WindowPlan:
     image_width: int
     patch_size: int
     band_wrap: bool
-    window_ids: list[np.ndarray]     # per band position: window_token_ids
     groups: list[list[int]]          # band positions packed per forward
     sizes: np.ndarray                # (w,) tokens in each position's window
     token_ids: np.ndarray            # (w, widest) each position's window ids
@@ -641,7 +640,8 @@ class WindowPlan:
         """The largest column load: the most windows that cover any one
         token column. Windows in one forward are token-disjoint, so every
         packing of these windows needs at least this many forwards."""
-        return int(np.bincount(np.concatenate(self.window_ids)).max())
+        filled = np.arange(self.token_ids.shape[1]) < self.sizes[:, None]
+        return int(np.bincount(self.token_ids[filled]).max())
 
     @property
     def workspace_bytes(self) -> int:
@@ -758,8 +758,8 @@ def plan_windows(cfg: ModelConfig, band_width: int) -> WindowPlan:
         token_ids[p, :ids.size] = ids
     position_ids = np.concatenate([np.zeros((w, 1), dtype=np.int64), token_ids + 1], axis=1)
     return WindowPlan(band_width=band_width, image_width=w, patch_size=cfg.patch_size,
-                      band_wrap=cfg.band_wrap, window_ids=window_ids, groups=groups,
-                      sizes=sizes, token_ids=token_ids, position_ids=position_ids,
+                      band_wrap=cfg.band_wrap, groups=groups, sizes=sizes,
+                      token_ids=token_ids, position_ids=position_ids,
                       keep=band_keep(w, np.arange(w), band_width, wrap=cfg.band_wrap))
 
 

@@ -4,8 +4,9 @@ Everything here recomputes a claim by brute force or a second method:
 
 * geometry: how many band placements a patch can actually intersect,
   enumerated column by column, against the m + b - 1 closed form;
-* vote arithmetic: exhaustive adversarial re-voting of corrupted positions,
-  against the margin test;
+* vote arithmetic: the strongest adversary re-votes the corrupted
+  positions, by ``certification.tally``'s rule, against the bound that
+  ``certify`` prints, ``certification.certified_against``;
 * attacks: concrete randomized patches on certified images, re-scoring
   only the bands the patch touches;
 * attention: the isolated window forward against the masked global one;
@@ -25,7 +26,7 @@ from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
 from .certification import (CertifyConfig, VoteTable, affected_positions,
-                            certified_against, softmax_scores, vote)
+                            certified_against, softmax_scores, tally, vote)
 from .errors import ContractError
 from .model import (ModelConfig, ModelParams, WindowPlan, forward_band_unit,
                     forward_global, patchify, window_token_ids)
@@ -71,18 +72,6 @@ def intersection_sweep(max_width: int = 64,
 # adversarial re-voting
 
 
-_ABSTAIN = -1  # the prediction of a tied vote table
-
-
-def _vote_rule(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``vote``'s rule on (..., C) vote counts: the top-two margins and the
-    predictions, the lowest-id top class or ``_ABSTAIN`` where the top two
-    tie."""
-    top2 = np.sort(counts, axis=-1)[..., -2:]
-    margins = top2[..., 1] - top2[..., 0]
-    return margins, np.where(margins == 0, _ABSTAIN, np.argmax(counts, axis=-1))
-
-
 def worst_case_flip(vote_sets: np.ndarray, patch_width: int, band_width: int,
                     wrap: bool = True) -> bool:
     """Can a width-m patch change the voted prediction of this table?
@@ -90,20 +79,20 @@ def worst_case_flip(vote_sets: np.ndarray, patch_width: int, band_width: int,
     ``vote_sets`` is (w, C) bool: which classes cleared the threshold at
     each band position. The adversary owns every affected position and may
     set its votes to any subset of classes. A trial flips when its
-    prediction under ``vote``'s rule, a tie abstaining, differs from the
-    table's. Voting for class r alone at every affected position is the
-    adversary's best move towards r winning outright, and towards a tie
-    with the top class, so scanning each class alone is exhaustive.
+    ``tally`` decision, a tie abstaining, differs from the table's. Voting
+    for class r alone at every affected position is the adversary's best
+    move towards r winning outright, and towards a tie with the top class,
+    so scanning each class alone is exhaustive.
     """
     vs = np.asarray(vote_sets, dtype=bool)
     w, c = vs.shape
-    counts = vs.sum(axis=0).astype(np.int64)
-    _, base = _vote_rule(counts)
+    counts = vs.sum(axis=0)
+    base = tally(counts).decision
     for q in range(w):
         hit = affected_positions(q, patch_width, band_width, w, wrap)
         trials = np.tile(counts - vs[hit].sum(axis=0), (c, 1))  # row r: only r at hit
         trials[np.arange(c), np.arange(c)] += hit.size
-        if (_vote_rule(trials)[1] != base).any():
+        if (tally(trials).decision != base).any():
             return True
     return False
 
@@ -116,8 +105,8 @@ def exhaustive_flip_bitmask(vote_sets: np.ndarray, patch_width: int,
     w, c = vs.shape
     if (2 ** c) ** min(w, patch_width + band_width - 1) > 2_000_000:
         raise ContractError("exhaustive_flip_bitmask: table too large to enumerate")
-    counts = vs.sum(axis=0).astype(np.int64)
-    _, base_predicted = _vote_rule(counts)
+    counts = vs.sum(axis=0)
+    base_decision = tally(counts).decision
     patterns = [np.array(bits, dtype=bool)
                 for bits in itertools.product((False, True), repeat=c)]
     for q in range(w):
@@ -126,21 +115,18 @@ def exhaustive_flip_bitmask(vote_sets: np.ndarray, patch_width: int,
         for combo in itertools.product(patterns, repeat=hit.size):
             trial = base + np.sum(combo, axis=0, dtype=np.int64) if combo \
                 else base
-            if _vote_rule(trial)[1] != base_predicted:
+            if tally(trial).decision != base_decision:
                 return True
     return False
 
 
 def check_certificate_soundness(vote_sets: np.ndarray, patch_width: int,
-                                band_width: int, wrap: bool = True,
-                                delta_fn=None) -> dict:
-    """Certified tables must be unflippable. ``delta_fn(m, b)`` overrides
-    the intersection bound so tests can verify a wrong bound gets caught."""
+                                band_width: int, wrap: bool = True) -> dict:
+    """Check one table: if ``certified_against``, the bound ``certify``
+    prints, certifies it, ``worst_case_flip``'s adversary must not flip it."""
     vs = np.asarray(vote_sets, dtype=bool)
-    margin = int(_vote_rule(vs.sum(axis=0).astype(np.int64))[0])
-    delta = (delta_fn(patch_width, band_width) if delta_fn is not None
-             else patch_width + band_width - 1)
-    certified = margin > 0 and margin > 2 * delta
+    margin = int(tally(vs.sum(axis=0)).margin)
+    certified = certified_against(margin, patch_width, band_width)
     flippable = worst_case_flip(vs, patch_width, band_width, wrap=wrap)
     return {
         "margin": margin,
@@ -162,9 +148,7 @@ def random_vote_tables(num: int, image_width: int, num_classes: int, seed: int,
         density = rng.uniform(0.1, 0.9)
         vs = rng.random((image_width, num_classes)) < density
         if near_boundary_margin is not None:
-            counts = vs.sum(axis=0)
-            top2 = np.sort(counts)[-2:]
-            if abs(int(top2[1] - top2[0]) - near_boundary_margin) > 2:
+            if abs(int(tally(vs.sum(axis=0)).margin) - near_boundary_margin) > 2:
                 continue
         out[made] = vs
         made += 1
@@ -190,13 +174,14 @@ class AttackReport:
 def _recount_votes(base_table: VoteTable, base_scores: np.ndarray,
                    new_scores: np.ndarray, hit: np.ndarray,
                    cfg: CertifyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Top-two margins and predictions for T trials that replace rows
-    ``hit`` of the base score table. Returns (margins (T,), predicted (T,));
-    as in ``vote``, a tied trial predicts nothing, ``_ABSTAIN``."""
+    """``tally``'s margins and decisions for T trials that replace rows
+    ``hit`` of the base score table: (margins (T,), decisions (T,)), a tied
+    trial abstaining with -1."""
     thr = cfg.threshold
-    base_votes_hit = (base_scores[hit] > thr).sum(axis=0).astype(np.int64)
-    new_votes = (new_scores > thr).sum(axis=1).astype(np.int64)  # (T, C)
-    return _vote_rule(base_table.votes[None, :] - base_votes_hit[None, :] + new_votes)
+    base_votes_hit = (base_scores[hit] > thr).sum(axis=0)
+    new_votes = (new_scores > thr).sum(axis=1)  # (T, C)
+    trials = tally(base_table.votes - base_votes_hit + new_votes)
+    return trials.margin, trials.decision
 
 
 def patch_locations(image_side: int, shape: tuple[int, int], count: int) -> list[tuple[int, int]]:
@@ -307,15 +292,14 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     base_scores, trial_scores = _attack_scores(img, params, plan, cfg, patch_shape,
                                                locations, hits, trials, rng)
     base_table = vote(base_scores, cfg)
-    certified = certified_against(base_table, pw, cfg.band_width)
+    certified = certified_against(base_table.margin, pw, cfg.band_width)
 
-    base_predicted = _ABSTAIN if base_table.tied else base_table.predicted
     flips = 0
-    min_margin = base_table.margin
+    min_margin = int(base_table.margin)
     for hit, scores in zip(hits, trial_scores):
-        margins, preds = _recount_votes(base_table, base_scores, scores, hit, cfg)
+        margins, decisions = _recount_votes(base_table, base_scores, scores, hit, cfg)
         min_margin = min(min_margin, int(margins.min()))
-        flips += int((preds != base_predicted).sum())
+        flips += int((decisions != base_table.decision).sum())
     return AttackReport(
         image_id=image_id,
         patch_shape=tuple(patch_shape),

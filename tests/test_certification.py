@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandcert.certification import (CertifyConfig, VoteTable,
-                                    affected_positions, certified_against,
-                                    evaluate, max_certified_patch_width,
-                                    softmax_scores, vote)
+from bandcert.certification import (CertifyConfig, affected_positions,
+                                    certified_against, evaluate,
+                                    max_certified_patch_width, softmax_scores,
+                                    tally, vote)
 from bandcert.errors import ContractError
-from bandcert.model import ModelParams, plan_windows
+from bandcert.model import ModelParams, batched_certify_forward, plan_windows
 from bandcert.smoothing import BandSpec
 
 
@@ -55,8 +55,8 @@ def test_vote_tie_goes_to_lowest_class_id():
     cfg = cfg_for()
     scores = table_from_counts([3, 3, 0], w=8)
     t = vote(scores, cfg)
-    assert t.predicted == 0 and t.runner_up == 1
-    assert t.tied and t.margin == 0
+    assert t.predicted == 0
+    assert t.tied and t.margin == 0 and t.decision == -1
 
 
 def test_vote_rejects_non_simplex_rows():
@@ -76,22 +76,33 @@ def test_vote_rejects_non_finite():
         vote(bad, cfg)
 
 
+def test_vote_refuses_a_table_without_positions():
+    for threshold_on in ("probs", "logits"):
+        cfg = cfg_for(threshold_on=threshold_on)
+        for shape in [(0, 3), (2, 0, 3)]:
+            with pytest.raises(ContractError, match=r"^vote: expected \(positions, classes\)"):
+                vote(np.zeros(shape), cfg)
+        # a stack of no tables votes no tables
+        t = vote(np.zeros((0, 4, 3)), cfg)
+        assert t.votes.shape == (0, 3) and t.margin.shape == t.decision.shape == (0,)
+
+
 def test_certified_against_boundary_is_strict():
     cfg = cfg_for()
     # delta = m + b - 1 = 2 + 2 - 1 = 3, so margin must exceed 6
     at_bound = vote(table_from_counts([7, 1], w=8), cfg)     # margin 6
     above = vote(table_from_counts([8, 1], w=9), cfg)        # margin 7
     assert at_bound.margin == 6
-    assert not certified_against(at_bound, 2, 2)
+    assert not certified_against(at_bound.margin, 2, 2)
     assert above.margin == 7
-    assert certified_against(above, 2, 2)
+    assert certified_against(above.margin, 2, 2)
 
 
 def test_tied_tables_are_never_certified():
-    t = VoteTable(scores=np.zeros((4, 2)), votes=np.array([2, 2]),
-                  predicted=0, runner_up=1, margin=0, tied=True)
-    assert not certified_against(t, 1, 1)
-    assert max_certified_patch_width(t, 1, 4) == 0
+    t = tally(np.array([2, 2]))
+    assert t.tied and t.decision == -1
+    assert not certified_against(t.margin, 1, 1)
+    assert max_certified_patch_width(t.margin, 1, 4) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -102,11 +113,37 @@ def test_max_certified_width_agrees_with_the_predicate(w, b, data):
     if sum(counts) > 0:
         counts[0] = max(counts)  # keep a deterministic argmax winner
     t = vote(table_from_counts_padded(counts, w), cfg_for(band_width=b))
-    m_star = max_certified_patch_width(t, b, w)
+    m_star = max_certified_patch_width(t.margin, b, w)
     if m_star > 0:
-        assert certified_against(t, m_star, b)
+        assert certified_against(t.margin, m_star, b)
     if m_star < w - b + 1:
-        assert not certified_against(t, m_star + 1, b)
+        assert not certified_against(t.margin, m_star + 1, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 12), st.integers(2, 5),
+       st.sampled_from(["probs", "logits"]), st.integers(0, 2**32 - 1))
+def test_a_stack_votes_as_its_tables_do(n, w, c, threshold_on, seed):
+    """``vote`` on an (n, w, C) stack gives, table by table, what it gives
+    on each (w, C) table: ties, tables with no votes and positions voting
+    for several classes included."""
+    rng = np.random.default_rng(seed)
+    if threshold_on == "logits":
+        # small integers put many scores on the threshold and many rows tie
+        scores = rng.integers(-2, 3, size=(n, w, c)).astype(float)
+        cfg = cfg_for(threshold=0.0, threshold_on="logits")
+    else:
+        scores = softmax_scores(rng.normal(size=(n, w, c)) * rng.uniform(0, 4))
+        cfg = cfg_for(threshold=rng.choice([0.05, 1 / c, 0.9]))
+    stack = vote(scores, cfg)
+    assert stack.votes.shape == (n, c)
+    assert stack.predicted.shape == stack.margin.shape == (n,)
+    for i in range(n):
+        one = vote(scores[i], cfg)
+        assert np.ndim(one.predicted) == np.ndim(one.margin) == 0
+        assert stack.votes[i].tolist() == one.votes.tolist()
+        for name in ("predicted", "margin", "tied", "decision"):
+            assert getattr(stack, name)[i] == getattr(one, name), name
 
 
 def table_from_counts_padded(counts, w):
@@ -163,6 +200,24 @@ def test_evaluate_records_and_summary(small_params):
     assert s["certified_accuracy"]["2x2"] <= s["certified_accuracy"]["1x1"]
     assert s["forwards_per_image"] == plan.num_forwards
     assert set(res.seconds) == {"score", "vote"}
+    # every record, key order included, is what one table's vote and the
+    # bound give
+    logits, _ = batched_certify_forward(imgs, params, plan)
+    for i, rec in enumerate(res.records):
+        t = vote(softmax_scores(logits[i]), ccfg)
+        want = {
+            "image_id": i, "label": int(ys[i]), "predicted": int(t.predicted),
+            "abstained": bool(t.tied), "votes": t.votes.tolist(), "margin": int(t.margin),
+            "certified": {"1x1": bool(certified_against(t.margin, 1, 2)),
+                          "2x2": bool(certified_against(t.margin, 2, 2))},
+            "max_certified_m": int(max_certified_patch_width(t.margin, 2, cfg.image_side))}
+        assert list(rec.items()) == list(want.items())
+        assert all(type(rec[k]) is int for k in ("image_id", "label", "predicted",
+                                                  "margin", "max_certified_m"))
+        assert type(rec["abstained"]) is bool
+        assert all(type(ok) is bool for ok in rec["certified"].values())
+    assert type(s["mean_margin"]) is float
+    assert s["mean_margin"] == np.mean([rec["margin"] for rec in res.records])
 
 
 def test_evaluate_rejects_plan_config_mismatch(small_params):

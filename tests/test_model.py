@@ -136,7 +136,7 @@ def test_plan_windows_partitions_and_respects_bound(geometry):
     for group in plan.groups:
         used: set[int] = set()
         for p in group:
-            ids = set(plan.window_ids[p].tolist())
+            ids = set(plan.token_ids[p, :plan.sizes[p]].tolist())
             assert not (ids & used), "windows inside a group must not share tokens"
             used |= ids
     assert plan.num_forwards <= band + patch
@@ -150,15 +150,18 @@ def test_plan_toy_geometry_forward_count():
 
 def _every_plan():
     """(w, p, b, wrap, plan) over every side, patch, band width and wrap the
-    plan tests sweep."""
+    plan tests sweep; the plan's model config is ``_plan_config(w, p, wrap)``."""
     for w in (8, 12, 16, 24, 32, 40, 48, 64):
         for p in (d for d in range(1, w + 1) if w % d == 0):
             for wrap in (True, False):
-                cfg = ModelConfig(image_side=w, patch_size=p, embed_dim=4, num_layers=1,
-                                  num_heads=1, mlp_ratio=1.0, num_classes=2,
-                                  codebook_size=2, band_wrap=wrap)
+                cfg = _plan_config(w, p, wrap)
                 for b in range(1, w + 1):
                     yield w, p, b, wrap, plan_windows(cfg, b)
+
+
+def _plan_config(w, p, wrap):
+    return ModelConfig(image_side=w, patch_size=p, embed_dim=4, num_layers=1, num_heads=1,
+                       mlp_ratio=1.0, num_classes=2, codebook_size=2, band_wrap=wrap)
 
 
 def test_forwards_lower_bound_holds_for_every_plan():
@@ -173,19 +176,23 @@ def test_forwards_lower_bound_holds_for_every_plan():
 
 def test_plan_tables_reproduce_the_window_ids():
     # forward_windows gathers and ablates by the plan's tables alone, so at
-    # every geometry row p must start with p's window ids, and 0 then those
-    # ids + 1 for the position-table rows, and keep the band at p
+    # every geometry row p must start with p's window ids, derived here by
+    # window_token_ids, and 0 then those ids + 1 for the position-table
+    # rows, and keep the band at p; the lower bound is read off the tables
     for w, p, b, wrap, plan in _every_plan():
         geometry = (w, p, b, wrap)
-        sizes = np.array([ids.size for ids in plan.window_ids])
+        cfg = _plan_config(w, p, wrap)
+        window_ids = [window_token_ids(cfg, BandSpec(q, b)) for q in range(w)]
+        sizes = np.array([ids.size for ids in window_ids])
         assert plan.sizes.tolist() == sizes.tolist(), geometry
         assert (plan.image_width, plan.patch_size, plan.band_wrap) == (w, p, wrap), geometry
         assert plan.token_ids.dtype == plan.position_ids.dtype == np.int64, geometry
         assert plan.token_ids.shape == (w, sizes.max()), geometry
         assert plan.position_ids.shape == (w, sizes.max() + 1), geometry
         filled = np.arange(sizes.max()) < sizes[:, None]  # (w, widest), row-major
-        ids = np.concatenate(plan.window_ids)
+        ids = np.concatenate(window_ids)
         assert (plan.token_ids[filled] == ids).all(), geometry
+        assert plan.forwards_lower_bound == np.bincount(ids).max(), geometry
         assert (plan.position_ids[:, 0] == 0).all(), geometry
         assert (plan.position_ids[:, 1:][filled] == ids + 1).all(), geometry
         offset = np.arange(w)[None, :] - np.arange(w)[:, None]  # column - position
@@ -232,7 +239,7 @@ def test_windowed_forward_equals_band_unit():
         widths = []
         for rows, logits in forward_windows(imgs, positions[:, None], params, plan):
             assert rows.tolist() == sorted(rows.tolist())
-            widths.append(plan.window_ids[positions[rows[0]]].size)
+            widths.append(plan.sizes[positions[rows[0]]])
             for r, row_logits in zip(rows, logits.data):
                 p = int(positions[r])
                 abl = ablate_batch(imgs[r:r + 1], np.array([p]), 3).astype(dtype)
@@ -279,7 +286,7 @@ def test_window_patches_equal_ablate_patchify_gather(wrap, monkeypatch):
                     i, p = r // positions.shape[1], int(positions.flat[r])
                     abl = ablate_batch(imgs[i:i + 1].astype(dtype), np.array([p]), b,
                                        wrap=wrap)
-                    ids = plan.window_ids[p]
+                    ids = plan.token_ids[p, :plan.sizes[p]]
                     want = patchify(abl, cfg.patch_size)[0, ids]
                     assert got.dtype == want.dtype
                     np.testing.assert_array_equal(got, want)
@@ -357,7 +364,7 @@ def test_row_blocks_give_the_bits_of_one_block(dtype, monkeypatch):
     # two workers on any host, so each width still has rows for 3-row
     # blocks; the budget is shared by the workers, so it scales with them
     monkeypatch.setattr(model, "WORKERS", 2)
-    widest = max(ids.size for ids in plan.window_ids)
+    widest = plan.sizes.max()
     for budget, rows in ((1, 1),
                          (3 * model.WORKERS * model._row_bytes(cfg, widest, dtype), 3)):
         monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", budget)
@@ -670,7 +677,7 @@ def test_threads_share_one_plan(monkeypatch):
     monkeypatch.setattr(model, "WORKERS", 2)
     cfg = tiny_cfg(image_side=16)
     params = _scaled_params(cfg, np.float32)
-    widest = max(ids.size for ids in plan_windows(cfg, 3).window_ids)
+    widest = plan_windows(cfg, 3).sizes.max()
     monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES",  # two rows a block
                         2 * model.WORKERS * model._row_bytes(cfg, widest, np.float32))
     rng = np.random.default_rng(12)
@@ -728,7 +735,7 @@ def test_blocks_are_queued_largest_first(monkeypatch):
     cfg = tiny_cfg(image_side=16)
     params = ModelParams.init(cfg, seed=3).cast(np.float32)
     plan = plan_windows(cfg, 3)
-    widest = max(ids.size for ids in plan.window_ids)
+    widest = plan.sizes.max()
     monkeypatch.setattr(model, "WINDOW_BLOCK_BYTES", 5 * model._row_bytes(cfg, widest, np.float32))
     sizes = []  # rows x tokens of every encoded block, in the order taken
     real_encode = model._encode
@@ -1273,7 +1280,7 @@ def test_count_flops_band_unit_is_the_widest_planned_window(side, wrap):
                       band_wrap=wrap)
     full = count_flops(cfg, "global")
     for b in range(1, side + 1):
-        seq = max(ids.size for ids in plan_windows(cfg, b).window_ids) + 1
+        seq = plan_windows(cfg, b).sizes.max() + 1
         band = count_flops(cfg, "band_unit", band_width=b)
         # attention grows with the square of the sequence, the rest linearly
         assert band.attention * cfg.seq_len ** 2 == full.attention * seq ** 2, b

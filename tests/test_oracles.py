@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bandcert import model, oracles
 from bandcert.autodiff import Tensor
 from bandcert.certification import (CertifyConfig, affected_positions, certified_against,
-                                    evaluate, per_band_scores, softmax_scores, vote)
+                                    evaluate, softmax_scores, vote)
 from bandcert.errors import ContractError
 from bandcert.model import (ModelConfig, ModelParams, batched_certify_forward, forward_windows,
                             plan_windows)
@@ -56,6 +56,12 @@ def test_exhaustive_guard_refuses_large_tables():
         exhaustive_flip_bitmask(vs, 4, 4)
 
 
+def _understate_the_bound(monkeypatch, delta):
+    """Swap the bound the soundness check applies, ``certified_against``,
+    for one that assumes a patch touches only ``delta`` bands."""
+    monkeypatch.setattr(oracles, "certified_against", lambda margin, m, b: margin > 2 * delta)
+
+
 def test_soundness_on_seeded_tables():
     tables = random_vote_tables(50, image_width=16, num_classes=4, seed=0)
     for vs in tables:
@@ -64,7 +70,7 @@ def test_soundness_on_seeded_tables():
             assert res["sound"]
 
 
-def test_soundness_on_unwrapped_tables():
+def test_soundness_on_unwrapped_tables(monkeypatch):
     tables = random_vote_tables(300, image_width=16, num_classes=4, seed=2)
     for vs in tables:
         assert check_certificate_soundness(vs, patch_width=2, band_width=4,
@@ -72,20 +78,24 @@ def test_soundness_on_unwrapped_tables():
     # near the boundary, an understated bound is caught without wrap too
     tables = random_vote_tables(300, image_width=16, num_classes=3, seed=1,
                                 near_boundary_margin=4)
-    assert not all(check_certificate_soundness(vs, patch_width=2, band_width=2, wrap=False,
-                                               delta_fn=lambda m, b: 1)["sound"]
+    _understate_the_bound(monkeypatch, 1)
+    assert not all(check_certificate_soundness(vs, patch_width=2, band_width=2,
+                                               wrap=False)["sound"]
                    for vs in tables)
 
 
-def test_soundness_check_catches_a_too_generous_bound():
-    """With a deliberately understated delta, some near-boundary table must
-    certify yet flip, proving the checker can fail at all."""
+def test_soundness_check_catches_a_too_generous_bound(monkeypatch):
+    """The check applies ``certified_against`` itself, the bound ``certify``
+    prints: with it understated, some near-boundary table must certify yet
+    flip, proving the checker can fail at all."""
     tables = random_vote_tables(300, image_width=16, num_classes=3, seed=1,
                                 near_boundary_margin=4)
+    assert all(check_certificate_soundness(vs, patch_width=2, band_width=2)["sound"]
+               for vs in tables)
+    _understate_the_bound(monkeypatch, 1)
     bad = 0
     for vs in tables:
-        res = check_certificate_soundness(vs, patch_width=2, band_width=2,
-                                          delta_fn=lambda m, b: 1)
+        res = check_certificate_soundness(vs, patch_width=2, band_width=2)
         bad += not res["sound"]
     assert bad > 0
 
@@ -104,7 +114,7 @@ def test_margin_exactly_two_delta_is_overturnable():
 
 
 @pytest.mark.parametrize("classes", [[0, 1], [1, 0]])
-def test_a_reachable_tie_is_a_flip(classes):
+def test_a_reachable_tie_is_a_flip(classes, monkeypatch):
     """5 votes to 3 on 8 positions: one corrupted band (m = b = 1) reaches
     4 to 4, and ``vote`` abstains on a tie. That is a flip whichever class
     id holds the top, so a bound of 0.99 bands per patch must be unsound."""
@@ -113,7 +123,8 @@ def test_a_reachable_tie_is_a_flip(classes):
     vs[5:, classes[1]] = True
     assert worst_case_flip(vs, 1, 1)
     assert exhaustive_flip_bitmask(vs, 1, 1)
-    res = check_certificate_soundness(vs, 1, 1, delta_fn=lambda m, b: 0.99)
+    _understate_the_bound(monkeypatch, 0.99)
+    res = check_certificate_soundness(vs, 1, 1)
     assert res["certified"] and res["flippable"] and not res["sound"]
 
 
@@ -237,11 +248,12 @@ def _reference_attack(image, params, plan, cfg, patch_shape, locations, trials, 
     img = np.asarray(image, dtype=params.dtype)
     ph, pw = patch_shape
     w = plan.image_width
-    base_scores = per_band_scores(img[None], params, plan, cfg)[0]
+    base_logits = batched_certify_forward(img[None], params, plan)[0][0]
+    base_scores = base_logits if cfg.threshold_on == "logits" else softmax_scores(base_logits)
     base_table = vote(base_scores, cfg)
     rng = np.random.default_rng([int(seed), 0xA77, image_id])
     base_predicted = -1 if base_table.tied else base_table.predicted
-    flips, min_margin, rescored = 0, base_table.margin, 0
+    flips, min_margin, rescored = 0, int(base_table.margin), 0
     per_location = []
     patched = np.repeat(img[None], trials, axis=0)
     region = (slice(None), slice(None), slice(0, 0), slice(0, 0))
@@ -261,7 +273,7 @@ def _reference_attack(image, params, plan, cfg, patch_shape, locations, trials, 
         flips += int((preds != base_predicted).sum())
     report = AttackReport(image_id=image_id, patch_shape=tuple(patch_shape),
                           locations=len(locations), trials_per_location=trials,
-                          certified=certified_against(base_table, pw, cfg.band_width),
+                          certified=certified_against(base_table.margin, pw, cfg.band_width),
                           flips=flips, min_margin_seen=min_margin,
                           positions_rescored=rescored)
     return base_scores, per_location, report
