@@ -10,22 +10,32 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (inclusive method) over the runs, the median and
 quartiles of the per-pair ratio change / parent (drift that slows both
 runs of a pair alike cancels in it, while it widens each side's spread),
-the number of pairs the change won, ``WORSE THAN BOUND`` where the
-change's median is worse than the parent's by more than the metric's
-bound, ``UNRESOLVED`` where
-the parent's own runs spread too widely to tell: their interquartile range
-is wider than the bound times the parent's median, and not every change
-run beats every parent run, and ``GAIN`` where a gain may be claimed: the
-change won at least nine tenths of the pairs, ties counting for neither,
-and its median beats the parent's by more than the parent's interquartile
-range. ``--out`` receives every
-run's final JSON line and ``env`` line, rewritten after each run, and the
-summary at the end.
+the number of pairs the change won, ties counting for neither, and two
+sets of verdicts.
+
+From the side medians:
+* ``WORSE THAN BOUND``: the change's median is worse than the parent's by
+  more than the metric's bound;
+* ``UNRESOLVED``: the parent's own runs spread too widely to tell: their
+  interquartile range is wider than the bound times the parent's median,
+  and not every change run beats every parent run;
+* ``GAIN``: the change won at least nine tenths of the pairs, and its
+  median beats the parent's by more than the parent's interquartile range.
+
+From the per-pair ratios, against the line 1 - bound (higher is better) or
+1 + bound (lower is better):
+* ``PAIRED WORSE``: the median ratio is past the line;
+* ``PAIRED UNRESOLVED``: the ratio's quartiles straddle the line;
+* ``PAIRED GAIN``: the change won at least nine tenths of the pairs, and
+  the ratio's worse quartile is past 1 on the better side.
+
+``--out`` receives every run's final JSON line and ``env`` line, rewritten
+after each run, and the summary at the end.
 
 Reads ``BENCHMARK.json`` from the root of this checkout and imports nothing
 from the program or its benchmark. Exits 1 if a run printed no result or
-failed a check, or if a median is worse than its bound; an unresolved
-metric alone leaves the exit status at 0.
+failed a check, or if either rule reads a metric worse than its bound; an
+unresolved metric alone leaves the exit status at 0.
 
 Usage:
     python scripts/bench_pairs.py --parent ../parent --change . \\
@@ -41,6 +51,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# summary key -> printed verdict, after WORSE THAN BOUND
+FLAGS = (("unresolved", "UNRESOLVED"), ("gain", "GAIN"), ("paired_worse", "PAIRED WORSE"),
+         ("paired_unresolved", "PAIRED UNRESOLVED"), ("paired_gain", "PAIRED GAIN"))
 
 
 def _run(checkout: Path, command: list[str], workload: str, seed: int,
@@ -64,10 +77,12 @@ def _quartiles(values: list[float]) -> dict:
 
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's quartiles, those of
-    the per-pair ratio change / parent, the pairs the change won, whether
-    the change's median is within its bound, whether the parent's spread
-    leaves the comparison unresolved, and whether the change shows a
-    gain."""
+    the per-pair ratio change / parent, the pairs the change won, and the
+    verdicts of both rules: from the side medians, whether the change is
+    within its bound, whether the parent's spread leaves the comparison
+    unresolved and whether the change shows a gain; from the ratios, the
+    same three as ``paired_worse``, ``paired_unresolved`` and
+    ``paired_gain``."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -85,19 +100,25 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             better = sum((c < p) if lower else (c > p)
                          for p, c in zip(values["parent"], values["change"]))
             stats = {side: _quartiles(values[side]) for side in SIDES}
-            ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+            ratio = _quartiles([c / p for p, c in zip(values["parent"], values["change"])])
+            line = 1 + m["bound"] if lower else 1 - m["bound"]
+            worse_quartile = ratio["q3"] if lower else ratio["q1"]
             parent, change = stats["parent"]["median"], stats["change"]["median"]
             worse = (change - parent) if lower else (parent - change)
             spread = stats["parent"]["q3"] - stats["parent"]["q1"]
             beats_all = (max(values["change"]) < min(values["parent"]) if lower
                          else min(values["change"]) > max(values["parent"]))
             out[workload][name] = {
-                **stats, "ratio": _quartiles(ratios), "runs": values, "pairs": len(pairs),
+                **stats, "ratio": ratio, "runs": values, "pairs": len(pairs),
                 "change_better_pairs": better,
                 "bound": m["bound"],
                 "within_bound": worse <= m["bound"] * abs(parent),
                 "unresolved": spread > m["bound"] * abs(parent) and not beats_all,
                 "gain": 10 * better >= 9 * len(pairs) and -worse > spread,
+                "paired_worse": ratio["median"] > line if lower else ratio["median"] < line,
+                "paired_unresolved": ratio["q1"] < line < ratio["q3"],
+                "paired_gain": 10 * better >= 9 * len(pairs)
+                and (worse_quartile < 1 if lower else worse_quartile > 1),
             }
     return out
 
@@ -143,8 +164,8 @@ def main(argv=None) -> int:
         for name, s in per_metric.items():
             p, c, r = s["parent"], s["change"], s["ratio"]
             flag = ("" if s["within_bound"] else "  WORSE THAN BOUND") \
-                + ("  UNRESOLVED" if s["unresolved"] else "") + ("  GAIN" if s["gain"] else "")
-            flagged += not s["within_bound"]
+                + "".join(f"  {label}" for key, label in FLAGS if s[key])
+            flagged += not s["within_bound"] or s["paired_worse"]
             print(f"  {name:14s} {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}] -> "
                   f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "
                   f"ratio {r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}], "

@@ -1,9 +1,11 @@
 """Voting and certification over column-band ablations.
 
-Every band position p in [0, w) yields one prediction distribution for the
-window that sees only that band. A class collects a vote at p when its
-score clears a fixed threshold, so one position can vote for several
-classes or none. ``tally`` is the one vote rule: the prediction is the
+Every band position p in [0, w) yields the logits of the window that sees
+only that band. ``vote`` is the one per-position rule: it scores the
+classes at p by the softmax of those logits, or by the logits themselves
+when the config thresholds them, and a class collects a vote at p when its
+score is strictly above a fixed threshold, so one position can vote for
+several classes or none. ``tally`` counts the votes: the prediction is the
 lowest-id class with the most votes, and a table whose top two classes tie
 abstains. A width-m adversarial patch intersects at most delta = m + b - 1
 bands, each of which can at worst both remove a vote from the top class and
@@ -11,9 +13,10 @@ add one to a rival, hence the one bound, ``certified_against``:
 
     certified(m)  iff  n_top > n_runner_up + 2 * (m + b - 1)
 
-which a tie (margin 0) never meets. Both work on arrays, so ``evaluate``
-votes and certifies a whole batch at once, and the oracles re-vote with the
-same rule and check the same bound.
+which a tie (margin 0) never meets. All of them work on arrays, so
+``evaluate`` votes and certifies a whole batch of window logits at once,
+the patch attack re-votes its trials with the same ``vote``, and the
+oracles check the same bound.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .errors import ContractError
 from .model import ModelParams, WindowPlan, batched_certify_forward
 
 VOTE_THRESHOLD_DEFAULT = 0.2
-SIMPLEX_ATOL = 1e-4
 
 
 @dataclass
@@ -93,20 +95,19 @@ def softmax_scores(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def vote(scores: np.ndarray, cfg: CertifyConfig) -> VoteTable:
-    """Tally strict-threshold votes for a (..., w, C) stack of score tables,
-    one per image."""
-    s = np.asarray(scores)
-    if s.ndim < 2 or s.shape[-2] < 1 or s.shape[-1] < 2:
-        raise ContractError(f"vote: expected (positions, classes), got {s.shape}")
-    if not np.isfinite(s).all():
-        raise ContractError("vote: non-finite score")
-    if cfg.threshold_on == "probs":
-        if (s < -SIMPLEX_ATOL).any() or \
-           (np.abs(s.sum(axis=-1) - 1.0) > SIMPLEX_ATOL).any():
-            raise ContractError("vote: rows are not probability distributions; "
-                                "pass softmax outputs or use threshold_on 'logits'")
-    return tally((s > cfg.threshold).sum(axis=-2))
+def vote(logits: np.ndarray, cfg: CertifyConfig) -> VoteTable:
+    """The per-position rule on a (..., w, C) stack of window logits, one
+    (w, C) table per image. A position's scores are the softmax of its
+    logits, or the logits themselves with ``threshold_on`` 'logits'; it
+    votes for every class scoring strictly above the threshold, and
+    ``tally`` counts the votes."""
+    x = np.asarray(logits)
+    if x.ndim < 2 or x.shape[-2] < 1 or x.shape[-1] < 2:
+        raise ContractError(f"vote: expected (positions, classes), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ContractError("vote: non-finite logit")
+    scores = x if cfg.threshold_on == "logits" else softmax_scores(x)
+    return tally((scores > cfg.threshold).sum(axis=-2))
 
 
 def affected_positions(patch_col: int, patch_width: int, band_width: int,
@@ -149,9 +150,8 @@ class EvaluationResult:
 
 def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
              plan: WindowPlan, cfg: CertifyConfig) -> EvaluationResult:
-    """Vote and certify every image on its band positions' scores: the
-    softmax of the window logits, or the raw logits when the config
-    thresholds them. ``labels`` is a 1-D integer array, one class id in
+    """Vote and certify every image on its window logits, one ``vote``
+    call for the batch. ``labels`` is a 1-D integer array, one class id in
     [0, num_classes) per image."""
     if plan.band_width != cfg.band_width:
         raise ContractError(f"evaluate: plan band width {plan.band_width} != "
@@ -171,10 +171,9 @@ def evaluate(images: np.ndarray, labels: np.ndarray, params: ModelParams,
         raise ContractError(f"evaluate: label outside [0, {classes})")
     start = perf_counter()
     logits, _ = batched_certify_forward(imgs, params, plan)
-    scores = logits if cfg.threshold_on == "logits" else softmax_scores(logits)
     scored = perf_counter()
 
-    tables = vote(scores, cfg)
+    tables = vote(logits, cfg)
     tied = tables.tied
     correct = ~tied & (tables.predicted == ys)
     certified = {cfg.shape_key(s): certified_against(tables.margin, s[1], cfg.band_width)

@@ -122,20 +122,6 @@ def load_cifar10(path: str, split: str = "train") -> list[LabeledImage]:
     return out
 
 
-def write_cifar10(images: list[LabeledImage], path: str) -> None:
-    """Write records in the binary batch layout (quantizes pixels to bytes)."""
-    chunks = []
-    for im in images:
-        if im.side != CIFAR_SIDE:
-            raise ContractError(f"write_cifar10: images must be {CIFAR_SIDE}x{CIFAR_SIDE}")
-        if not (0 <= im.label < CIFAR_CLASSES):
-            raise ContractError(f"write_cifar10: label {im.label} out of range")
-        quant = np.round(im.image * 255.0).astype(np.uint8)
-        chunks.append(bytes([im.label]) + quant.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
 # ---------------------------------------------------------------------------
 # synthetic shapes
 

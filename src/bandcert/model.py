@@ -815,7 +815,10 @@ def _window_vectors(sweep: _TokenSweep, rows: np.ndarray, k: int, keep: np.ndarr
                      mode="clip", out=workspace.take("gather", (n, k, table.shape[1]),
                                                      table.dtype))
     windows = workspace.take("windows", (n, k, INPUT_CHANNELS, ps, ps), table.dtype)
-    np.multiply(pixels.reshape(n, k, 3, ps, ps), flags, out=windows[:, :, :3])
+    # 0 * inf is NaN in an ablated column; the encoder's embedding check
+    # raises it as a NumericError, which numpy's warning would only repeat
+    with np.errstate(invalid="ignore"):
+        np.multiply(pixels.reshape(n, k, 3, ps, ps), flags, out=windows[:, :, :3])
     windows[:, :, 3:] = flags
     return windows.reshape(n, k, INPUT_CHANNELS * ps * ps), plan.position_ids[positions, :k + 1]
 

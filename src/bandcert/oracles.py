@@ -8,7 +8,8 @@ Everything here recomputes a claim by brute force or a second method:
   positions, by ``certification.tally``'s rule, against the bound that
   ``certify`` prints, ``certification.certified_against``;
 * attacks: concrete randomized patches on certified images, re-scoring
-  only the bands the patch touches;
+  only the bands the patch touches and re-voting them by
+  ``certification.vote``;
 * attention: the isolated window forward against the masked global one;
 * gradients: finite differences against the tape for every primitive the
   program runs and for a whole encoder block. The unfused chain the fused
@@ -17,7 +18,6 @@ Everything here recomputes a claim by brute force or a second method:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from . import model
 from .autodiff import Tensor
-from .certification import (CertifyConfig, VoteTable, affected_positions,
-                            certified_against, softmax_scores, tally, vote)
+from .certification import (CertifyConfig, affected_positions, certified_against,
+                            tally, vote)
 from .errors import ContractError
 from .model import (ModelConfig, ModelParams, WindowPlan, forward_band_unit,
                     forward_global, patchify, window_token_ids)
@@ -97,29 +97,6 @@ def worst_case_flip(vote_sets: np.ndarray, patch_width: int, band_width: int,
     return False
 
 
-def exhaustive_flip_bitmask(vote_sets: np.ndarray, patch_width: int,
-                            band_width: int, wrap: bool = True) -> bool:
-    """Ground-truth flip check that literally tries every vote pattern at
-    every corrupted position. Exponential; only for tiny tables."""
-    vs = np.asarray(vote_sets, dtype=bool)
-    w, c = vs.shape
-    if (2 ** c) ** min(w, patch_width + band_width - 1) > 2_000_000:
-        raise ContractError("exhaustive_flip_bitmask: table too large to enumerate")
-    counts = vs.sum(axis=0)
-    base_decision = tally(counts).decision
-    patterns = [np.array(bits, dtype=bool)
-                for bits in itertools.product((False, True), repeat=c)]
-    for q in range(w):
-        hit = affected_positions(q, patch_width, band_width, w, wrap)
-        base = counts - vs[hit].sum(axis=0)
-        for combo in itertools.product(patterns, repeat=hit.size):
-            trial = base + np.sum(combo, axis=0, dtype=np.int64) if combo \
-                else base
-            if tally(trial).decision != base_decision:
-                return True
-    return False
-
-
 def check_certificate_soundness(vote_sets: np.ndarray, patch_width: int,
                                 band_width: int, wrap: bool = True) -> dict:
     """Check one table: if ``certified_against``, the bound ``certify``
@@ -171,19 +148,6 @@ class AttackReport:
     positions_rescored: int
 
 
-def _recount_votes(base_table: VoteTable, base_scores: np.ndarray,
-                   new_scores: np.ndarray, hit: np.ndarray,
-                   cfg: CertifyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``tally``'s margins and decisions for T trials that replace rows
-    ``hit`` of the base score table: (margins (T,), decisions (T,)), a tied
-    trial abstaining with -1."""
-    thr = cfg.threshold
-    base_votes_hit = (base_scores[hit] > thr).sum(axis=0)
-    new_votes = (new_scores > thr).sum(axis=1)  # (T, C)
-    trials = tally(base_table.votes - base_votes_hit + new_votes)
-    return trials.margin, trials.decision
-
-
 def patch_locations(image_side: int, shape: tuple[int, int], count: int) -> list[tuple[int, int]]:
     """Deterministic spread of patch anchors over the valid placement grid."""
     max_r = image_side - shape[0]
@@ -196,12 +160,11 @@ def patch_locations(image_side: int, shape: tuple[int, int], count: int) -> list
 
 
 def _attack_scores(img: np.ndarray, params: ModelParams, plan: WindowPlan,
-                   cfg: CertifyConfig, patch_shape: tuple[int, int],
-                   locations: list[tuple[int, int]], hits: list[np.ndarray],
-                   trials: int, rng: np.random.Generator
+                   patch_shape: tuple[int, int], locations: list[tuple[int, int]],
+                   hits: list[np.ndarray], trials: int, rng: np.random.Generator
                    ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The attack's voting scores, from one window sweep: the clean image's
-    (w, C) scores, and per location the (trials, hits, C) scores of its
+    """The attack's window logits, from one window sweep: the clean image's
+    (w, C) logits, and per location the (trials, hits, C) logits of its
     trials at its hit band positions ``hits[i]``.
 
     The sweep reads a shared token table, not trial images. The table is
@@ -246,10 +209,9 @@ def _attack_scores(img: np.ndarray, params: ModelParams, plan: WindowPlan,
     logits = np.empty((images.size, mcfg.num_classes), dtype=params.dtype)
     for rows, out in model._sweep_windows(params, plan, sweep):
         logits[rows] = out.data
-    scores = logits if cfg.threshold_on == "logits" else softmax_scores(logits)
-    base, *per_location = np.split(scores, np.cumsum([w] + [trials * hit.size
+    base, *per_location = np.split(logits, np.cumsum([w] + [trials * hit.size
                                                             for hit in hits])[:-1])
-    return base, [s.reshape(trials, hit.size, -1) for s, hit in zip(per_location, hits)]
+    return base, [x.reshape(trials, hit.size, -1) for x, hit in zip(per_location, hits)]
 
 
 def empirical_patch_attack(image: np.ndarray, params: ModelParams,
@@ -261,8 +223,9 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     whose columns meet the patch are re-scored; the rest of the vote table
     cannot change, which is exactly the structure the certificate uses.
     The clean image and every trial are scored in one window sweep over a
-    shared token table (``_attack_scores``), and each trial's votes are its
-    location's base votes with the hit rows replaced.
+    shared token table (``_attack_scores``). A trial's votes are the clean
+    votes with the hit positions' votes replaced by the trial's, each
+    counted by ``vote`` from its own logits.
 
     ``image`` is (3, h, w) at the model's side, every (row, col) anchor
     must place the whole patch inside it, ``trials`` is at least 1, and the
@@ -289,17 +252,17 @@ def empirical_patch_attack(image: np.ndarray, params: ModelParams,
     hits = [affected_positions(c0, pw, cfg.band_width, plan.image_width,
                                wrap=params.cfg.band_wrap) for _, c0 in locations]
     rng = np.random.default_rng([int(seed), 0xA77, image_id])
-    base_scores, trial_scores = _attack_scores(img, params, plan, cfg, patch_shape,
-                                               locations, hits, trials, rng)
-    base_table = vote(base_scores, cfg)
-    certified = certified_against(base_table.margin, pw, cfg.band_width)
+    base_logits, trial_logits = _attack_scores(img, params, plan, patch_shape, locations,
+                                               hits, trials, rng)
+    base = vote(base_logits, cfg)
+    certified = certified_against(base.margin, pw, cfg.band_width)
 
     flips = 0
-    min_margin = int(base_table.margin)
-    for hit, scores in zip(hits, trial_scores):
-        margins, decisions = _recount_votes(base_table, base_scores, scores, hit, cfg)
-        min_margin = min(min_margin, int(margins.min()))
-        flips += int((decisions != base_table.decision).sum())
+    min_margin = int(base.margin)
+    for hit, logits in zip(hits, trial_logits):
+        voted = tally(base.votes - vote(base_logits[hit], cfg).votes + vote(logits, cfg).votes)
+        min_margin = min(min_margin, int(voted.margin.min()))
+        flips += int((voted.decision != base.decision).sum())
     return AttackReport(
         image_id=image_id,
         patch_shape=tuple(patch_shape),

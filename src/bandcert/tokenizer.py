@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataFormatError
+from .errors import ContractError
 from .model import patchify
 
 CODEBOOK_MAGIC = b"ECCB"
@@ -142,28 +142,3 @@ def save_codebook(codebook: Codebook, path: str) -> None:
         fh.write(CODEBOOK_MAGIC)
         fh.write(struct.pack("<III", CODEBOOK_VERSION, codebook.size, codebook.dim))
         fh.write(np.ascontiguousarray(codebook.centroids, dtype="<f4").tobytes())
-
-
-def load_codebook(path: str) -> Codebook:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CODEBOOK_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}, expected {CODEBOOK_MAGIC!r}")
-    if len(blob) < 16:
-        raise DataFormatError(f"{path}: truncated codebook header")
-    version, k, dim = struct.unpack_from("<III", blob, 4)
-    if version != CODEBOOK_VERSION:
-        raise DataFormatError(f"{path}: codebook version {version}, this build reads "
-                              f"version {CODEBOOK_VERSION}")
-    if k < 2 or dim < 1:
-        raise DataFormatError(f"{path}: header says {k}x{dim} centroids, "
-                              f"a codebook needs k >= 2 and dim >= 1")
-    need = 16 + 4 * k * dim
-    if len(blob) != need:
-        raise DataFormatError(f"{path}: expected {need} bytes for {k}x{dim} "
-                              f"centroids, file has {len(blob)}")
-    cent = np.frombuffer(blob, dtype="<f4", count=k * dim, offset=16)
-    if not np.isfinite(cent).all():
-        raise DataFormatError(f"{path}: non-finite centroid value")
-    return Codebook(cent.reshape(k, dim).astype(np.float64))
-

@@ -1,9 +1,12 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+METRICS = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +104,65 @@ def test_the_pair_ratios_see_a_change_that_drift_on_both_sides_hides(bench_pairs
                               LOWER)["w"]["images_per_s"]
     assert s["change_better_pairs"] == 10 and not s["gain"]
     assert s["ratio"]["q1"] < 1 and s["ratio"]["median"] < 1 and s["ratio"]["q3"] < 1
+
+
+def _replay(bench_pairs, path, *keys):
+    """Summaries of the committed pairs of one workload of a ``BENCH_*.json``,
+    every end-to-end metric under its bound in ``BENCHMARK.json``."""
+    workload = json.loads((ROOT / path).read_text())["workloads"]
+    for key in keys:
+        workload = workload[key]
+    return {name: bench_pairs.summarise(
+                _runs(workload[name]["runs"]["parent"], workload[name]["runs"]["change"], name),
+                [m])["w"][name]
+            for name, m in METRICS.items()}
+
+
+def test_the_pairs_read_the_gain_bench_22_set_1_hid(bench_pairs):
+    # attack16, 10 of 10 pairs won at ratios 1.21-1.86; drift on both sides
+    # of pairs 0-3 leaves the side medians inside the parent's spread
+    s = _replay(bench_pairs, "BENCH_22.json", "set_1", "attack16")["images_per_s"]
+    ratios = [c / p for p, c in zip(s["runs"]["parent"], s["runs"]["change"])]
+    assert 1.2 < min(ratios) < 1.22 and 1.85 < max(ratios) < 1.87
+    assert s["change_better_pairs"] == 10
+    assert not s["gain"] and s["unresolved"]
+    assert s["paired_gain"] and not s["paired_worse"] and not s["paired_unresolved"]
+
+
+def test_the_pairs_resolve_bench_25_certify32(bench_pairs):
+    s = _replay(bench_pairs, "BENCH_25.json", "certify32")
+    for name, (q1, q3) in {"images_per_s": (0.934, 1.066), "op_ms_p50": (0.955, 1.040)}.items():
+        assert (s[name]["ratio"]["q1"], s[name]["ratio"]["q3"]) == \
+            (pytest.approx(q1, abs=5e-4), pytest.approx(q3, abs=5e-4)), name
+        assert s[name]["within_bound"] and s[name]["unresolved"], name
+        assert not (s[name]["paired_worse"] or s[name]["paired_unresolved"]
+                    or s[name]["paired_gain"]), name
+    # no metric of the set reads worse than its bound under either rule
+    assert all(v["within_bound"] and not v["paired_worse"] for v in s.values())
+
+
+def test_the_pairs_flag_a_regression_past_the_bound_under_drift(bench_pairs):
+    # every pair loses 26-28% images/s, and drift slows both runs of pairs
+    # 2, 3, 5 and 8 by 40%
+    drift = [1.0, 1.0, 0.6, 0.6, 1.0, 0.6, 1.0, 1.0, 0.6, 1.0]
+    parent = [100 * d * (1 + 0.01 * (i % 3)) for i, d in enumerate(drift)]
+    lost = [0.26, 0.27, 0.28, 0.27, 0.26, 0.28, 0.27, 0.26, 0.28, 0.27]
+    change = [p * (1 - x) for p, x in zip(parent, lost)]
+    s = bench_pairs.summarise(_runs(parent, change), HIGHER)["w"]["images_per_s"]
+    assert s["paired_worse"] and not s["paired_unresolved"] and not s["paired_gain"]
+    assert s["ratio"]["median"] == pytest.approx(0.73)
+    assert s["unresolved"]  # the parent's own spread is 40% of its median
+    # as times, lower is better: the same pairs are worse past 1 + bound
+    s = bench_pairs.summarise(_runs([1 / v for v in parent], [1 / v for v in change]),
+                              LOWER)["w"]["images_per_s"]
+    assert s["paired_worse"] and not s["paired_unresolved"]
+
+
+def test_ratio_quartiles_straddling_the_line_are_unresolved(bench_pairs):
+    # ratios 0.6-0.9 around the line at 0.75: not past it in the median
+    parent = [100] * 8
+    change = [60, 65, 70, 74, 76, 80, 85, 90]
+    s = bench_pairs.summarise(_runs(parent, change), HIGHER)["w"]["images_per_s"]
+    assert s["paired_unresolved"] and not s["paired_worse"]
+    s = bench_pairs.summarise(_runs(parent, [v - 3 for v in change]), HIGHER)["w"]["images_per_s"]
+    assert s["paired_unresolved"] and s["paired_worse"]

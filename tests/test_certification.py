@@ -18,19 +18,18 @@ def cfg_for(w=8, **kw):
     return CertifyConfig(**base)
 
 
+def counts_cfg(**kw):
+    """Thresholds logits at 0.5, the config ``table_from_counts`` is voted by."""
+    return cfg_for(threshold=0.5, threshold_on="logits", **kw)
+
+
 def table_from_counts(counts, w):
-    """Build a (w, C) prob table whose strict-threshold votes match counts."""
+    """Build a (w, C) logit table whose votes under ``counts_cfg`` match
+    counts: one position per vote, positions left over voting for none."""
     counts = np.asarray(counts)
-    c = counts.size
-    scores = np.full((w, c), 0.01)
-    row = 0
-    for cls, k in enumerate(counts):
-        for _ in range(k):
-            scores[row] = 0.01
-            scores[row, cls] = 0.9
-            row += 1
-    scores /= scores.sum(axis=1, keepdims=True)
-    return scores
+    logits = np.zeros((w, counts.size))
+    logits[np.arange(counts.sum()), np.repeat(np.arange(counts.size), counts)] = 1.0
+    return logits
 
 
 def test_vote_threshold_is_strict():
@@ -52,20 +51,10 @@ def test_vote_allows_zero_or_multiple_votes_per_position():
 
 
 def test_vote_tie_goes_to_lowest_class_id():
-    cfg = cfg_for()
-    scores = table_from_counts([3, 3, 0], w=8)
-    t = vote(scores, cfg)
+    t = vote(table_from_counts([3, 3, 0], w=8), counts_cfg())
+    assert t.votes.tolist() == [3, 3, 0]
     assert t.predicted == 0
     assert t.tied and t.margin == 0 and t.decision == -1
-
-
-def test_vote_rejects_non_simplex_rows():
-    cfg = cfg_for()
-    bad = np.full((4, 3), 0.5)
-    with pytest.raises(ContractError):
-        vote(bad, cfg)
-    # same rows pass when raw scores are thresholded
-    vote(bad, cfg_for(threshold_on="logits"))
 
 
 def test_vote_rejects_non_finite():
@@ -88,7 +77,7 @@ def test_vote_refuses_a_table_without_positions():
 
 
 def test_certified_against_boundary_is_strict():
-    cfg = cfg_for()
+    cfg = counts_cfg()
     # delta = m + b - 1 = 2 + 2 - 1 = 3, so margin must exceed 6
     at_bound = vote(table_from_counts([7, 1], w=8), cfg)     # margin 6
     above = vote(table_from_counts([8, 1], w=9), cfg)        # margin 7
@@ -112,7 +101,7 @@ def test_max_certified_width_agrees_with_the_predicate(w, b, data):
     counts = data.draw(st.lists(st.integers(0, w), min_size=c, max_size=c))
     if sum(counts) > 0:
         counts[0] = max(counts)  # keep a deterministic argmax winner
-    t = vote(table_from_counts_padded(counts, w), cfg_for(band_width=b))
+    t = vote(table_from_counts_padded(counts, w), counts_cfg(band_width=b))
     m_star = max_certified_patch_width(t.margin, b, w)
     if m_star > 0:
         assert certified_against(t.margin, m_star, b)
@@ -120,30 +109,49 @@ def test_max_certified_width_agrees_with_the_predicate(w, b, data):
         assert not certified_against(t.margin, m_star + 1, b)
 
 
+def reference_vote(logits, cfg):
+    """The rule written out position by position: each position's scores
+    are ``softmax_scores`` of its logits, or the logits in 'logits' mode;
+    it votes for each class strictly above the threshold. Returns the
+    counts, the lowest-id class with the most votes and its margin."""
+    counts = [0] * logits.shape[-1]
+    for row in logits:
+        scores = row if cfg.threshold_on == "logits" else softmax_scores(row)
+        for cls, score in enumerate(scores.tolist()):
+            counts[cls] += score > cfg.threshold
+    top, second = sorted(range(len(counts)), key=lambda cls: (-counts[cls], cls))[:2]
+    return counts, top, counts[top] - counts[second]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 12), st.integers(2, 5),
+@given(st.integers(1, 5), st.integers(1, 12), st.integers(2, 7),
        st.sampled_from(["probs", "logits"]), st.integers(0, 2**32 - 1))
 def test_a_stack_votes_as_its_tables_do(n, w, c, threshold_on, seed):
-    """``vote`` on an (n, w, C) stack gives, table by table, what it gives
-    on each (w, C) table: ties, tables with no votes and positions voting
-    for several classes included."""
+    """``vote`` on an (n, w, C) stack of logits gives, table by table, what
+    it gives on each (w, C) table, and what the rule written out position
+    by position gives: ties, positions with no vote or several, and scores
+    exactly at the threshold included."""
     rng = np.random.default_rng(seed)
     if threshold_on == "logits":
-        # small integers put many scores on the threshold and many rows tie
-        scores = rng.integers(-2, 3, size=(n, w, c)).astype(float)
+        # small integers put many logits on the threshold and many rows tie
+        logits = rng.integers(-2, 3, size=(n, w, c)).astype(float)
         cfg = cfg_for(threshold=0.0, threshold_on="logits")
     else:
-        scores = softmax_scores(rng.normal(size=(n, w, c)) * rng.uniform(0, 4))
-        cfg = cfg_for(threshold=rng.choice([0.05, 1 / c, 0.9]))
-    stack = vote(scores, cfg)
+        # equal logits score exactly 1 / C; past five classes a position
+        # can stay below 0.2 everywhere
+        logits = rng.normal(size=(n, w, c)) * rng.choice([0.0, 1.0, 4.0])
+        cfg = cfg_for(threshold=rng.choice([0.05, 1 / c, 0.2, 0.9]))
+    stack = vote(logits, cfg)
     assert stack.votes.shape == (n, c)
     assert stack.predicted.shape == stack.margin.shape == (n,)
     for i in range(n):
-        one = vote(scores[i], cfg)
+        one = vote(logits[i], cfg)
         assert np.ndim(one.predicted) == np.ndim(one.margin) == 0
         assert stack.votes[i].tolist() == one.votes.tolist()
         for name in ("predicted", "margin", "tied", "decision"):
             assert getattr(stack, name)[i] == getattr(one, name), name
+        counts, top, margin = reference_vote(logits[i], cfg)
+        assert (one.votes.tolist(), one.predicted, one.margin) == (counts, top, margin)
 
 
 def table_from_counts_padded(counts, w):
@@ -204,7 +212,7 @@ def test_evaluate_records_and_summary(small_params):
     # bound give
     logits, _ = batched_certify_forward(imgs, params, plan)
     for i, rec in enumerate(res.records):
-        t = vote(softmax_scores(logits[i]), ccfg)
+        t = vote(logits[i], ccfg)
         want = {
             "image_id": i, "label": int(ys[i]), "predicted": int(t.predicted),
             "abstained": bool(t.tied), "votes": t.votes.tolist(), "margin": int(t.margin),

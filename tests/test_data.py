@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
-from bandcert.data import (DatasetSpec, LabeledImage, load_cifar10, load_dataset,
-                           stack_images, upsample_nearest, write_cifar10)
+from bandcert.data import (CIFAR_CLASSES, CIFAR_SIDE, DatasetSpec, LabeledImage, load_cifar10,
+                           load_dataset, stack_images, upsample_nearest)
 from bandcert.errors import ContractError, DataFormatError
+
+
+def write_cifar10(images: list[LabeledImage], path: str) -> None:
+    """Write records in the binary batch layout (quantizes pixels to bytes)."""
+    chunks = []
+    for im in images:
+        if im.side != CIFAR_SIDE:
+            raise ContractError(f"write_cifar10: images must be {CIFAR_SIDE}x{CIFAR_SIDE}")
+        if not (0 <= im.label < CIFAR_CLASSES):
+            raise ContractError(f"write_cifar10: label {im.label} out of range")
+        quant = np.round(im.image * 255.0).astype(np.uint8)
+        chunks.append(bytes([im.label]) + quant.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(b"".join(chunks))
 
 
 def synth_spec(**kw):

